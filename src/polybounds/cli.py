@@ -210,6 +210,8 @@ def _tolerances(options: dict) -> Tolerances:
     t = options.get("tolerance")
     if t is None:
         return DEFAULT_TOLERANCES
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise SchemaError(f'"tolerance" must be a number, got {t!r}')
     t = float(t)
     if not (0 < t < 1):
         raise SchemaError(f"tolerance must be in (0, 1), got {t}")
@@ -382,7 +384,7 @@ def _handle_npa(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[
     level = NpaLevel.parse(req.options["npa_level"])
     value, result = npa_bound(level, functional, tol, return_result=True)
     results = {"bound": value, "level": level.value, "functional": functional}
-    prov = {"sdp_iterations": result.iterations, "duality_gap": result.gap}
+    prov = {"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap}
     return results, prov
 
 
@@ -697,7 +699,7 @@ def _classify(exc: Exception) -> int:
         exc, (InfeasibleTableError, InconsistentDataError, ZeroConditioningError, SignalingError)
     ):
         return EXIT_INFEASIBLE
-    if isinstance(exc, SolverError):
+    if isinstance(exc, (SolverError, np.linalg.LinAlgError)):
         return EXIT_SOLVER
     raise exc
 

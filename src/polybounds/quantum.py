@@ -412,6 +412,11 @@ def quantum_ace_bounds(
     The observed table enters as affine constraints on moment-matrix
     entries; the effect is (<B_0> - <B_1>) / 2.  This is an outer
     relaxation, so the interval contains the classical LP interval.
+
+    When the data pin the effect, the two solved endpoints can cross by
+    rounding.  A crossing no larger than the sum of the two certified
+    duality gaps returns the midpoint as a point interval; a larger one
+    still fails the ``Interval`` check.
     """
     data = _iv_data_constraints(table)
     start = _classical_moment_start(table, level)
@@ -423,8 +428,14 @@ def quantum_ace_bounds(
     lo_prog = moment_program(level, {k: -v for k, v in objective.items()}, data)
     lo = sdp_solve(lo_prog.problem, tol, start=start)
     diagnostics["sdp_iterations"] = (lo.iterations, hi.iterations)
+    diagnostics["sdp_termination"] = (lo.termination, hi.termination)
     diagnostics["duality_gaps"] = (lo.gap, hi.gap)
-    return Interval(-lo.value, hi.value), diagnostics
+    lo_value, hi_value = -lo.value, hi.value
+    if 0.0 < lo_value - hi_value <= lo.gap + hi.gap:
+        # endpoints crossing within the certified duality gaps: the data pin
+        # the effect, and each endpoint is only known to within its gap
+        lo_value = hi_value = 0.5 * (lo_value + hi_value)
+    return Interval(lo_value, hi_value), diagnostics
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +492,12 @@ def quantum_gap_report(
         quantum, result = npa_bound(level, functional, tol, return_result=True)
         nosignaling = no_signaling_max(functional, tol)
         diagnostics.update(
-            {"facet_index": k, "sdp_iterations": result.iterations, "duality_gap": result.gap}
+            {
+                "facet_index": k,
+                "sdp_iterations": result.iterations,
+                "sdp_termination": result.termination,
+                "duality_gap": result.gap,
+            }
         )
         notes.append("classical entry is the behavior's most-violated facet value")
         if classical > quantum + 1e-9:
@@ -497,7 +513,9 @@ def quantum_gap_report(
     classical = local_max(functional, tol)
     quantum, result = npa_bound(level, functional, tol, return_result=True)
     nosignaling = no_signaling_max(functional, tol)
-    diagnostics.update({"sdp_iterations": result.iterations, "duality_gap": result.gap})
+    diagnostics.update(
+        {"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap}
+    )
     return GapReport(
         "functional", float(classical), float(quantum), float(nosignaling),
         float(quantum - classical), level, tuple(notes), diagnostics,

@@ -9,6 +9,22 @@ m x m Schur complement.
 The dual is  min b'y  subject to  Z = sum_k y_k A_k - C >= 0,  and the
 reported ``gap`` is |primal - dual| on the returned iterates, the quantity
 callers verify independently.
+
+Stopping rules, after SDPT3 (Toh, Todd and Tutuncu 1999).  With the merit
+rel_gap + rp_rel + rd_rel, where rel_gap = gap / (1 + |pobj| + |dobj|) and
+rp_rel, rd_rel are the primal and dual residual norms relative to
+1 + ||b|| and 1 + ||C||, the loop ends
+
+* ``"converged"``: rel_gap <= ``tol.sdp_gap_target`` and both residuals
+  <= 1e-10 (or complementarity has vanished on a primal-feasible iterate);
+* ``"stalled"``: the best merit has not strictly improved for 10 iterations
+  and the best iterate has rel_gap <= ``tol.sdp_gap_target`` and both
+  residuals <= 1e-9 (degenerate optima hold the primal residual near 2e-10);
+* ``"iteration_limit"``: ``tol.sdp_max_iterations`` iterations ran.
+
+In every case the best-merit iterate is returned, as ``SdpResult`` with the
+reason in ``termination``, provided it passes ``tol.sdp_gap_accept`` and
+``tol.sdp_feasibility_accept``; otherwise ``SdpConvergenceError`` is raised.
 """
 
 from __future__ import annotations
@@ -20,7 +36,12 @@ import numpy as np
 from ..config import DEFAULT_TOLERANCES, Tolerances
 from ..errors import DimensionMismatchError, SdpConvergenceError, ValidationError
 
-_DEBUG = False
+# Stall stop: the best merit has not strictly improved for this many
+# iterations while the best iterate already meets the gap target and has
+# both residuals at or below _STALL_RESIDUAL.  A window of 5 stops the
+# 32x32 size-ceiling instance before its absolute residual reaches 1e-7.
+_STALL_WINDOW = 10
+_STALL_RESIDUAL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +90,7 @@ class SdpResult:
     primal_residual: float
     dual_residual: float
     iterations: int
+    termination: str  # "converged", "stalled" or "iteration_limit"
 
 
 def realify(H: np.ndarray) -> np.ndarray:
@@ -95,9 +117,8 @@ def _psd_sqrt_pair(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return half, inv_half, inv
 
 
-def _max_step(S: np.ndarray, dS: np.ndarray) -> float:
-    """Largest alpha with S + alpha dS still PSD (S assumed PD)."""
-    _, inv_half, _ = _psd_sqrt_pair(S)
+def _max_step(inv_half: np.ndarray, dS: np.ndarray) -> float:
+    """Largest alpha with S + alpha dS still PSD, given inv_half = S^-1/2 (S PD)."""
     K = inv_half @ dS @ inv_half
     lam = np.linalg.eigvalsh(0.5 * (K + K.T)).min()
     if lam >= -1e-14:
@@ -119,15 +140,20 @@ def sdp_solve(
     m = len(problem.constraints)
     if m == 0:
         raise ValidationError("SDP needs at least one equality constraint")
-    As = np.stack([Ak for Ak, _ in problem.constraints])
+    As2 = np.stack([Ak for Ak, _ in problem.constraints]).reshape(m, n * n)
     b = np.array([bk for _, bk in problem.constraints])
     C0 = -problem.C  # interior-point core minimizes
+    with np.errstate(over="ignore"):
+        norm_b = 1.0 + np.linalg.norm(b)
+        norm_c = 1.0 + np.linalg.norm(C0, "fro")
+    if not (np.isfinite(norm_b) and np.isfinite(norm_c)):
+        raise SdpConvergenceError("objective or right-hand side has a non-finite norm; rescale the problem")
 
     def Aop(M: np.ndarray) -> np.ndarray:
-        return np.tensordot(As, M, axes=([1, 2], [0, 1]))
+        return As2 @ M.ravel()
 
     def Aadj(y: np.ndarray) -> np.ndarray:
-        return np.tensordot(y, As, axes=(0, 0))
+        return (y @ As2).reshape(n, n)
 
     if start is not None:
         X = 0.5 * (np.array(start, dtype=float) + np.array(start, dtype=float).T)
@@ -139,12 +165,9 @@ def sdp_solve(
         X = np.eye(n) * max(1.0, float(np.abs(b).max()))
     Z = np.eye(n) * max(1.0, np.linalg.norm(C0, "fro") / np.sqrt(n))
     y = np.zeros(m)
-
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.linalg.norm(C0, "fro")
     tau = tol.sdp_step_fraction
 
-    mu0 = float(np.tensordot(X, Z)) / n
+    mu0 = float(np.vdot(X, Z)) / n
     infeas0 = max(
         np.linalg.norm(b - Aop(X)) / norm_b,
         np.linalg.norm(C0 - Z - Aadj(y), "fro") / norm_c,
@@ -152,6 +175,9 @@ def sdp_solve(
     )
 
     best: tuple[float, tuple] | None = None
+    best_at = 0
+    best_stalls = False  # the best iterate would be good enough to stop on a stall
+    termination = "iteration_limit"
     iterations = 0
     for iterations in range(1, tol.sdp_max_iterations + 1):
         # boundary lifting: while materially infeasible, keep both iterates
@@ -160,7 +186,7 @@ def sdp_solve(
             np.linalg.norm(b - Aop(X)) / norm_b,
             np.linalg.norm(C0 - Z - Aadj(y), "fro") / norm_c,
         ) > 1e-9:
-            mu_est = max(float(np.tensordot(X, Z)) / n, 1e-12)
+            mu_est = max(float(np.vdot(X, Z)) / n, 1e-12)
             lam_x = np.linalg.eigvalsh(X)
             lam_z = np.linalg.eigvalsh(Z)
             floor_x = 1e-3 * mu_est / max(lam_z.max(), 1e-12)
@@ -170,17 +196,12 @@ def sdp_solve(
             if lam_z.min() < floor_z:
                 Z = Z + (floor_z - lam_z.min()) * np.eye(n)
 
-        mu = float(np.tensordot(X, Z)) / n
+        xz = float(np.vdot(X, Z))
+        mu = xz / n
         rp = b - Aop(X)
         Rd = C0 - Z - Aadj(y)
-        pobj = float(np.tensordot(C0, X))
+        pobj = float(np.vdot(C0, X))
         dobj = float(b @ y)
-        if _DEBUG:
-            print(
-                f"it {iterations:3d} mu {mu:9.2e} rp {np.linalg.norm(rp)/norm_b:9.2e} "
-                f"rd {np.linalg.norm(Rd,'fro')/norm_c:9.2e} gap {abs(pobj-dobj):9.2e} "
-                f"lamX {np.linalg.eigvalsh(X).min():8.1e} lamZ {np.linalg.eigvalsh(Z).min():8.1e}"
-            )
         gap = abs(pobj - dobj)
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         rp_rel = np.linalg.norm(rp) / norm_b
@@ -189,9 +210,15 @@ def sdp_solve(
         merit = rel_gap + rp_rel + rd_rel
         if best is None or merit < best[0]:
             best = (merit, (X.copy(), y.copy(), Z.copy(), pobj, dobj, gap, rp_rel, rd_rel, iterations))
-        if rel_gap <= tol.sdp_gap_target and rp_rel <= 1e-10 and rd_rel <= 1e-10:
+            best_at = iterations
+            best_stalls = (
+                rel_gap <= tol.sdp_gap_target and rp_rel <= _STALL_RESIDUAL and rd_rel <= _STALL_RESIDUAL
+            )
+        if rp_rel <= 1e-10 and ((rel_gap <= tol.sdp_gap_target and rd_rel <= 1e-10) or mu < 1e-16):
+            termination = "converged"
             break
-        if mu < 1e-16 and rp_rel <= 1e-10:
+        if best_stalls and iterations - best_at >= _STALL_WINDOW:
+            termination = "stalled"
             break
 
         # Nesterov-Todd scaling point W with W Z W = X
@@ -200,9 +227,11 @@ def sdp_solve(
         Th, _, _ = _psd_sqrt_pair(0.5 * (T + T.T))
         W = Zih @ Th @ Zih
         W = 0.5 * (W + W.T)
+        _, Xih, _ = _psd_sqrt_pair(X)
 
-        WAW = np.einsum("ij,kjl,lm->kim", W, As, W)
-        M = np.tensordot(As, WAW, axes=([1, 2], [1, 2]))
+        # Schur complement M_kl = <A_k, W A_l W>; kron(W, W) acts on the
+        # row-major flattening as M -> W M W
+        M = As2 @ (np.kron(W, W) @ As2.T)
         M = 0.5 * (M + M.T)
         try:
             L = np.linalg.cholesky(M + np.eye(m) * max(M.diagonal().max(), 1.0) * 1e-14)
@@ -229,11 +258,16 @@ def sdp_solve(
             dX = E - W @ dZ @ W
             return 0.5 * (dX + dX.T), dy, 0.5 * (dZ + dZ.T)
 
+        def mu_after(dX: np.ndarray, dZ: np.ndarray):
+            """mu at (X + ap dX, Z + ad dZ) as a bilinear form in the step lengths."""
+            dxz, xdz, dxdz = float(np.vdot(dX, Z)), float(np.vdot(X, dZ)), float(np.vdot(dX, dZ))
+            return lambda ap, ad: (xz + ap * dxz + ad * xdz + ap * ad * dxdz) / n
+
         # predictor to pick the centering weight
         dXa, _, dZa = direction(0.0)
-        ap = min(1.0, tau * _max_step(X, dXa))
-        ad = min(1.0, tau * _max_step(Z, dZa))
-        mu_aff = float(np.tensordot(X + ap * dXa, Z + ad * dZa)) / n
+        ap = min(1.0, tau * _max_step(Xih, dXa))
+        ad = min(1.0, tau * _max_step(Zih, dZa))
+        mu_aff = mu_after(dXa, dZa)(ap, ad)
         sigma = min(0.999, max(1e-6, (max(mu_aff, 0.0) / mu) ** 3))
         infeasible = max(rp_rel, rd_rel) > 1e-12
         if infeasible:
@@ -250,10 +284,11 @@ def sdp_solve(
         best_step = None
         for _ in range(5):
             dX, dy, dZ = direction(sigma * mu)
-            ap = min(1.0, tau * _max_step(X, dX))
-            ad = min(1.0, tau * _max_step(Z, dZ))
+            ap = min(1.0, tau * _max_step(Xih, dX))
+            ad = min(1.0, tau * _max_step(Zih, dZ))
+            mu_step = mu_after(dX, dZ)
             for _ in range(40):
-                mu_new = float(np.tensordot(X + ap * dX, Z + ad * dZ)) / n
+                mu_new = mu_step(ap, ad)
                 infeas_new = max((1.0 - ap) * rp_rel, (1.0 - ad) * rd_rel)
                 ok_mu = mu_new >= 0.02 * sigma * mu
                 ok_nbhd = (not infeasible) or infeas_new / infeas0 <= beta * max(mu_new, 0.0) / mu0
@@ -306,4 +341,5 @@ def sdp_solve(
         primal_residual=rp_rel,
         dual_residual=rd_rel,
         iterations=iterations,
+        termination=termination,
     )

@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from polybounds.cli import SchemaError, main, parse_request, serialize_request
+from polybounds.cli import SchemaError, _classify, main, parse_request, serialize_request
 
 
 def write_doc(tmp_path, payload, options=None, name="doc.json"):
@@ -170,6 +171,55 @@ def test_normalization_rejected_unless_renormalize(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert any("renormalized" in w for w in doc["warnings"])
+
+
+def test_solver_provenance_reports_termination(tmp_path, capsys):
+    path = write_doc(tmp_path, {"functional": [[1, 1], [1, -1]]})
+    code, out = run_cli(capsys, "npa", "--input", path, "--npa-level", "1ab")
+    assert code == 0
+    assert json.loads(out)["provenance"]["solver"]["sdp_termination"] in ("converged", "stalled")
+    path = write_doc(tmp_path, {"table": np.full((2, 2, 2), 0.25).tolist()})
+    code, out = run_cli(capsys, "gap", "--input", path)
+    assert code == 0
+    solver = json.loads(out)["provenance"]["solver"]
+    assert len(solver["sdp_termination"]) == len(solver["sdp_iterations"]) == 2
+
+
+def test_huge_functional_is_solver_error(tmp_path, capsys):
+    path = write_doc(tmp_path, {"functional": [[1e300, 1.0], [1.0, -1.0]]})
+    code, out = run_cli(capsys, "npa", "--input", path)
+    assert code == 4
+    assert json.loads(out)["error"]["code"] == 4
+    # numpy linear-algebra failures elsewhere are solver failures too
+    assert _classify(np.linalg.LinAlgError("Eigenvalues did not converge")) == 4
+
+
+@pytest.mark.parametrize("tolerance", ["abc", True, [1e-6]])
+def test_bad_tolerance_option_is_schema_error(tmp_path, capsys, tolerance):
+    path = write_doc(tmp_path, {"u": 0.5, "v": 0.5}, options={"tolerance": tolerance})
+    code, out = run_cli(capsys, "frechet", "--input", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "SchemaError"
+    assert "tolerance" in error["message"]
+
+
+def test_single_latent_deterministic_tables_get_enclosing_quantum_interval(tmp_path, capsys):
+    # one latent value: deterministic treatment response fx[z] and outcome
+    # response fy[x]; the quantum endpoints may meet at a point
+    for fx0, fx1, fy0, fy1 in itertools.product(range(2), repeat=4):
+        fx, fy = (fx0, fx1), (fy0, fy1)
+        table = np.zeros((2, 2, 2))
+        for z in range(2):
+            table[fy[fx[z]], fx[z], z] = 1.0
+        path = write_doc(tmp_path, {"table": table.tolist()})
+        code, out = run_cli(capsys, "gap", "--input", path)
+        assert code in (0, 3), (fx, fy, out)
+        if code == 0:
+            r = json.loads(out)["results"]
+            assert r["quantum"]["lo"] <= r["classical"]["lo"] + 1e-6, (fx, fy)
+            assert r["classical"]["hi"] <= r["quantum"]["hi"] + 1e-6, (fx, fy)
+            assert r["quantum"]["lo"] <= r["quantum"]["hi"], (fx, fy)
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

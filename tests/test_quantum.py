@@ -153,6 +153,35 @@ def test_npa_hierarchy_monotone_on_random_functionals():
         assert v2 <= v1 + 1e-6
 
 
+def _tsirelson_closed_form(f) -> float:
+    """max over c in [-1, 1] of sum_y sqrt(f0y^2 + f1y^2 + 2 f0y f1y c).
+
+    c is the cosine between Alice's two unit vectors; the sum is concave in
+    c, so a ternary search finds the maximum.
+    """
+
+    def value(c):
+        return sum(np.sqrt(max(f[0, y] ** 2 + f[1, y] ** 2 + 2 * f[0, y] * f[1, y] * c, 0.0)) for y in range(2))
+
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if value(a) < value(b):
+            lo = a
+        else:
+            hi = b
+    return max(value(-1.0), value(1.0), value(0.5 * (lo + hi)))
+
+
+def test_npa_level1ab_random_functionals_converge_to_closed_form():
+    rng = np.random.default_rng(70)
+    for _ in range(20):
+        f = rng.normal(size=(2, 2))
+        value, result = npa_bound(NpaLevel.L1AB, f, return_result=True)
+        assert result.termination in ("converged", "stalled")
+        assert value == pytest.approx(_tsirelson_closed_form(f), abs=1e-8)
+
+
 def test_npa_upper_bounds_quantum_behaviors():
     rng = np.random.default_rng(65)
     for _ in range(10):

@@ -3,6 +3,7 @@ import pytest
 
 from polybounds import (
     CHSH_COEFFS,
+    DEFAULT_TOLERANCES,
     NpaLevel,
     SdpConvergenceError,
     SdpProblem,
@@ -62,6 +63,23 @@ def test_random_instances_meet_hygiene_invariants():
         assert worst <= 1e-7
         assert r.gap <= 1e-6 * (1 + abs(r.value))
         assert r.value <= r.dual_value + 1e-6  # weak duality, max sense
+
+
+def test_iteration_cap_is_never_reported_as_converged():
+    program = moment_program(NpaLevel.L1AB, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
+    tol = DEFAULT_TOLERANCES.with_overrides(sdp_max_iterations=3)
+    try:
+        r = sdp_solve(program.problem, tol, start=np.eye(program.dimension))
+    except SdpConvergenceError:
+        return
+    assert r.termination == "iteration_limit"
+    assert r.iterations == 3
+
+
+def test_non_finite_data_raises_convergence_error():
+    p = SdpProblem(C=np.array([[1e300, 1e300], [1e300, 1.0]]), constraints=((np.eye(2), 1.0),))
+    with pytest.raises(SdpConvergenceError):
+        sdp_solve(p)
 
 
 def test_size_ceiling_32x32():
