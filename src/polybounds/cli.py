@@ -59,6 +59,7 @@ from .causal import (
 from .entropic import SETTINGS_CONVENTION, entropic_chsh
 from .oracles import oracle_extremal_scan
 from .polytope import (
+    STRATEGY_BEHAVIORS,
     comonotone_coupling,
     countermonotone_coupling,
     frechet_bounds,
@@ -188,6 +189,9 @@ def parse_request(document, kind: str | None = None, overrides: dict | None = No
         raise SchemaError(f"format must be 'json' or 'md', got {options['format']!r}")
     if options["variant"] not in ("standard", "paper-literal"):
         raise SchemaError(f"variant must be 'standard' or 'paper-literal', got {options['variant']!r}")
+    for k in ("renormalize", "audit"):
+        if not isinstance(options[k], bool):
+            raise SchemaError(f'option "{k}" must be true or false, got {options[k]!r}')
     try:
         NpaLevel.parse(options["npa_level"])
     except ValidationError as exc:
@@ -239,8 +243,10 @@ def _array_field(payload: dict, name: str, axes: tuple[str, ...]):
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f'"{name}" is not a numeric array: {exc}') from exc
-    if sorted(order) != sorted(axes):
-        raise SchemaError(f'"{name}" order {order} must be a permutation of {list(axes)}')
+    if not isinstance(order, list) or sorted(order, key=str) != sorted(axes):
+        raise SchemaError(f'"{name}" order {order!r} must be a list permuting {list(axes)}')
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f'"{name}" has non-finite entries')
     if arr.ndim != len(axes):
         raise SchemaError(f'"{name}" must have {len(axes)} axes, got {arr.ndim}')
     perm = [order.index(a) for a in axes]
@@ -353,11 +359,7 @@ def _handle_membership(req: AnalysisRequest, tol: Tolerances, warnings: list) ->
     results = {"member": cert.member, "no_signaling": behavior.no_signaling}
     if cert.member:
         results["weights"] = cert.weights
-        reconstruction = np.tensordot(
-            cert.weights,
-            np.stack([1.0 * s for s in _strategy_tables()]),
-            axes=(0, 0),
-        )
+        reconstruction = np.tensordot(cert.weights, STRATEGY_BEHAVIORS, axes=(0, 0))
         results["reconstruction_error"] = float(np.abs(reconstruction - behavior.p).max())
     else:
         results["violated_facet"] = {
@@ -371,12 +373,6 @@ def _handle_membership(req: AnalysisRequest, tol: Tolerances, warnings: list) ->
             "facet_check_agrees": bool(cert.member == bool(variants.max() <= 2.0 + tol.facet))
         }
     return results, {}
-
-
-def _strategy_tables():
-    from .polytope import enumerate_strategies
-
-    return [s.behavior().p for s in enumerate_strategies()]
 
 
 def _handle_npa(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
@@ -463,6 +459,8 @@ def _handle_pns(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[
         raise SchemaError(
             f"observational joint deviates from normalization by {abs(total - 1.0):.3e}; pass --renormalize"
         )
+    if total <= 0:
+        raise SchemaError("observational joint has non-positive total mass")
     joint = joint / total
     obs = ObservationalData(joint)
     pns = pns_bounds(exp, obs)
@@ -517,6 +515,8 @@ def _handle_entropic(req: AnalysisRequest, tol: Tolerances, warnings: list) -> t
         total = settings.sum()
         if abs(total - 1.0) > 1e-9 and not req.options["renormalize"]:
             raise SchemaError("settings distribution is not normalized; pass --renormalize")
+        if total <= 0:
+            raise SchemaError("settings distribution has non-positive total mass")
         settings = settings / total
     result = entropic_chsh(behavior, settings)
     warnings.append(SETTINGS_CONVENTION)
@@ -535,10 +535,10 @@ def _handle_audit(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tupl
     if suite not in ("all", "lp", "pns", "membership"):
         raise SchemaError('audit suite must be one of "all", "lp", "pns", "membership"')
     samples = req.payload.get("samples", 50)
-    if not isinstance(samples, int) or not (1 <= samples <= 10000):
+    if isinstance(samples, bool) or not isinstance(samples, int) or not (1 <= samples <= 10000):
         raise SchemaError("samples must be an integer in 1..10000")
     seed = req.payload.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError("seed must be an integer")
     rng = np.random.default_rng(seed)
     results: dict = {"suite": suite, "samples": samples, "seed": seed}
@@ -572,7 +572,7 @@ def _handle_audit(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tupl
         for _ in range(samples):
             if rng.uniform() < 0.5:
                 weights = rng.dirichlet(np.ones(16))
-                p = np.tensordot(weights, np.stack(_strategy_tables()), axes=(0, 0))
+                p = np.tensordot(weights, STRATEGY_BEHAVIORS, axes=(0, 0))
             else:
                 lam = rng.uniform()
                 p = lam * Behavior.pr_box().p + (1 - lam) * np.full((2, 2, 2, 2), 0.25)
@@ -672,8 +672,8 @@ def _cross_section_csv(path: str, level: NpaLevel, tol: Tolerances, samples: int
         phi = 2.0 * np.pi * k / samples
         f = np.cos(phi) * f1 + np.sin(phi) * f2
         rows.append(
-            f"{_round12(phi)},{_round12(local_max(f, tol))},"
-            f"{_round12(npa_bound(level, f, tol))},{_round12(no_signaling_max(f, tol))}"
+            f"{_round12(phi)},{_round12(local_max(f))},"
+            f"{_round12(npa_bound(level, f, tol))},{_round12(no_signaling_max(f))}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")

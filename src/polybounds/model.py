@@ -119,14 +119,6 @@ class Behavior:
             raise ValidationError("cannot renormalize a block with non-positive mass")
         return cls(arr / sums)
 
-    def alice_marginal(self) -> np.ndarray:
-        """p(a | x) of the first party (averaged over the remote setting)."""
-        return self.p.sum(axis=1).mean(axis=2)
-
-    def bob_marginal(self) -> np.ndarray:
-        """p(b | y) of the second party."""
-        return self.p.sum(axis=0).mean(axis=1)
-
 
 @dataclass(frozen=True, eq=False)
 class ObservedIVTable:

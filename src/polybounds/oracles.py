@@ -106,7 +106,7 @@ _BASIS_CACHE: dict[bytes, tuple] = {}
 
 
 def _basis_data(A: np.ndarray, max_bases: int) -> tuple:
-    """Reduced rows, basis column subsets, and batched inverses for A."""
+    """Independent rows, basis column subsets, and batched inverses for A."""
     key = A.tobytes() + bytes(str(A.shape), "ascii")
     if key in _BASIS_CACHE:
         return _BASIS_CACHE[key]
@@ -123,7 +123,7 @@ def _basis_data(A: np.ndarray, max_bases: int) -> tuple:
     dets = np.linalg.det(mats)
     ok = np.abs(dets) > 1e-9
     inverses = np.linalg.inv(mats[ok])
-    data = (rows, Ar, subsets[ok], inverses)
+    data = (rows, subsets[ok], inverses)
     _BASIS_CACHE[key] = data
     return data
 
@@ -152,27 +152,29 @@ def oracle_extremal_scan(
 
     if A is None or b is None:
         raise ValidationError("provide either vertices or the system (A, b)")
+    subsets, solutions, _ = _basic_feasible_solutions(A, b, tol)
+    values = np.einsum("bi,bi->b", solutions, c[subsets])
+    return Interval(float(values.min()), float(values.max()))
+
+
+def _basic_feasible_solutions(A, b, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basic feasible solutions of A q = b, q >= 0 that also satisfy the
+    dependent rows: (basis columns, basic values, full vectors), unclipped."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    rows, Ar, subsets, inverses = _basis_data(A, tol.oracle_max_bases)
-    br = b[rows]
-
-    solutions = np.einsum("bij,j->bi", inverses, br)
+    rows, subsets, inverses = _basis_data(A, tol.oracle_max_bases)
+    solutions = np.einsum("bij,j->bi", inverses, b[rows])
     feasible = solutions.min(axis=1) >= -tol.lp_feasibility
     if not feasible.any():
         raise InfeasibleTableError("no basic feasible solution: the system A q = b, q >= 0 is empty")
-    subsets_f = subsets[feasible]
-    solutions_f = solutions[feasible]
-
+    subsets, solutions = subsets[feasible], solutions[feasible]
     # verify against the full system (guards dropped dependent rows)
-    full = np.zeros((len(solutions_f), A.shape[1]))
-    np.put_along_axis(full, subsets_f, solutions_f, axis=1)
-    residual = np.abs(full @ A.T - b).max(axis=1)
-    consistent = residual <= 1e-8
+    full = np.zeros((len(solutions), A.shape[1]))
+    np.put_along_axis(full, subsets, solutions, axis=1)
+    consistent = np.abs(full @ A.T - b).max(axis=1) <= 1e-8
     if not consistent.any():
         raise InfeasibleTableError("basic solutions violate the dependent rows: system inconsistent")
-    values = np.einsum("bi,bi->b", solutions_f[consistent], c[subsets_f[consistent]])
-    return Interval(float(values.min()), float(values.max()))
+    return subsets[consistent], solutions[consistent], full[consistent]
 
 
 def oracle_feasible_vertices(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -182,20 +184,7 @@ def oracle_feasible_vertices(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.n
     degenerate bases).  Raises ``InfeasibleTableError`` on an empty
     polytope.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rows, _, subsets, inverses = _basis_data(A, tol.oracle_max_bases)
-    solutions = np.einsum("bij,j->bi", inverses, b[rows])
-    feasible = solutions.min(axis=1) >= -tol.lp_feasibility
-    if not feasible.any():
-        raise InfeasibleTableError("no basic feasible solution: the system A q = b, q >= 0 is empty")
-    full = np.zeros((int(feasible.sum()), A.shape[1]))
-    np.put_along_axis(full, subsets[feasible], solutions[feasible], axis=1)
-    residual = np.abs(full @ A.T - b).max(axis=1)
-    full = full[residual <= 1e-8]
-    if full.size == 0:
-        raise InfeasibleTableError("basic solutions violate the dependent rows: system inconsistent")
-    return np.clip(full, 0.0, None)
+    return np.clip(_basic_feasible_solutions(A, b, tol)[2], 0.0, None)
 
 
 def oracle_vertex_average(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -4,7 +4,9 @@ The polytope is the convex hull of the 16 deterministic strategies
 (4 sign bits: Alice's two answers and Bob's two answers).  Membership is
 decided by LP in behavior space (16-dimensional), so biased marginals are
 handled; non-membership of a no-signaling behavior is certified by the
-most-violated of the 8 CHSH facets.
+most-violated of the 8 CHSH facets.  Maxima of correlation functionals
+over the local and no-signaling polytopes are read off their vertex
+tables, with no solver.
 
 The same module houses the three-variable correlation checks (the
 two-sided inequality |E[AB] - E[AC]| <= 1 - E[BC] and the exact
@@ -99,13 +101,19 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
     return [DeterministicStrategy.from_bits(bits) for bits in itertools.product((0, 1), repeat=4)]
 
 
-def _strategy_behavior_matrix() -> np.ndarray:
-    cols = [s.behavior().p.reshape(16) for s in enumerate_strategies()]
-    return np.column_stack(cols)
-
-
-_STRATEGY_MATRIX = _strategy_behavior_matrix()
-_STRATEGY_MATRIX.setflags(write=False)
+#: The strategies' answers as a (16, 4) sign table with columns (a0, a1, b0,
+#: b1).  Its row order is that of ``enumerate_strategies``, of
+#: ``oracles.AtomGrid.signs(4)`` and of the response types (4 * rx + ry).
+STRATEGY_SIGNS = np.array([[s.a0, s.a1, s.b0, s.b1] for s in enumerate_strategies()], dtype=float)
+#: Correlators E[A_x B_y] = a_x b_y of each strategy, shape (16, 2, 2).
+STRATEGY_CORRELATIONS = STRATEGY_SIGNS[:, :2, None] * STRATEGY_SIGNS[:, None, 2:]
+_ANSWERS = (STRATEGY_SIGNS[:, None, :] == SIGNS[None, :, None]).astype(float)  # [s, bit, observable]
+#: Behaviors p(a, b | x, y) of each strategy, shape (16, 2, 2, 2, 2).
+STRATEGY_BEHAVIORS = np.einsum("sax,sby->sabxy", _ANSWERS[:, :, :2], _ANSWERS[:, :, 2:])
+#: Strategy behaviors as the columns of a (16 behavior entries, 16 strategies) matrix.
+_STRATEGY_MATRIX = STRATEGY_BEHAVIORS.reshape(16, 16).T
+for _table in (STRATEGY_SIGNS, STRATEGY_CORRELATIONS, STRATEGY_BEHAVIORS, _STRATEGY_MATRIX):
+    _table.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,20 +157,10 @@ def fine_check(b: Behavior, tol: Tolerances = DEFAULT_TOLERANCES) -> FineCheckRe
     """
     if not b.no_signaling:
         raise SignalingError("joint-distribution equivalence requires a no-signaling behavior")
-    grid = AtomGrid.signs(4)  # atom = (value A0, value A1, value B0, value B1)
-    constraints = []
-    for a in range(2):
-        for bb in range(2):
-            for x in range(2):
-                for y in range(2):
-                    row = np.array(
-                        [
-                            1.0 if atom[x] == SIGNS[a] and atom[2 + y] == SIGNS[bb] else 0.0
-                            for atom in grid.atoms
-                        ]
-                    )
-                    constraints.append((row, float(b.p[a, bb, x, y])))
-    joint = oracle_joint_feasibility(constraints, grid, tol)
+    # atom = (value A0, value A1, value B0, value B1); the row of cell (a, b, x, y)
+    # marks the atoms that answer a to x and b to y, i.e. the strategy matrix row
+    constraints = list(zip(_STRATEGY_MATRIX, b.p.reshape(16)))
+    joint = oracle_joint_feasibility(constraints, AtomGrid.signs(4), tol)
     variants = chsh_variant_values(behavior_to_correlations(b))
     return FineCheckResult(joint, bool(variants.max() <= 2.0 + tol.facet))
 
@@ -218,60 +216,27 @@ def countermonotone_coupling(u: float, v: float) -> np.ndarray:
     return np.array([[1.0 - u - v + p11, v - p11], [u - p11, p11]])
 
 
-def local_max(functional, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """LP maximum of a correlation functional over the local polytope."""
+def _functional(functional) -> np.ndarray:
     f = np.asarray(functional, dtype=float)
     if f.shape != (2, 2):
         raise ValidationError("functional must be a 2x2 coefficient array")
-    values = np.array([np.sum(f * s.correlations().e) for s in enumerate_strategies()])
-    result = lp_solve(
-        LpProblem(c=values, A=np.ones((1, 16)), b=np.array([1.0]), sense="max"), tol
-    )
-    return result.value
+    if not np.all(np.isfinite(f)):
+        raise ValidationError("functional contains non-finite entries")
+    return f
 
 
-def no_signaling_max(functional, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """LP maximum of a correlation functional over the no-signaling polytope.
+def local_max(functional) -> float:
+    """Maximum of a correlation functional over the local polytope: the best
+    of its 16 vertices, the deterministic strategies."""
+    return float((STRATEGY_CORRELATIONS * _functional(functional)).sum(axis=(1, 2)).max())
 
-    Variables are the 16 behavior entries; constraints are the four
-    normalizations plus marginal independence of the remote setting.
+
+def no_signaling_max(functional) -> float:
+    """Maximum of a correlation functional over the no-signaling polytope.
+
+    The correlation tables of its 24 vertices (Barrett et al., PRA 71,
+    022101, 2005) are all 16 sign patterns: even parity for the 16
+    strategies, odd parity for the 8 PR boxes (the ``CHSH_VARIANTS``).  So
+    the correlators fill the cube [-1, 1]^4 and the maximum is sum |f|.
     """
-    f = np.asarray(functional, dtype=float)
-    if f.shape != (2, 2):
-        raise ValidationError("functional must be a 2x2 coefficient array")
-
-    def idx(a, b, x, y):
-        return ((a * 2 + b) * 2 + x) * 2 + y
-
-    rows, rhs = [], []
-    for x in range(2):
-        for y in range(2):
-            row = np.zeros(16)
-            for a in range(2):
-                for b in range(2):
-                    row[idx(a, b, x, y)] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-    for x in range(2):  # Alice's marginal independent of y (a = 0 suffices)
-        row = np.zeros(16)
-        for b in range(2):
-            row[idx(0, b, x, 0)] += 1.0
-            row[idx(0, b, x, 1)] -= 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for y in range(2):  # Bob's marginal independent of x
-        row = np.zeros(16)
-        for a in range(2):
-            row[idx(a, 0, 0, y)] += 1.0
-            row[idx(a, 0, 1, y)] -= 1.0
-        rows.append(row)
-        rhs.append(0.0)
-
-    c = np.zeros(16)
-    for a in range(2):
-        for b in range(2):
-            for x in range(2):
-                for y in range(2):
-                    c[idx(a, b, x, y)] = SIGNS[a] * SIGNS[b] * f[x, y]
-    result = lp_solve(LpProblem(c=c, A=np.array(rows), b=np.array(rhs), sense="max"), tol)
-    return result.value
+    return float(np.abs(_functional(functional)).sum())

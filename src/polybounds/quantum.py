@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .causal import ace_bounds, manski_bounds
+from .causal import RESPONSE_MATRIX, ace_bounds, manski_bounds
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasibleTableError, ValidationError
 from .model import (
@@ -34,7 +34,7 @@ from .model import (
     CHSH_VARIANTS,
 )
 from .oracles import oracle_vertex_average
-from .polytope import local_max, no_signaling_max
+from .polytope import STRATEGY_SIGNS, local_max, no_signaling_max
 from .solvers import SdpProblem, sdp_solve
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -230,6 +230,13 @@ def _sym_unit(n: int, i: int, j: int) -> np.ndarray:
     return E
 
 
+def _entry(positions: dict, level: NpaLevel, monomial: Word) -> tuple[int, int]:
+    key = _canonical(monomial)
+    if key not in positions:
+        raise ValidationError(f"monomial {monomial!r} does not appear at level {level.value}")
+    return positions[key][0]
+
+
 @dataclass(frozen=True, eq=False)
 class MomentProgram:
     """A moment-matrix SDP instance: the word index, the equality
@@ -247,10 +254,7 @@ class MomentProgram:
 
     def entry(self, monomial: Word) -> tuple[int, int]:
         """Representative matrix position whose value is the monomial's moment."""
-        key = _canonical(monomial)
-        if key not in self.positions:
-            raise ValidationError(f"monomial {monomial!r} does not appear at level {self.level.value}")
-        return self.positions[key][0]
+        return _entry(self.positions, self.level, monomial)
 
 
 def _moment_skeleton(level: NpaLevel):
@@ -290,22 +294,16 @@ def moment_program(
     words, positions, constraints = _moment_skeleton(level)
     n = len(words)
 
-    def entry_of(mono: Word) -> tuple[int, int]:
-        key = _canonical(mono)
-        if key not in positions:
-            raise ValidationError(f"monomial {mono!r} does not appear at level {level.value}")
-        return positions[key][0]
-
     C = np.zeros((n, n))
     for mono, coeff in objective.items():
-        i, j = entry_of(mono)
+        i, j = _entry(positions, level, mono)
         C += float(coeff) * _sym_unit(n, i, j)
 
     all_constraints = list(constraints)
     for coeffs, rhs in extra_constraints:
         A = np.zeros((n, n))
         for mono, coeff in coeffs.items():
-            i, j = entry_of(mono)
+            i, j = _entry(positions, level, mono)
             A += float(coeff) * _sym_unit(n, i, j)
         all_constraints.append((A, float(rhs)))
 
@@ -368,35 +366,14 @@ def _iv_data_constraints(table: ObservedIVTable) -> list:
 def _classical_moment_start(table: ObservedIVTable, level: NpaLevel) -> np.ndarray | None:
     """Strictly feasible start from a relative-interior classical model, when
     the table is classically compatible and the resulting matrix is PD."""
-    from .causal import RESPONSE_MATRIX
-    from .polytope import enumerate_strategies
-
     try:
         q = oracle_vertex_average(RESPONSE_MATRIX, table.flat())
     except InfeasibleTableError:
         return None
-    words = _words(level)
-    strategies = enumerate_strategies()
-    signs = np.array(
-        [[s.a0, s.a1, s.b0, s.b1] for s in strategies], dtype=float
-    )  # (16, 4): values of A0, A1, B0, B1 per atom
-
-    def word_value(word: Word, atom: np.ndarray) -> float:
-        val = 1.0
-        for ax in word[0]:
-            val *= atom[ax]
-        for by in word[1]:
-            val *= atom[2 + by]
-        return val
-
-    n = len(words)
-    gamma = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            mono = _entry_monomial(words[i], words[j])
-            gamma[i, j] = sum(
-                q[s] * word_value(mono, signs[s]) for s in range(16)
-            )
+    # V[s, i]: value of word i on strategy s (response type s), a product of signs
+    columns = [list(a) + [2 + y for y in b] for a, b in _words(level)]
+    V = np.stack([STRATEGY_SIGNS[:, c].prod(axis=1) for c in columns], axis=1)
+    gamma = V.T @ (q[:, None] * V)
     if np.linalg.eigvalsh(gamma).min() <= 1e-8:
         return None
     return gamma
@@ -461,8 +438,8 @@ def quantum_gap_report(
     """Three-layer report for a correlation functional, a behavior, or an
     observed instrumental table.
 
-    For a functional the triple is (LP over the 16 strategies, relaxation
-    bound, LP over the no-signaling polytope); the canonical CHSH
+    For a functional the triple is (best of the 16 strategies, relaxation
+    bound, sum |f| over the no-signaling polytope); the canonical CHSH
     coefficients give (2, 2*sqrt(2), 4).
     """
     notes: list[str] = []
@@ -490,7 +467,7 @@ def quantum_gap_report(
         functional = CHSH_VARIANTS[k]
         classical = float(variants[k])
         quantum, result = npa_bound(level, functional, tol, return_result=True)
-        nosignaling = no_signaling_max(functional, tol)
+        nosignaling = no_signaling_max(functional)
         diagnostics.update(
             {
                 "facet_index": k,
@@ -510,9 +487,9 @@ def quantum_gap_report(
     functional = subject.e if isinstance(subject, CorrelationTable) else np.asarray(subject, dtype=float)
     if functional.shape != (2, 2):
         raise ValidationError("gap report takes a 2x2 functional, a Behavior, or an ObservedIVTable")
-    classical = local_max(functional, tol)
+    classical = local_max(functional)
     quantum, result = npa_bound(level, functional, tol, return_result=True)
-    nosignaling = no_signaling_max(functional, tol)
+    nosignaling = no_signaling_max(functional)
     diagnostics.update(
         {"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap}
     )

@@ -304,3 +304,51 @@ def test_behavior_payload_membership(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["results"]["member"] is True
     assert doc["results"]["reconstruction_error"] <= 1e-9
+
+
+@pytest.mark.parametrize("order", [None, [1, "x", "z"], "yxz", ["y", "x", "x"]])
+def test_bad_axis_order_is_schema_error(tmp_path, capsys, order):
+    table = {"values": np.full((2, 2, 2), 0.25).tolist(), "order": order}
+    path = write_doc(tmp_path, {"table": table})
+    code, out = run_cli(capsys, "iv-bounds", "--input", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "SchemaError"
+    assert "order" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "kind, payload, options, field",
+    [
+        ("iv-bounds", {"table": np.full((2, 2, 2), 0.25).tolist()}, {"renormalize": "false"}, "renormalize"),
+        ("iv-bounds", {"table": np.full((2, 2, 2), 0.25).tolist()}, {"audit": 1}, "audit"),
+        ("audit", {"samples": True}, None, "samples"),
+        ("audit", {"seed": True}, None, "seed"),
+    ],
+)
+def test_booleans_and_integers_are_not_interchangeable(tmp_path, capsys, kind, payload, options, field):
+    path = write_doc(tmp_path, payload, options=options)
+    code, out = run_cli(capsys, kind, "--input", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "SchemaError"
+    assert field in error["message"]
+
+
+UNIFORM_BEHAVIOR = np.full((2, 2, 2, 2), 0.25).tolist()
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("entropic", {"behavior": UNIFORM_BEHAVIOR, "settings": [[0.5, 0.5], [0.0, float("nan")]]}),
+        ("entropic", {"behavior": UNIFORM_BEHAVIOR, "settings": [[0.0, 0.0], [0.0, 0.0]]}),
+        ("pns", {"experimental": {"p_do1": 0.5, "p_do0": 0.5}, "observational": {"joint": [[0, 0], [0, 0]]}}),
+        ("npa", {"functional": [[float("nan"), 1.0], [1.0, -1.0]]}),
+    ],
+)
+def test_non_finite_and_zero_mass_arrays_are_schema_errors(tmp_path, capsys, kind, payload):
+    path = write_doc(tmp_path, payload)
+    code, out = run_cli(capsys, kind, "--input", path, "--renormalize")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SchemaError"

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polybounds import (
+    CHSH_VARIANTS,
+    AtomGrid,
     Behavior,
     CorrelationTriple,
     DeterministicStrategy,
@@ -20,7 +24,13 @@ from polybounds import (
     no_signaling_max,
     triple_feasibility,
 )
-from conftest import random_local_behavior, random_nosignaling_behavior
+from polybounds.polytope import (
+    _STRATEGY_MATRIX,
+    STRATEGY_BEHAVIORS,
+    STRATEGY_CORRELATIONS,
+    STRATEGY_SIGNS,
+)
+from conftest import STRATEGY_TABLES, random_local_behavior, random_nosignaling_behavior
 
 
 def test_enumeration_count_and_order():
@@ -186,6 +196,58 @@ def test_local_and_nosignaling_maxima():
     single = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert local_max(single) == pytest.approx(1.0, abs=1e-9)
     assert no_signaling_max(single) == pytest.approx(1.0, abs=1e-9)
+    for bound in (local_max, no_signaling_max):
+        with pytest.raises(ValidationError):
+            bound([[np.nan, 1.0], [1.0, -1.0]])
+
+
+def test_strategy_constants_rederived_from_strategy_objects():
+    strategies = enumerate_strategies()
+    for k, s in enumerate(strategies):
+        assert tuple(STRATEGY_SIGNS[k]) == (s.a0, s.a1, s.b0, s.b1)
+        rx, ry = s.response_indices()
+        assert 4 * rx + ry == k
+        np.testing.assert_array_equal(STRATEGY_BEHAVIORS[k], s.behavior().p)
+        np.testing.assert_array_equal(_STRATEGY_MATRIX[:, k], s.behavior().p.reshape(16))
+        np.testing.assert_array_equal(STRATEGY_CORRELATIONS[k], s.correlations().e)
+    np.testing.assert_array_equal(STRATEGY_SIGNS, np.array(AtomGrid.signs(4).atoms))
+    # the strategies' correlation tables are the even-parity sign patterns and
+    # the PR boxes' (the CHSH variants) the odd ones: together every pattern
+    patterns = {tuple(e.ravel()) for e in STRATEGY_CORRELATIONS} | {tuple(v.ravel()) for v in CHSH_VARIANTS}
+    assert patterns == set(itertools.product((1.0, -1.0), repeat=4))
+
+
+def test_maxima_match_an_independent_lp():
+    """Both maxima against scipy's LP: over strategy mixtures for the local
+    polytope, over no-signaling behaviors p[a, b, x, y] for the other."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def lp_max(c, A_eq, b_eq) -> float:
+        result = optimize.linprog(-c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert result.status == 0
+        return -result.fun
+
+    parity = np.outer([1.0, -1.0], [1.0, -1.0])  # (-1)^(a+b)
+    blocks = np.zeros((4, 2, 2, 2, 2))
+    for x, y in itertools.product(range(2), repeat=2):
+        blocks[2 * x + y, :, :, x, y] = 1.0
+    marginals = np.zeros((4, 2, 2, 2, 2))
+    marginals[0, 0, :, 0, 0], marginals[0, 0, :, 0, 1] = 1.0, -1.0  # Alice, x = 0
+    marginals[1, 0, :, 1, 0], marginals[1, 0, :, 1, 1] = 1.0, -1.0  # Alice, x = 1
+    marginals[2, :, 0, 0, 0], marginals[2, :, 0, 1, 0] = 1.0, -1.0  # Bob, y = 0
+    marginals[3, :, 0, 0, 1], marginals[3, :, 0, 1, 1] = 1.0, -1.0  # Bob, y = 1
+    A_ns = np.concatenate([blocks, marginals]).reshape(8, 16)
+    b_ns = np.array([1.0] * 4 + [0.0] * 4)
+    strategy_correlations = np.einsum("sabxy,ab->sxy", STRATEGY_TABLES, parity)
+
+    rng = np.random.default_rng(404)
+    for k in range(300):
+        f = rng.normal(size=(2, 2)) * [1e-3, 1.0, 1e3][k % 3]
+        scale = 1e-12 * (1.0 + np.abs(f).sum())
+        local_values = np.tensordot(strategy_correlations, f, axes=2)
+        assert abs(local_max(f) - lp_max(local_values, np.ones((1, 16)), [1.0])) <= scale
+        c_ns = (parity[:, :, None, None] * f).reshape(16)
+        assert abs(no_signaling_max(f) - lp_max(c_ns, A_ns, b_ns)) <= scale
 
 
 def test_strategy_validation():

@@ -23,7 +23,14 @@ from polybounds import (
     quantum_gap_report,
     realify,
 )
-from polybounds.quantum import PAULI_X, PAULI_Z, _entry_monomial, _words
+from polybounds.quantum import (
+    PAULI_X,
+    PAULI_Z,
+    _classical_moment_start,
+    _entry_monomial,
+    _iv_data_constraints,
+    _words,
+)
 from conftest import random_iv_table, random_observable, random_quantum_behavior, random_state
 
 KET0 = np.array([1.0, 0.0])
@@ -329,6 +336,19 @@ def test_quantum_ace_interval_contains_classical():
     assert classical.hi <= quantum.hi + 1e-6
     assert -1.0 - 1e-6 <= quantum.lo <= quantum.hi <= 1.0 + 1e-6
     assert diagnostics["classical_start"]
+
+
+@pytest.mark.parametrize("level", list(NpaLevel))
+def test_classical_start_is_positive_definite_and_feasible(level):
+    rng = np.random.default_rng(70)
+    for _ in range(10):
+        table = random_iv_table(rng)
+        gamma = _classical_moment_start(table, level)
+        assert gamma is not None
+        assert np.linalg.eigvalsh(gamma).min() > 0.0
+        program = moment_program(level, {((), (0,)): 1.0}, _iv_data_constraints(table))
+        for A, rhs in program.problem.constraints:
+            assert abs(float(np.tensordot(A, gamma)) - rhs) <= 1e-12
 
 
 def test_gap_report_iv_table_route():
