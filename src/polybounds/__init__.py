@@ -12,7 +12,6 @@ brute-force oracles.
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,

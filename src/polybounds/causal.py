@@ -17,7 +17,11 @@ treatment response      outcome response
 3  always-taker (1, 1)  3  always-recover (1, 1)
 ======================  =========================
 
-where (f(0), f(1)) lists the response function's values.
+where (f(0), f(1)) lists the response function's values.  Type t is
+strategy t of ``polytope.STRATEGY_SIGNS`` read causally: the treatment is
+Alice's answer to the instrument and the outcome is Bob's answer to the
+treatment, so the observed table of a type is that strategy's behavior with
+Bob's setting wired to Alice's outcome.
 """
 
 from __future__ import annotations
@@ -27,44 +31,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     InconsistentDataError,
     InfeasibleTableError,
     ValidationError,
     ZeroConditioningError,
 )
-from .model import Interval, ObservedIVTable, ResponseTypeDist
-from .solvers import LpProblem, lp_solve
+from .model import INEQUALITY_SLACK, NORMALIZATION_SLACK, Interval, ObservedIVTable, ResponseTypeDist
+from .polytope import STRATEGY_BEHAVIORS
+from .solvers import TOL, LpProblem, lp_solve
 
-#: (f(0), f(1)) for each treatment response index.
-X_RESPONSES = ((0, 0), (0, 1), (1, 0), (1, 1))
-X_RESPONSE_NAMES = ("never-taker", "complier", "defier", "always-taker")
-
-#: (f(0), f(1)) for each outcome response index.
-Y_RESPONSES = ((0, 0), (0, 1), (1, 0), (1, 1))
-Y_RESPONSE_NAMES = ("never-recover", "helped", "hurt", "always-recover")
-
-
-def response_matrix() -> np.ndarray:
-    """The 8x16 matrix mapping type weights to the observed table.
-
-    Row order matches ``ObservedIVTable.flat()``: index 4y + 2x + z.
-    Column t = 4i + j contributes to row (y, x, z) iff the treatment
-    response i sends z to x and the outcome response j sends x to y.
-    """
-    A = np.zeros((8, 16))
-    for i, xr in enumerate(X_RESPONSES):
-        for j, yr in enumerate(Y_RESPONSES):
-            col = 4 * i + j
-            for z in range(2):
-                x = xr[z]
-                y = yr[x]
-                A[4 * y + 2 * x + z, col] = 1.0
-    return A
-
-
-RESPONSE_MATRIX = response_matrix()
+#: The 8x16 matrix mapping type weights to the observed table, rows in the
+#: order of ``ObservedIVTable.flat()`` (4y + 2x + z): entry [(y, x, z), t] is
+#: strategy t's probability of the answers (x, y) to the settings (z, x).
+RESPONSE_MATRIX = np.einsum("sxyzx->yxzs", STRATEGY_BEHAVIORS).reshape(8, 16)
 RESPONSE_MATRIX.setflags(write=False)
 
 #: Treatment-effect coefficient of each type: y(1) - y(0), a function of the
@@ -101,11 +81,11 @@ def instrumental_inequality(t: ObservedIVTable, variant: str = "standard") -> In
         value = float(p.max(axis=1).sum(axis=0).max())
     else:
         raise ValidationError(f"unknown variant {variant!r}")
-    holds = value <= 1.0 + DEFAULT_TOLERANCES.inequality_slack
+    holds = value <= 1.0 + INEQUALITY_SLACK
     return InstrumentalCheck(holds, value, variant)
 
 
-def ace_bounds(t: ObservedIVTable, tol: Tolerances = DEFAULT_TOLERANCES) -> Interval:
+def ace_bounds(t: ObservedIVTable, tol: float = TOL) -> Interval:
     """Sharp bounds on the average causal effect by LP over type weights.
 
     Raises ``InfeasibleTableError`` when the observed table is outside the
@@ -157,10 +137,10 @@ class ObservationalData:
         arr = np.array(self.joint, dtype=float)
         if arr.shape != (2, 2):
             raise ValidationError(f"observational joint must be 2x2, got {arr.shape}")
-        if arr.min() < -DEFAULT_TOLERANCES.normalization:
+        if arr.min() < -NORMALIZATION_SLACK:
             raise ValidationError("observational joint has a negative cell")
         arr = np.where(arr < 0.0, 0.0, arr)
-        if abs(arr.sum() - 1.0) > DEFAULT_TOLERANCES.normalization:
+        if abs(arr.sum() - 1.0) > NORMALIZATION_SLACK:
             raise ValidationError(f"observational joint must sum to 1, got {arr.sum()!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "joint", arr)
@@ -190,7 +170,7 @@ def pns_bounds(exp: ExperimentalData, obs: ObservationalData) -> Interval:
         p_xy + p_xpyp,
         exp.p_do1 - exp.p_do0 + p_xyp + p_xpy,
     )
-    if lower > upper + DEFAULT_TOLERANCES.inequality_slack:
+    if lower > upper + INEQUALITY_SLACK:
         raise InconsistentDataError(
             f"experimental and observational data admit no common model "
             f"(lower {lower:.6f} > upper {upper:.6f})"
@@ -237,7 +217,7 @@ class PointBounds(NamedTuple):
 
 
 def pn_ps_point_bounds(
-    exp: ExperimentalData, obs: ObservationalData, tol: Tolerances = DEFAULT_TOLERANCES
+    exp: ExperimentalData, obs: ObservationalData, tol: float = TOL
 ) -> PointBounds:
     """LP bounds on the probabilities of necessity and of sufficiency.
 

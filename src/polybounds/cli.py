@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     InconsistentDataError,
     InfeasibleTableError,
@@ -60,6 +59,7 @@ from .entropic import SETTINGS_CONVENTION, entropic_chsh
 from .oracles import oracle_extremal_scan
 from .polytope import (
     STRATEGY_BEHAVIORS,
+    MembershipCertificate,
     comonotone_coupling,
     countermonotone_coupling,
     frechet_bounds,
@@ -68,6 +68,8 @@ from .polytope import (
     no_signaling_max,
 )
 from .quantum import NpaLevel, npa_bound, quantum_gap_report
+from .solvers import TOL
+from .solvers.sdp import GAP_ACCEPT
 
 KINDS = (
     "iv-bounds",
@@ -119,7 +121,8 @@ def canonical(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, indent=2, ensure_ascii=True)
+    """JSON text of an object already in ``canonical`` form."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)
 
 
 @dataclass(frozen=True)
@@ -200,26 +203,30 @@ def parse_request(document, kind: str | None = None, overrides: dict | None = No
 
 
 def serialize_request(request: AnalysisRequest) -> dict:
-    return canonical(
-        {
-            "schema": 1,
-            "kind": request.kind,
-            "payload": request.payload,
-            "options": request.options,
-        }
-    )
+    """The request as a document; ``canonical`` renders it with the report."""
+    return {"schema": 1, "kind": request.kind, "payload": request.payload, "options": request.options}
 
 
-def _tolerances(options: dict) -> Tolerances:
+def _as_float(v: int | float, name: str) -> float:
+    """A JSON number as a float; an integer past the float range is a
+    ``SchemaError`` naming the field."""
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise SchemaError(f'"{name}" is out of the floating-point range') from exc
+
+
+def _tolerance(options: dict) -> float:
+    """The decision tolerance: LP feasibility, oracle feasibility and CHSH facet slack."""
     t = options.get("tolerance")
     if t is None:
-        return DEFAULT_TOLERANCES
+        return TOL
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise SchemaError(f'"tolerance" must be a number, got {t!r}')
-    t = float(t)
+    t = _as_float(t, "tolerance")
     if not (0 < t < 1):
         raise SchemaError(f"tolerance must be in (0, 1), got {t}")
-    return DEFAULT_TOLERANCES.with_overrides(facet=t, lp_feasibility=t, inequality_slack=t)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +248,7 @@ def _array_field(payload: dict, name: str, axes: tuple[str, ...]):
         values = spec
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f'"{name}" is not a numeric array: {exc}') from exc
     if not isinstance(order, list) or sorted(order, key=str) != sorted(axes):
         raise SchemaError(f'"{name}" order {order!r} must be a list permuting {list(axes)}')
@@ -249,8 +256,8 @@ def _array_field(payload: dict, name: str, axes: tuple[str, ...]):
         raise SchemaError(f'"{name}" has non-finite entries')
     if arr.ndim != len(axes):
         raise SchemaError(f'"{name}" must have {len(axes)} axes, got {arr.ndim}')
-    perm = [order.index(a) for a in axes]
-    return np.transpose(arr, perm)
+    # a contiguous copy, so every later sum runs in the same order whatever the axis order
+    return np.ascontiguousarray(np.transpose(arr, [order.index(a) for a in axes]))
 
 
 def _scalar_field(payload: dict, name: str) -> float:
@@ -259,12 +266,21 @@ def _scalar_field(payload: dict, name: str) -> float:
     v = payload[name]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f'"{name}" must be a number')
-    return float(v)
+    return _as_float(v, name)
+
+
+def _mass(arr: np.ndarray, axes: tuple[int, ...] | None, what: str):
+    """Sums of user-supplied weights over ``axes``; a sum past the float range is a ``SchemaError``."""
+    with np.errstate(over="ignore"):
+        sums = arr.sum(axis=axes)
+    if not np.all(np.isfinite(sums)):
+        raise SchemaError(f"{what} has a total mass past the floating-point range")
+    return sums
 
 
 def _normalize_blocks(arr: np.ndarray, block_axes: tuple[int, ...], renormalize: bool, what: str, warnings: list):
     """Enforce unit block sums within 1e-9, renormalizing on request."""
-    sums = arr.sum(axis=block_axes)
+    sums = _mass(arr, block_axes, what)
     dev = float(np.abs(sums - 1.0).max())
     if dev > 1e-9 and not renormalize:
         raise SchemaError(
@@ -274,7 +290,7 @@ def _normalize_blocks(arr: np.ndarray, block_axes: tuple[int, ...], renormalize:
         warnings.append(f"{what} renormalized (deviation {dev:.3e})")
     if np.min(sums) <= 0:
         raise SchemaError(f"{what} has a block with non-positive total mass")
-    return arr / np.expand_dims(sums, block_axes) if sums.ndim else arr / sums
+    return arr / np.expand_dims(sums, block_axes)
 
 
 def _behavior_from(payload: dict, renormalize: bool, warnings: list) -> Behavior:
@@ -308,11 +324,27 @@ def _functional_from(payload: dict) -> np.ndarray:
 # analysis handlers
 
 
-def _interval_dict(iv: Interval) -> dict:
-    return {"lo": iv.lo, "hi": iv.hi, "width": iv.width}
+def _certificate(cert: MembershipCertificate) -> dict:
+    """Mixing weights of a member, or the most-violated facet of a non-member."""
+    if cert.member:
+        return {"weights": cert.weights}
+    facet = {"index": cert.facet_index, "coefficients": cert.facet_coefficients, "value": cert.facet_value}
+    return {"violated_facet": facet}
 
 
-def _handle_chsh(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _facet_member(behavior: Behavior, tol: float) -> bool:
+    """Local-polytope membership read off the 8 CHSH facets, within ``tol``."""
+    return bool(chsh_variant_values(behavior_to_correlations(behavior)).max() <= 2.0 + tol)
+
+
+def _oracle_audit(objective, A, b, bounds: Interval, tol: float) -> dict:
+    """The basis oracle's interval for the same LP, and whether it matches ``bounds``."""
+    oracle = oracle_extremal_scan(objective, A=A, b=b, tol=tol)
+    agrees = abs(oracle.lo - bounds.lo) <= 1e-9 and abs(oracle.hi - bounds.hi) <= 1e-9
+    return {"oracle_bounds": oracle, "agrees": bool(agrees)}
+
+
+def _handle_chsh(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     if "behavior" in req.payload:
         behavior = _behavior_from(req.payload, req.options["renormalize"], warnings)
         if not behavior.no_signaling:
@@ -336,55 +368,38 @@ def _handle_chsh(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple
         "variants": variants,
         "max_variant": float(variants.max()),
         "member_of_local_polytope": cert.member,
+        **_certificate(cert),
     }
-    if cert.member:
-        results["weights"] = cert.weights
-    else:
-        results["violated_facet"] = {
-            "index": cert.facet_index,
-            "coefficients": cert.facet_coefficients,
-            "value": cert.facet_value,
-        }
     if req.options["audit"]:
-        agree = cert.member == bool(variants.max() <= 2.0 + tol.facet) or not behavior.no_signaling
+        agree = cert.member == _facet_member(behavior, tol) or not behavior.no_signaling
         results["audit"] = {"facet_check_agrees": bool(agree)}
     return results, {}
 
 
-def _handle_membership(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_membership(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     behavior = _behavior_from(req.payload, req.options["renormalize"], warnings)
     if not behavior.no_signaling:
         warnings.append("behavior is signaling; it cannot be a strategy mixture")
     cert = local_membership(behavior, tol)
-    results = {"member": cert.member, "no_signaling": behavior.no_signaling}
+    results = {"member": cert.member, "no_signaling": behavior.no_signaling, **_certificate(cert)}
     if cert.member:
-        results["weights"] = cert.weights
         reconstruction = np.tensordot(cert.weights, STRATEGY_BEHAVIORS, axes=(0, 0))
         results["reconstruction_error"] = float(np.abs(reconstruction - behavior.p).max())
-    else:
-        results["violated_facet"] = {
-            "index": cert.facet_index,
-            "coefficients": cert.facet_coefficients,
-            "value": cert.facet_value,
-        }
     if req.options["audit"] and behavior.no_signaling:
-        variants = chsh_variant_values(behavior_to_correlations(behavior))
-        results["audit"] = {
-            "facet_check_agrees": bool(cert.member == bool(variants.max() <= 2.0 + tol.facet))
-        }
+        results["audit"] = {"facet_check_agrees": cert.member == _facet_member(behavior, tol)}
     return results, {}
 
 
-def _handle_npa(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_npa(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     functional = _functional_from(req.payload)
     level = NpaLevel.parse(req.options["npa_level"])
-    value, result = npa_bound(level, functional, tol, return_result=True)
+    value, result = npa_bound(level, functional, return_result=True)
     results = {"bound": value, "level": level.value, "functional": functional}
     prov = {"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap}
     return results, prov
 
 
-def _handle_gap(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_gap(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     level = NpaLevel.parse(req.options["npa_level"])
     if "functional" in req.payload:
         subject = _functional_from(req.payload)
@@ -408,7 +423,7 @@ def _handle_gap(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[
     return results, prov
 
 
-def _handle_iv_bounds(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_iv_bounds(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     table = _iv_table_from(req.payload, req.options["renormalize"], warnings)
     variant = req.options["variant"].replace("-", "_")
     check = instrumental_inequality(table, variant)
@@ -428,18 +443,14 @@ def _handle_iv_bounds(req: AnalysisRequest, tol: Tolerances, warnings: list) -> 
             "variant": check.variant,
             "other_variant": {"holds": other.holds, "value": other.value, "variant": other.variant},
         },
-        "ace_bounds": _interval_dict(bounds),
+        "ace_bounds": bounds,
     }
     if req.options["audit"]:
-        oracle = oracle_extremal_scan(ACE_COEFFS, A=RESPONSE_MATRIX, b=table.flat(), tol=tol)
-        results["audit"] = {
-            "oracle_bounds": _interval_dict(oracle),
-            "agrees": bool(abs(oracle.lo - bounds.lo) <= 1e-9 and abs(oracle.hi - bounds.hi) <= 1e-9),
-        }
+        results["audit"] = _oracle_audit(ACE_COEFFS, RESPONSE_MATRIX, table.flat(), bounds, tol)
     return results, {}
 
 
-def _handle_pns(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_pns(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     if "experimental" not in req.payload or "observational" not in req.payload:
         raise SchemaError('pns payload needs "experimental" and "observational"')
     exp_doc = req.payload["experimental"]
@@ -454,7 +465,7 @@ def _handle_pns(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[
     joint = _array_field(obs_doc, "joint", ("x", "y"))
     if joint.min() < 0:
         raise SchemaError("observational joint has negative entries")
-    total = joint.sum()
+    total = _mass(joint, None, "observational joint")
     if abs(total - 1.0) > 1e-9 and not req.options["renormalize"]:
         raise SchemaError(
             f"observational joint deviates from normalization by {abs(total - 1.0):.3e}; pass --renormalize"
@@ -464,24 +475,17 @@ def _handle_pns(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[
     joint = joint / total
     obs = ObservationalData(joint)
     pns = pns_bounds(exp, obs)
-    results = {"pns_bounds": _interval_dict(pns)}
+    results = {"pns_bounds": pns}
     try:
-        pn, ps = pn_ps_point_bounds(exp, obs, tol)
-        results["pn_bounds"] = _interval_dict(pn)
-        results["ps_bounds"] = _interval_dict(ps)
+        results["pn_bounds"], results["ps_bounds"] = pn_ps_point_bounds(exp, obs, tol)
     except ZeroConditioningError as exc:
         warnings.append(f"necessity/sufficiency skipped: {exc}")
     if req.options["audit"]:
-        A, b = counterfactual_atom_system(exp, obs)
-        oracle = oracle_extremal_scan(pns_objective(), A=A, b=b, tol=tol)
-        results["audit"] = {
-            "oracle_bounds": _interval_dict(oracle),
-            "agrees": bool(abs(oracle.lo - pns.lo) <= 1e-9 and abs(oracle.hi - pns.hi) <= 1e-9),
-        }
+        results["audit"] = _oracle_audit(pns_objective(), *counterfactual_atom_system(exp, obs), pns, tol)
     return results, {}
 
 
-def _handle_manski(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_manski(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     e1 = _scalar_field(req.payload, "e1")
     e0 = _scalar_field(req.payload, "e0")
     px1 = _scalar_field(req.payload, "px1")
@@ -489,16 +493,16 @@ def _handle_manski(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tup
         bounds = manski_bounds(e1, e0, px1)
     except ValidationError as exc:
         raise SchemaError(str(exc)) from exc
-    return {"ate_bounds": _interval_dict(bounds), "contains_zero": bounds.contains(0.0)}, {}
+    return {"ate_bounds": bounds, "contains_zero": bounds.contains(0.0)}, {}
 
 
-def _handle_frechet(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_frechet(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     u = _scalar_field(req.payload, "u")
     v = _scalar_field(req.payload, "v")
     try:
         bounds = frechet_bounds(u, v)
         results = {
-            "joint_bounds": _interval_dict(bounds),
+            "joint_bounds": bounds,
             "comonotone_joint": comonotone_coupling(u, v),
             "countermonotone_joint": countermonotone_coupling(u, v),
         }
@@ -507,12 +511,12 @@ def _handle_frechet(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tu
     return results, {}
 
 
-def _handle_entropic(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_entropic(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     behavior = _behavior_from(req.payload, req.options["renormalize"], warnings)
     settings = None
     if "settings" in req.payload:
         settings = _array_field(req.payload, "settings", ("x", "y"))
-        total = settings.sum()
+        total = _mass(settings, None, "settings distribution")
         if abs(total - 1.0) > 1e-9 and not req.options["renormalize"]:
             raise SchemaError("settings distribution is not normalized; pass --renormalize")
         if total <= 0:
@@ -530,7 +534,7 @@ def _handle_entropic(req: AnalysisRequest, tol: Tolerances, warnings: list) -> t
     return results, {}
 
 
-def _handle_audit(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tuple[dict, dict]:
+def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     suite = req.payload.get("suite", "all")
     if suite not in ("all", "lp", "pns", "membership"):
         raise SchemaError('audit suite must be one of "all", "lp", "pns", "membership"')
@@ -540,6 +544,8 @@ def _handle_audit(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tupl
     seed = req.payload.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError("seed must be an integer")
+    if seed < 0:
+        raise SchemaError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     results: dict = {"suite": suite, "samples": samples, "seed": seed}
 
@@ -577,9 +583,7 @@ def _handle_audit(req: AnalysisRequest, tol: Tolerances, warnings: list) -> tupl
                 lam = rng.uniform()
                 p = lam * Behavior.pr_box().p + (1 - lam) * np.full((2, 2, 2, 2), 0.25)
             behavior = Behavior(p)
-            cert = local_membership(behavior, tol)
-            facet_ok = bool(chsh_variant_values(behavior_to_correlations(behavior)).max() <= 2.0 + tol.facet)
-            if cert.member != facet_ok:
+            if local_membership(behavior, tol).member != _facet_member(behavior, tol):
                 disagreements += 1
         results["membership"] = {"disagreements": disagreements, "agrees": disagreements == 0}
 
@@ -605,16 +609,16 @@ _HANDLERS = {
 
 def run(request: AnalysisRequest) -> Report:
     """Dispatch a validated request to its analysis and assemble the report."""
-    tol = _tolerances(request.options)
+    tol = _tolerance(request.options)
     warnings: list[str] = []
     handler = _HANDLERS[request.kind]
     results, solver_prov = handler(request, tol, warnings)
     provenance = {
         "version": __version__,
         "tolerances": {
-            "facet": tol.facet,
-            "lp_feasibility": tol.lp_feasibility,
-            "sdp_gap_accept": tol.sdp_gap_accept,
+            "facet": tol,
+            "lp_feasibility": tol,
+            "sdp_gap_accept": GAP_ACCEPT,
             "normalization_accept": 1e-9,
         },
     }
@@ -662,7 +666,7 @@ def render_markdown(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _cross_section_csv(path: str, level: NpaLevel, tol: Tolerances, samples: int = 36) -> None:
+def _cross_section_csv(path: str, level: NpaLevel, samples: int = 36) -> None:
     """Support-function samples of the three correlation bodies in the plane
     spanned by two orthogonal CHSH combinations, for external plotting."""
     f1 = CHSH_COEFFS
@@ -673,7 +677,7 @@ def _cross_section_csv(path: str, level: NpaLevel, tol: Tolerances, samples: int
         f = np.cos(phi) * f1 + np.sin(phi) * f2
         rows.append(
             f"{_round12(phi)},{_round12(local_max(f))},"
-            f"{_round12(npa_bound(level, f, tol))},{_round12(no_signaling_max(f))}"
+            f"{_round12(npa_bound(level, f))},{_round12(no_signaling_max(f))}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -705,10 +709,15 @@ def _classify(exc: Exception) -> int:
 
 
 def _read_document(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, over-long integers, deep nesting
+        raise SchemaError(f"request is not readable JSON: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -731,14 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "format": args.format,
-        "npa_level": args.npa_level,
-        "tolerance": args.tolerance,
-        "variant": args.variant,
-        "renormalize": args.renormalize,
-        "audit": args.audit,
-    }
+    overrides = {k: getattr(args, k) for k in _DEFAULT_OPTIONS}
 
     if args.batch is not None:
         try:
@@ -771,7 +773,7 @@ def main(argv=None) -> int:
         if args.csv is not None:
             if request.kind != "gap":
                 raise SchemaError("--csv is only meaningful for the gap analysis")
-            _cross_section_csv(args.csv, NpaLevel.parse(request.options["npa_level"]), _tolerances(request.options))
+            _cross_section_csv(args.csv, NpaLevel.parse(request.options["npa_level"]))
         if request.options["format"] == "md":
             print(render_markdown(report))
         else:

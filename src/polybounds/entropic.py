@@ -13,17 +13,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import NormalizationError, ValidationError
-from .model import Behavior
+from .model import INEQUALITY_SLACK, NORMALIZATION_SLACK, Behavior
 
 
 def entropy(dist) -> float:
     """Base-2 entropy of a discrete distribution, with 0 log 0 = 0."""
     p = np.asarray(dist, dtype=float).reshape(-1)
-    if p.min() < -DEFAULT_TOLERANCES.normalization:
+    if p.min() < -NORMALIZATION_SLACK:
         raise ValidationError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > DEFAULT_TOLERANCES.normalization:
+    if abs(p.sum() - 1.0) > NORMALIZATION_SLACK:
         raise NormalizationError(f"distribution sums to {p.sum()!r}, not 1")
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum() + 0.0)
@@ -61,9 +60,9 @@ def entropic_chsh(b: Behavior, settings=None) -> EntropicChshResult:
         s = np.asarray(settings, dtype=float)
         if s.shape != (2, 2):
             raise ValidationError("settings distribution must be 2x2 over (x, y)")
-        if s.min() < -DEFAULT_TOLERANCES.normalization:
+        if s.min() < -NORMALIZATION_SLACK:
             raise ValidationError("settings distribution has a negative entry")
-        if abs(s.sum() - 1.0) > DEFAULT_TOLERANCES.normalization:
+        if abs(s.sum() - 1.0) > NORMALIZATION_SLACK:
             raise NormalizationError("settings distribution must sum to 1")
     infos = tuple(
         mutual_information(b.p[:, :, x, y]) for x in range(2) for y in range(2)
@@ -71,7 +70,7 @@ def entropic_chsh(b: Behavior, settings=None) -> EntropicChshResult:
     lhs = infos[0] + infos[1] + infos[2] - infos[3]
     h_settings = entropy(s)
     rhs = 2.0 * h_settings
-    holds = lhs <= rhs + DEFAULT_TOLERANCES.inequality_slack
+    holds = lhs <= rhs + INEQUALITY_SLACK
     return EntropicChshResult(float(lhs), float(rhs), bool(holds), infos, float(h_settings))
 
 
@@ -124,9 +123,7 @@ class ShannonConeResult(NamedTuple):
     violations: tuple
 
 
-def shannon_cone_check(
-    vector: EntropyVector, tol: float = DEFAULT_TOLERANCES.entropy_cone
-) -> ShannonConeResult:
+def shannon_cone_check(vector: EntropyVector, tol: float = 1e-9) -> ShannonConeResult:
     """Check every elemental polymatroid inequality.
 
     Elemental monotonicity: H(all) >= H(all minus one variable).

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import NormalizationError, ValidationError
 
 #: Sign of an outcome bit: 0 -> +1, 1 -> -1.
@@ -28,6 +27,16 @@ SIGNS = np.array([1.0, -1.0])
 
 #: Coefficients of the canonical CHSH combination e00 + e01 + e10 - e11.
 CHSH_COEFFS = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+#: Rounding allowances of exact-valued checks, never settable: a probability
+#: may dip below 0 and a table's sums may miss 1 by NORMALIZATION_SLACK, an
+#: interval's endpoints may cross and a correlator may pass +-1 by
+#: INTERVAL_SLACK, an inequality may fail by INEQUALITY_SLACK and still hold,
+#: and marginals that differ by up to NO_SIGNALING_SLACK count as equal.
+NORMALIZATION_SLACK = 1e-12
+INTERVAL_SLACK = 1e-12
+INEQUALITY_SLACK = 1e-12
+NO_SIGNALING_SLACK = 1e-9
 
 
 def _frozen_array(values, shape, dtype=float) -> np.ndarray:
@@ -38,10 +47,10 @@ def _frozen_array(values, shape, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_probabilities(arr: np.ndarray, tol: float) -> np.ndarray:
+def _check_probabilities(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("probability table contains non-finite entries")
-    if arr.min() < -tol:
+    if arr.min() < -NORMALIZATION_SLACK:
         raise ValidationError(f"negative probability entry {arr.min():.3e}")
     return np.where(arr < 0.0, 0.0, arr)
 
@@ -58,13 +67,12 @@ class Behavior:
     no_signaling: bool = field(init=False)
 
     def __post_init__(self):
-        tol = DEFAULT_TOLERANCES
         arr = np.array(self.p, dtype=float)
         if arr.shape != (2, 2, 2, 2):
             raise ValidationError(f"behavior must have shape (2,2,2,2), got {arr.shape}")
-        arr = _check_probabilities(arr, tol.normalization)
+        arr = _check_probabilities(arr)
         sums = arr.sum(axis=(0, 1))
-        if np.abs(sums - 1.0).max() > tol.normalization:
+        if np.abs(sums - 1.0).max() > NORMALIZATION_SLACK:
             raise NormalizationError(
                 f"behavior blocks must sum to 1 (worst deviation {np.abs(sums - 1.0).max():.3e})"
             )
@@ -74,8 +82,8 @@ class Behavior:
         alice = arr.sum(axis=1)  # (a, x, y)
         bob = arr.sum(axis=0)  # (b, x, y)
         ns = (
-            np.abs(alice[:, :, 0] - alice[:, :, 1]).max() <= tol.no_signaling
-            and np.abs(bob[:, 0, :] - bob[:, 1, :]).max() <= tol.no_signaling
+            np.abs(alice[:, :, 0] - alice[:, :, 1]).max() <= NO_SIGNALING_SLACK
+            and np.abs(bob[:, 0, :] - bob[:, 1, :]).max() <= NO_SIGNALING_SLACK
         )
         object.__setattr__(self, "no_signaling", bool(ns))
 
@@ -128,13 +136,12 @@ class ObservedIVTable:
     p: np.ndarray
 
     def __post_init__(self):
-        tol = DEFAULT_TOLERANCES
         arr = np.array(self.p, dtype=float)
         if arr.shape != (2, 2, 2):
             raise ValidationError(f"IV table must have shape (2,2,2), got {arr.shape}")
-        arr = _check_probabilities(arr, tol.normalization)
+        arr = _check_probabilities(arr)
         sums = arr.sum(axis=(0, 1))
-        if np.abs(sums - 1.0).max() > tol.normalization:
+        if np.abs(sums - 1.0).max() > NORMALIZATION_SLACK:
             raise NormalizationError(
                 f"each instrument arm must sum to 1 (worst deviation {np.abs(sums - 1.0).max():.3e})"
             )
@@ -164,7 +171,7 @@ class CorrelationTable:
 
     def __post_init__(self):
         arr = _frozen_array(self.e, (2, 2))
-        if np.abs(arr).max() > 1.0 + DEFAULT_TOLERANCES.interval_slack:
+        if np.abs(arr).max() > 1.0 + INTERVAL_SLACK:
             raise ValidationError(f"correlators must lie in [-1, 1], got max |e| = {np.abs(arr).max()}")
         object.__setattr__(self, "e", arr)
 
@@ -179,7 +186,7 @@ class CorrelationTriple:
 
     def __post_init__(self):
         for name, v in (("e_ab", self.e_ab), ("e_ac", self.e_ac), ("e_bc", self.e_bc)):
-            if not np.isfinite(v) or abs(v) > 1.0 + DEFAULT_TOLERANCES.interval_slack:
+            if not np.isfinite(v) or abs(v) > 1.0 + INTERVAL_SLACK:
                 raise ValidationError(f"{name} must lie in [-1, 1], got {v}")
 
 
@@ -193,7 +200,7 @@ class Interval:
     def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValidationError("interval endpoints must be finite")
-        if self.lo > self.hi + DEFAULT_TOLERANCES.interval_slack:
+        if self.lo > self.hi + INTERVAL_SLACK:
             raise ValidationError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
 
     @property
@@ -211,21 +218,20 @@ class Interval:
 class ResponseTypeDist:
     """Probability vector over the 16 deterministic response types.
 
-    Index (i, j) is flattened as 4*i + j where i encodes the treatment
-    response Z -> X and j the outcome response X -> Y (see
-    ``causal.X_RESPONSES`` / ``causal.Y_RESPONSES`` for the order).  Under
-    the Bell-causal bijection each type is one hidden-variable value.
+    Type 4*i + j pairs treatment response i (Z -> X) with outcome response
+    j (X -> Y), in the order of the table in the ``causal`` docstring.  It is
+    also strategy 4*i + j of ``polytope.STRATEGY_SIGNS``: under the
+    Bell-causal bijection each type is one hidden-variable value.
     """
 
     q: np.ndarray
 
     def __post_init__(self):
-        tol = DEFAULT_TOLERANCES
         arr = np.array(self.q, dtype=float)
         if arr.shape != (16,):
             raise ValidationError(f"response-type distribution must have 16 entries, got {arr.shape}")
-        arr = _check_probabilities(arr, tol.normalization)
-        if abs(arr.sum() - 1.0) > tol.normalization:
+        arr = _check_probabilities(arr)
+        if abs(arr.sum() - 1.0) > NORMALIZATION_SLACK:
             raise NormalizationError(f"weights must sum to 1, got {arr.sum()!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "q", arr)

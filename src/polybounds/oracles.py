@@ -16,10 +16,12 @@ from math import comb
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import EnumerationLimitError, InfeasibleTableError, ValidationError
-from .model import Interval
-from .solvers import LpProblem, lp_solve
+from .model import NORMALIZATION_SLACK, Interval
+from .solvers import TOL, LpProblem, lp_solve
+
+#: Cap on the candidate bases of one basis enumeration.
+MAX_BASES = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +44,9 @@ class AtomGrid:
             p = np.array(self.probs, dtype=float)
             if p.shape != (len(atoms),):
                 raise ValidationError("probability vector length must match the atom count")
-            if p.min() < -DEFAULT_TOLERANCES.normalization:
+            if p.min() < -NORMALIZATION_SLACK:
                 raise ValidationError("atom probabilities must be nonnegative")
-            if abs(p.sum() - 1.0) > DEFAULT_TOLERANCES.normalization:
+            if abs(p.sum() - 1.0) > NORMALIZATION_SLACK:
                 raise ValidationError("atom probabilities must sum to 1")
             p.setflags(write=False)
             object.__setattr__(self, "probs", p)
@@ -62,9 +64,7 @@ class AtomGrid:
         return len(self.atoms)
 
 
-def oracle_joint_feasibility(
-    constraints, grid: AtomGrid, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def oracle_joint_feasibility(constraints, grid: AtomGrid, tol: float = TOL) -> bool:
     """Does any probability vector on the grid satisfy the moment constraints?
 
     Each constraint is (coefficient vector over atoms, target value);
@@ -105,7 +105,7 @@ def _independent_rows(A: np.ndarray, tol: float) -> list[int]:
 _BASIS_CACHE: dict[bytes, tuple] = {}
 
 
-def _basis_data(A: np.ndarray, max_bases: int) -> tuple:
+def _basis_data(A: np.ndarray) -> tuple:
     """Independent rows, basis column subsets, and batched inverses for A."""
     key = A.tobytes() + bytes(str(A.shape), "ascii")
     if key in _BASIS_CACHE:
@@ -114,9 +114,9 @@ def _basis_data(A: np.ndarray, max_bases: int) -> tuple:
     Ar = A[rows]
     r, n = Ar.shape
     n_bases = comb(n, r)
-    if n_bases > max_bases:
+    if n_bases > MAX_BASES:
         raise EnumerationLimitError(
-            f"basis enumeration would visit {n_bases} bases (cap {max_bases})"
+            f"basis enumeration would visit {n_bases} bases (cap {MAX_BASES})"
         )
     subsets = np.array(list(itertools.combinations(range(n), r)), dtype=int)
     mats = Ar[:, subsets].transpose(1, 0, 2)  # (n_bases, r, r)
@@ -134,13 +134,14 @@ def oracle_extremal_scan(
     vertices=None,
     A=None,
     b=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: float = TOL,
 ) -> Interval:
     """Bracket a linear functional by brute force.
 
     Either over an explicit ``vertices`` array (rows are vertices), or over
-    every basic feasible solution of A q = b, q >= 0.  The basis scan is
-    capped at ``tol.oracle_max_bases`` candidate bases.
+    every basic feasible solution of A q = b, q >= 0, with entries down
+    to ``-tol`` counted as feasible.  The basis scan is capped at
+    ``MAX_BASES`` candidate bases.
     """
     c = np.asarray(objective, dtype=float)
     if vertices is not None:
@@ -157,14 +158,14 @@ def oracle_extremal_scan(
     return Interval(float(values.min()), float(values.max()))
 
 
-def _basic_feasible_solutions(A, b, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _basic_feasible_solutions(A, b, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Basic feasible solutions of A q = b, q >= 0 that also satisfy the
     dependent rows: (basis columns, basic values, full vectors), unclipped."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    rows, subsets, inverses = _basis_data(A, tol.oracle_max_bases)
+    rows, subsets, inverses = _basis_data(A)
     solutions = np.einsum("bij,j->bi", inverses, b[rows])
-    feasible = solutions.min(axis=1) >= -tol.lp_feasibility
+    feasible = solutions.min(axis=1) >= -tol
     if not feasible.any():
         raise InfeasibleTableError("no basic feasible solution: the system A q = b, q >= 0 is empty")
     subsets, solutions = subsets[feasible], solutions[feasible]
@@ -177,7 +178,7 @@ def _basic_feasible_solutions(A, b, tol: Tolerances) -> tuple[np.ndarray, np.nda
     return subsets[consistent], solutions[consistent], full[consistent]
 
 
-def oracle_feasible_vertices(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def oracle_feasible_vertices(A, b, tol: float = TOL) -> np.ndarray:
     """All basic feasible solutions of A q = b, q >= 0, as rows.
 
     These are the vertices of the feasible polytope (repeated for
@@ -187,7 +188,7 @@ def oracle_feasible_vertices(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.n
     return np.clip(_basic_feasible_solutions(A, b, tol)[2], 0.0, None)
 
 
-def oracle_vertex_average(A, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def oracle_vertex_average(A, b, tol: float = TOL) -> np.ndarray:
     """Average of all basic feasible solutions: a relative-interior point
     of the feasible polytope (full support whenever any interior point has it)."""
     return oracle_feasible_vertices(A, b, tol).mean(axis=0)

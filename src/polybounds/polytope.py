@@ -23,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SignalingError, ValidationError
 from .model import (
     CHSH_VARIANTS,
+    INEQUALITY_SLACK,
     SIGNS,
     Behavior,
     CorrelationTable,
@@ -36,7 +36,7 @@ from .model import (
     chsh_variant_values,
 )
 from .oracles import AtomGrid, oracle_joint_feasibility
-from .solvers import LpProblem, lp_solve
+from .solvers import TOL, LpProblem, lp_solve
 
 
 def _bit(sign: int) -> int:
@@ -128,7 +128,7 @@ class MembershipCertificate:
     facet_value: float | None
 
 
-def local_membership(b: Behavior, tol: Tolerances = DEFAULT_TOLERANCES) -> MembershipCertificate:
+def local_membership(b: Behavior, tol: float = TOL) -> MembershipCertificate:
     """Decide membership in the local polytope by LP over the 16 strategies."""
     target = b.p.reshape(16)
     result = lp_solve(
@@ -147,7 +147,7 @@ class FineCheckResult(NamedTuple):
     all_chsh_hold: bool
 
 
-def fine_check(b: Behavior, tol: Tolerances = DEFAULT_TOLERANCES) -> FineCheckResult:
+def fine_check(b: Behavior, tol: float = TOL) -> FineCheckResult:
     """Joint-distribution existence versus the 8 CHSH inequalities.
 
     The joint is sought over the 16 atoms of the four observables by LP;
@@ -162,7 +162,7 @@ def fine_check(b: Behavior, tol: Tolerances = DEFAULT_TOLERANCES) -> FineCheckRe
     constraints = list(zip(_STRATEGY_MATRIX, b.p.reshape(16)))
     joint = oracle_joint_feasibility(constraints, AtomGrid.signs(4), tol)
     variants = chsh_variant_values(behavior_to_correlations(b))
-    return FineCheckResult(joint, bool(variants.max() <= 2.0 + tol.facet))
+    return FineCheckResult(joint, bool(variants.max() <= 2.0 + tol))
 
 
 class BooleBellResult(NamedTuple):
@@ -173,10 +173,10 @@ class BooleBellResult(NamedTuple):
 def boole_bell_check(t: CorrelationTriple) -> BooleBellResult:
     """Two-sided three-variable inequality |E[AB] - E[AC]| <= 1 - E[BC]."""
     slack = (1.0 - t.e_bc) - abs(t.e_ab - t.e_ac)
-    return BooleBellResult(slack >= -DEFAULT_TOLERANCES.inequality_slack, float(slack))
+    return BooleBellResult(slack >= -INEQUALITY_SLACK, float(slack))
 
 
-def triple_feasibility(t: CorrelationTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def triple_feasibility(t: CorrelationTriple, tol: float = TOL) -> bool:
     """Is there a joint +-1 distribution with the three pair correlations?
 
     Single-variable marginals are left free; unit variances are automatic
@@ -227,8 +227,11 @@ def _functional(functional) -> np.ndarray:
 
 def local_max(functional) -> float:
     """Maximum of a correlation functional over the local polytope: the best
-    of its 16 vertices, the deterministic strategies."""
-    return float((STRATEGY_CORRELATIONS * _functional(functional)).sum(axis=(1, 2)).max())
+    of its 16 vertices, the deterministic strategies; inf when a vertex
+    value passes the float range."""
+    f = _functional(functional)
+    with np.errstate(over="ignore"):
+        return float((STRATEGY_CORRELATIONS * f).sum(axis=(1, 2)).max())
 
 
 def no_signaling_max(functional) -> float:
@@ -237,6 +240,9 @@ def no_signaling_max(functional) -> float:
     The correlation tables of its 24 vertices (Barrett et al., PRA 71,
     022101, 2005) are all 16 sign patterns: even parity for the 16
     strategies, odd parity for the 8 PR boxes (the ``CHSH_VARIANTS``).  So
-    the correlators fill the cube [-1, 1]^4 and the maximum is sum |f|.
+    the correlators fill the cube [-1, 1]^4 and the maximum is sum |f|
+    (inf past the float range).
     """
-    return float(np.abs(_functional(functional)).sum())
+    f = _functional(functional)
+    with np.errstate(over="ignore"):
+        return float(np.abs(f).sum())

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .causal import RESPONSE_MATRIX, ace_bounds, manski_bounds
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasibleTableError, ValidationError
 from .model import (
     Behavior,
@@ -35,9 +34,8 @@ from .model import (
 )
 from .oracles import oracle_vertex_average
 from .polytope import STRATEGY_SIGNS, local_max, no_signaling_max
-from .solvers import SdpProblem, sdp_solve
+from .solvers import TOL, SdpProblem, sdp_solve
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -318,19 +316,14 @@ def _correlator_objective(functional) -> dict:
     return {((x,), (y,)): float(f[x, y]) for x in range(2) for y in range(2)}
 
 
-def npa_bound(
-    level: NpaLevel,
-    functional,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    return_result: bool = False,
-):
+def npa_bound(level: NpaLevel, functional, return_result: bool = False):
     """Relaxation maximum of a correlation functional over the moment cone.
 
     Monotone in the level: the 9x9 word set contains the 5x5 one, so the
     bound can only shrink.
     """
     program = moment_program(level, _correlator_objective(functional))
-    result = sdp_solve(program.problem, tol, start=np.eye(program.dimension))
+    result = sdp_solve(program.problem, start=np.eye(program.dimension))
     if return_result:
         return result.value, result
     return result.value
@@ -379,11 +372,7 @@ def _classical_moment_start(table: ObservedIVTable, level: NpaLevel) -> np.ndarr
     return gamma
 
 
-def quantum_ace_bounds(
-    table: ObservedIVTable,
-    level: NpaLevel = NpaLevel.L1,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[Interval, dict]:
+def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) -> tuple[Interval, dict]:
     """Treatment-effect bounds when the latent confounder may be quantum.
 
     The observed table enters as affine constraints on moment-matrix
@@ -401,9 +390,9 @@ def quantum_ace_bounds(
     diagnostics: dict = {"level": level.value, "classical_start": start is not None}
 
     hi_prog = moment_program(level, objective, data)
-    hi = sdp_solve(hi_prog.problem, tol, start=start)
+    hi = sdp_solve(hi_prog.problem, start=start)
     lo_prog = moment_program(level, {k: -v for k, v in objective.items()}, data)
-    lo = sdp_solve(lo_prog.problem, tol, start=start)
+    lo = sdp_solve(lo_prog.problem, start=start)
     diagnostics["sdp_iterations"] = (lo.iterations, hi.iterations)
     diagnostics["sdp_termination"] = (lo.termination, hi.termination)
     diagnostics["duality_gaps"] = (lo.gap, hi.gap)
@@ -433,21 +422,22 @@ class GapReport:
 def quantum_gap_report(
     subject,
     level: NpaLevel = NpaLevel.L1,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: float = TOL,
 ) -> GapReport:
     """Three-layer report for a correlation functional, a behavior, or an
     observed instrumental table.
 
     For a functional the triple is (best of the 16 strategies, relaxation
     bound, sum |f| over the no-signaling polytope); the canonical CHSH
-    coefficients give (2, 2*sqrt(2), 4).
+    coefficients give (2, 2*sqrt(2), 4).  ``tol`` is the LP feasibility
+    threshold of a table's classical interval.
     """
     notes: list[str] = []
     diagnostics: dict = {}
 
     if isinstance(subject, ObservedIVTable):
         classical = ace_bounds(subject, tol)
-        quantum, diag = quantum_ace_bounds(subject, level, tol)
+        quantum, diag = quantum_ace_bounds(subject, level)
         diagnostics.update(diag)
         p_yx = subject.p.mean(axis=2)  # observational joint under a uniform instrument
         px1 = float(p_yx[:, 1].sum())
@@ -466,7 +456,7 @@ def quantum_gap_report(
         k = int(np.argmax(variants))
         functional = CHSH_VARIANTS[k]
         classical = float(variants[k])
-        quantum, result = npa_bound(level, functional, tol, return_result=True)
+        quantum, result = npa_bound(level, functional, return_result=True)
         nosignaling = no_signaling_max(functional)
         diagnostics.update(
             {
@@ -488,7 +478,7 @@ def quantum_gap_report(
     if functional.shape != (2, 2):
         raise ValidationError("gap report takes a 2x2 functional, a Behavior, or an ObservedIVTable")
     classical = local_max(functional)
-    quantum, result = npa_bound(level, functional, tol, return_result=True)
+    quantum, result = npa_bound(level, functional, return_result=True)
     nosignaling = no_signaling_max(functional)
     diagnostics.update(
         {"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap}

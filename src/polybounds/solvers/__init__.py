@@ -1,9 +1,10 @@
 """Self-contained optimization engines: dense simplex LP and interior-point SDP."""
 
-from .lp import LpProblem, LpResult, lp_solve
+from .lp import TOL, LpProblem, LpResult, lp_solve
 from .sdp import SdpProblem, SdpResult, realify, sdp_solve
 
 __all__ = [
+    "TOL",
     "LpProblem",
     "LpResult",
     "lp_solve",

@@ -19,8 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DEFAULT_TOLERANCES, Tolerances
 from ..errors import DimensionMismatchError, IterationLimitError, ValidationError
+
+#: The package's one decision tolerance: the phase-1 optimum above which an
+#: LP is infeasible.  Callers pass the same value on as the basis oracle's
+#: feasibility slack and the CHSH facet slack (``--tolerance`` in the CLI).
+TOL = 1e-9
+#: Smallest entry treated as nonzero in pivoting and reduced-cost tests.
+PIVOT_TOL = 1e-10
+#: Pivot cap per tableau dimension: at most ITERATION_FACTOR * (m + n) pivots.
+ITERATION_FACTOR = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +82,9 @@ class LpResult:
 
 
 class _Simplex:
-    def __init__(self, T: np.ndarray, basis: list[int], pivot_tol: float, max_pivots: int):
+    def __init__(self, T: np.ndarray, basis: list[int], max_pivots: int):
         self.T = T  # constraint rows augmented with rhs column
         self.basis = basis
-        self.pivot_tol = pivot_tol
         self.max_pivots = max_pivots
         self.pivots = 0
 
@@ -97,18 +104,18 @@ class _Simplex:
 
     def run(self, obj: np.ndarray, allowed: int) -> str:
         """Minimize over the first ``allowed`` columns; returns 'optimal' or 'unbounded'."""
-        T, tol = self.T, self.pivot_tol
+        T = self.T
         while True:
             reduced = obj[:allowed]
             entering = -1
             for j in range(allowed):  # Bland: smallest index with negative reduced cost
-                if reduced[j] < -tol:
+                if reduced[j] < -PIVOT_TOL:
                     entering = j
                     break
             if entering < 0:
                 return "optimal"
             col = T[:, entering]
-            rows = np.nonzero(col > tol)[0]
+            rows = np.nonzero(col > PIVOT_TOL)[0]
             if rows.size == 0:
                 return "unbounded"
             ratios = T[rows, -1] / col[rows]
@@ -118,8 +125,9 @@ class _Simplex:
             self.pivot(leaving, entering, obj)
 
 
-def lp_solve(problem: LpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResult:
-    """Solve a small dense equality-form LP by two-phase simplex."""
+def lp_solve(problem: LpProblem, tol: float = TOL) -> LpResult:
+    """Solve a small dense equality-form LP by two-phase simplex; infeasible
+    when the phase-1 optimum exceeds ``tol``."""
     m, n = problem.A.shape
     minimize = problem.sense == "min"
     c = problem.c if minimize else -problem.c
@@ -130,7 +138,7 @@ def lp_solve(problem: LpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResu
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    max_pivots = max(1, tol.lp_iteration_factor * (m + n))
+    max_pivots = max(1, ITERATION_FACTOR * (m + n))
 
     # phase 1: feasibility via artificial variables
     T = np.hstack([A, np.eye(m), b[:, None]])
@@ -139,14 +147,14 @@ def lp_solve(problem: LpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResu
     obj1 = cost1.copy()
     for i in range(m):
         obj1 -= T[i]  # reduce artificial basic columns out of the cost row
-    sx = _Simplex(T, basis, tol.lp_pivot, max_pivots)
+    sx = _Simplex(T, basis, max_pivots)
     sx.run(obj1, n + m)
     infeasibility = -obj1[-1]
 
     signs = np.where(flip, -1.0, 1.0)
     augmented = np.hstack([A, np.eye(m)])
 
-    if infeasibility > tol.lp_feasibility:
+    if infeasibility > tol:
         # Farkas certificate y: solve B' y = cost1_B on the final basis
         B = augmented[:, basis]
         cb = cost1[basis]
@@ -169,7 +177,7 @@ def lp_solve(problem: LpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResu
         if basis[i] >= n:
             pivot_col = -1
             for j in range(n):
-                if j not in basis and abs(T[i, j]) > tol.lp_pivot:
+                if j not in basis and abs(T[i, j]) > PIVOT_TOL:
                     pivot_col = j
                     break
             if pivot_col >= 0:
@@ -182,7 +190,7 @@ def lp_solve(problem: LpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> LpResu
     # phase 2 on the original columns
     T2 = np.hstack([T[keep][:, :n], T[keep][:, -1:]])
     total_pivots = sx.pivots
-    sx = _Simplex(T2, basis, tol.lp_pivot, max_pivots)
+    sx = _Simplex(T2, basis, max_pivots)
     sx.pivots = total_pivots
     obj2 = np.concatenate([c, [0.0]])
     for i, bj in enumerate(basis):

@@ -15,16 +15,16 @@ rel_gap + rp_rel + rd_rel, where rel_gap = gap / (1 + |pobj| + |dobj|) and
 rp_rel, rd_rel are the primal and dual residual norms relative to
 1 + ||b|| and 1 + ||C||, the loop ends
 
-* ``"converged"``: rel_gap <= ``tol.sdp_gap_target`` and both residuals
+* ``"converged"``: rel_gap <= ``GAP_TARGET`` and both residuals
   <= 1e-10 (or complementarity has vanished on a primal-feasible iterate);
 * ``"stalled"``: the best merit has not strictly improved for 10 iterations
-  and the best iterate has rel_gap <= ``tol.sdp_gap_target`` and both
+  and the best iterate has rel_gap <= ``GAP_TARGET`` and both
   residuals <= 1e-9 (degenerate optima hold the primal residual near 2e-10);
-* ``"iteration_limit"``: ``tol.sdp_max_iterations`` iterations ran.
+* ``"iteration_limit"``: ``MAX_ITERATIONS`` iterations ran.
 
 In every case the best-merit iterate is returned, as ``SdpResult`` with the
-reason in ``termination``, provided it passes ``tol.sdp_gap_accept`` and
-``tol.sdp_feasibility_accept``; otherwise ``SdpConvergenceError`` is raised.
+reason in ``termination``, provided it passes ``GAP_ACCEPT`` and
+``FEASIBILITY_ACCEPT``; otherwise ``SdpConvergenceError`` is raised.
 """
 
 from __future__ import annotations
@@ -33,8 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DEFAULT_TOLERANCES, Tolerances
 from ..errors import DimensionMismatchError, SdpConvergenceError, ValidationError
+
+GAP_TARGET = 1e-9  # relative gap at which the loop may stop
+GAP_ACCEPT = 1e-6  # relative gap a returned iterate must meet
+FEASIBILITY_ACCEPT = 1e-7  # relative residuals a returned iterate must meet
+MAX_ITERATIONS = 200
+STEP_FRACTION = 0.98  # share of the distance to the PSD boundary taken per step
 
 # Stall stop: the best merit has not strictly improved for this many
 # iterations while the best iterate already meets the gap target and has
@@ -126,11 +131,7 @@ def _max_step(inv_half: np.ndarray, dS: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def sdp_solve(
-    problem: SdpProblem,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    start: np.ndarray | None = None,
-) -> SdpResult:
+def sdp_solve(problem: SdpProblem, *, start: np.ndarray | None = None) -> SdpResult:
     """Solve a small dense SDP; raises ``SdpConvergenceError`` on stagnation.
 
     ``start`` may supply a strictly feasible primal matrix (a Slater point);
@@ -165,7 +166,7 @@ def sdp_solve(
         X = np.eye(n) * max(1.0, float(np.abs(b).max()))
     Z = np.eye(n) * max(1.0, np.linalg.norm(C0, "fro") / np.sqrt(n))
     y = np.zeros(m)
-    tau = tol.sdp_step_fraction
+    tau = STEP_FRACTION
 
     mu0 = float(np.vdot(X, Z)) / n
     infeas0 = max(
@@ -179,7 +180,7 @@ def sdp_solve(
     best_stalls = False  # the best iterate would be good enough to stop on a stall
     termination = "iteration_limit"
     iterations = 0
-    for iterations in range(1, tol.sdp_max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         # boundary lifting: while materially infeasible, keep both iterates
         # off the PSD boundary or the Newton system becomes unsolvable
         if max(
@@ -212,9 +213,9 @@ def sdp_solve(
             best = (merit, (X.copy(), y.copy(), Z.copy(), pobj, dobj, gap, rp_rel, rd_rel, iterations))
             best_at = iterations
             best_stalls = (
-                rel_gap <= tol.sdp_gap_target and rp_rel <= _STALL_RESIDUAL and rd_rel <= _STALL_RESIDUAL
+                rel_gap <= GAP_TARGET and rp_rel <= _STALL_RESIDUAL and rd_rel <= _STALL_RESIDUAL
             )
-        if rp_rel <= 1e-10 and ((rel_gap <= tol.sdp_gap_target and rd_rel <= 1e-10) or mu < 1e-16):
+        if rp_rel <= 1e-10 and ((rel_gap <= GAP_TARGET and rd_rel <= 1e-10) or mu < 1e-16):
             termination = "converged"
             break
         if best_stalls and iterations - best_at >= _STALL_WINDOW:
@@ -320,9 +321,9 @@ def sdp_solve(
 
     _, (X, y, Z, pobj, dobj, gap, rp_rel, rd_rel, _) = best
     accepted = (
-        gap / (1.0 + abs(pobj) + abs(dobj)) <= tol.sdp_gap_accept
-        and rp_rel <= tol.sdp_feasibility_accept
-        and rd_rel <= tol.sdp_feasibility_accept
+        gap / (1.0 + abs(pobj) + abs(dobj)) <= GAP_ACCEPT
+        and rp_rel <= FEASIBILITY_ACCEPT
+        and rd_rel <= FEASIBILITY_ACCEPT
     )
     if not accepted:
         raise SdpConvergenceError(

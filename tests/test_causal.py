@@ -47,6 +47,20 @@ def test_response_matrix_structure():
     assert np.abs(table.p.sum(axis=(0, 1)) - 1.0).max() < 1e-12
 
 
+def test_response_matrix_matches_the_explicit_response_functions():
+    # type 4i + j: treatment response i and outcome response j, each listed as (f(0), f(1))
+    responses = ((0, 0), (0, 1), (1, 0), (1, 1))
+    reference = np.zeros((8, 16))
+    for i, treatment in enumerate(responses):
+        for j, outcome in enumerate(responses):
+            for z in range(2):
+                x = treatment[z]
+                y = outcome[x]
+                reference[4 * y + 2 * x + z, 4 * i + j] = 1.0
+    assert np.array_equal(RESPONSE_MATRIX, reference)
+    assert not RESPONSE_MATRIX.flags.writeable
+
+
 def test_instrumental_inequality_perfect_compliance():
     t = perfect_compliance_table()
     check = instrumental_inequality(t)

@@ -352,3 +352,100 @@ def test_non_finite_and_zero_mass_arrays_are_schema_errors(tmp_path, capsys, kin
     code, out = run_cli(capsys, kind, "--input", path, "--renormalize")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
+BIG = 10**400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "kind, payload, options, field",
+    [
+        ("iv-bounds", {"table": [[[BIG, 0], [0, 0]], [[0, 0], [0, 0]]]}, None, "table"),
+        ("npa", {"functional": [[BIG, 1], [1, -1]]}, None, "functional"),
+        ("manski", {"e1": BIG, "e0": 0.4, "px1": 0.5}, None, "e1"),
+        ("frechet", {"u": 0.5, "v": BIG}, None, "v"),
+        ("pns", {"experimental": {"p_do1": BIG, "p_do0": 0.5}, "observational": {"joint": [[0.25] * 2] * 2}}, None, "p_do1"),
+        ("frechet", {"u": 0.5, "v": 0.5}, {"tolerance": BIG}, "tolerance"),
+    ],
+)
+def test_integers_past_the_float_range_are_schema_errors(tmp_path, capsys, kind, payload, options, field):
+    path = write_doc(tmp_path, payload, options=options)
+    code, out = run_cli(capsys, kind, "--input", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "SchemaError"
+    assert field in error["message"]
+
+
+def test_integer_past_the_float_range_fails_only_its_batch_entry(tmp_path, capsys):
+    batch = [
+        {"schema": 1, "kind": "manski", "payload": {"e1": BIG, "e0": 0.4, "px1": 0.5}},
+        {"schema": 1, "kind": "frechet", "payload": {"u": 0.8, "v": 0.7}},
+    ]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(batch))
+    code, out = run_cli(capsys, "manski", "--batch", str(path))
+    assert code == 2
+    docs = json.loads(out)
+    assert [d.get("error", {}).get("type") for d in docs] == ["SchemaError", None]
+    assert docs[1]["results"]["joint_bounds"]["lo"] == 0.5
+
+
+def test_negative_audit_seed_is_schema_error(tmp_path, capsys):
+    path = write_doc(tmp_path, {"suite": "lp", "samples": 1, "seed": -1})
+    code, out = run_cli(capsys, "audit", "--input", path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "SchemaError"
+    assert "seed" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schema": 1, "payload": {"e1": %s, "e0": 0.4, "px1": 0.5}}' % ("1" * 5000),  # past the digit limit
+        "[" * 100000 + "]" * 100000,  # nesting past the recursion limit
+        b"\xff\xfe".decode("latin-1"),  # not UTF-8 once written as latin-1
+    ],
+    ids=["digit-limit", "deep-nesting", "not-utf8"],
+)
+def test_unreadable_json_is_schema_error(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="latin-1")
+    code, out = run_cli(capsys, "manski", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("membership", {"behavior": np.full((2, 2, 2, 2), 1e308).tolist()}),
+        ("iv-bounds", {"table": np.full((2, 2, 2), 1e308).tolist()}),
+        ("entropic", {"behavior": UNIFORM_BEHAVIOR, "settings": [[1e308, 1e308], [1e308, 1e308]]}),
+        ("pns", {"experimental": {"p_do1": 0.5, "p_do0": 0.5}, "observational": {"joint": [[1e308] * 2] * 2}}),
+    ],
+)
+def test_total_mass_past_the_float_range_is_schema_error(tmp_path, capsys, kind, payload):
+    path = write_doc(tmp_path, payload)
+    code, out = run_cli(capsys, kind, "--input", path, "--renormalize")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "SchemaError"
+    assert "total mass" in error["message"]
+
+
+def test_tolerance_option_sets_the_facet_and_lp_slack(tmp_path, capsys):
+    # the canonical CHSH value 2 + 1e-7: just outside the local polytope
+    correlations = [[0.5, 0.5], [0.5, -0.5 - 1e-7]]
+    outcomes = []
+    for tolerance in (None, 1e-6):
+        options = {"audit": True, **({"tolerance": tolerance} if tolerance else {})}
+        path = write_doc(tmp_path, {"correlations": correlations}, options=options)
+        code, out = run_cli(capsys, "chsh", "--input", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["audit"]["facet_check_agrees"] is True
+        assert doc["provenance"]["tolerances"]["facet"] == (tolerance or 1e-9)
+        outcomes.append(doc["results"]["member_of_local_polytope"])
+    assert outcomes == [False, True]

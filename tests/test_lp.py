@@ -8,10 +8,10 @@ from polybounds import (
     LpProblem,
     ObservedIVTable,
     RESPONSE_MATRIX,
-    Tolerances,
     lp_solve,
     oracle_extremal_scan,
 )
+from polybounds.solvers import lp
 
 
 def test_trivial_max():
@@ -112,10 +112,9 @@ def test_dimension_mismatch():
         LpProblem(c=[1, 2], A=[[1, 1]], b=[1, 2])
 
 
-def test_iteration_limit_error():
-    tiny = Tolerances(lp_iteration_factor=0)  # floor of one pivot total
+def test_iteration_limit_error(monkeypatch):
+    monkeypatch.setattr(lp, "ITERATION_FACTOR", 0)  # floor of one pivot total
     with pytest.raises(IterationLimitError):
         lp_solve(
             LpProblem(c=[1.0, 0.0, 0.0], A=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], b=[1.0, 1.0], sense="max"),
-            tiny,
         )

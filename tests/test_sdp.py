@@ -3,7 +3,6 @@ import pytest
 
 from polybounds import (
     CHSH_COEFFS,
-    DEFAULT_TOLERANCES,
     NpaLevel,
     SdpConvergenceError,
     SdpProblem,
@@ -13,6 +12,7 @@ from polybounds import (
     realify,
     sdp_solve,
 )
+from polybounds.solvers import sdp
 
 
 def _unit(n, i, j):
@@ -65,11 +65,11 @@ def test_random_instances_meet_hygiene_invariants():
         assert r.value <= r.dual_value + 1e-6  # weak duality, max sense
 
 
-def test_iteration_cap_is_never_reported_as_converged():
+def test_iteration_cap_is_never_reported_as_converged(monkeypatch):
     program = moment_program(NpaLevel.L1AB, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
-    tol = DEFAULT_TOLERANCES.with_overrides(sdp_max_iterations=3)
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
     try:
-        r = sdp_solve(program.problem, tol, start=np.eye(program.dimension))
+        r = sdp_solve(program.problem, start=np.eye(program.dimension))
     except SdpConvergenceError:
         return
     assert r.termination == "iteration_limit"
