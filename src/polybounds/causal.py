@@ -141,7 +141,7 @@ class ObservationalData:
             raise ValidationError("observational joint has a negative cell")
         arr = np.where(arr < 0.0, 0.0, arr)
         if abs(arr.sum() - 1.0) > NORMALIZATION_SLACK:
-            raise ValidationError(f"observational joint must sum to 1, got {arr.sum()!r}")
+            raise ValidationError(f"observational joint must sum to 1, got {float(arr.sum())!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "joint", arr)
 

@@ -419,8 +419,7 @@ def _handle_gap(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict,
         "gap": report.gap,
         "level": report.level.value,
     }
-    prov = {k: v for k, v in report.diagnostics.items() if k != "classical_start"}
-    return results, prov
+    return results, report.diagnostics
 
 
 def _handle_iv_bounds(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
@@ -708,12 +707,16 @@ def _classify(exc: Exception) -> int:
     raise exc
 
 
+def _reject_constant(token: str):
+    raise SchemaError(f"request holds the non-finite number {token}, which JSON does not allow")
+
+
 def _read_document(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_constant=_reject_constant)
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError:
         raise
     except (ValueError, RecursionError) as exc:  # undecodable bytes, over-long integers, deep nesting

@@ -23,7 +23,7 @@ def entropy(dist) -> float:
     if p.min() < -NORMALIZATION_SLACK:
         raise ValidationError(f"negative probability {p.min():.3e}")
     if abs(p.sum() - 1.0) > NORMALIZATION_SLACK:
-        raise NormalizationError(f"distribution sums to {p.sum()!r}, not 1")
+        raise NormalizationError(f"distribution sums to {float(p.sum())!r}, not 1")
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum() + 0.0)
 

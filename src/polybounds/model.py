@@ -232,7 +232,7 @@ class ResponseTypeDist:
             raise ValidationError(f"response-type distribution must have 16 entries, got {arr.shape}")
         arr = _check_probabilities(arr)
         if abs(arr.sum() - 1.0) > NORMALIZATION_SLACK:
-            raise NormalizationError(f"weights must sum to 1, got {arr.sum()!r}")
+            raise NormalizationError(f"weights must sum to 1, got {float(arr.sum())!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "q", arr)
 

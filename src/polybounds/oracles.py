@@ -22,6 +22,8 @@ from .solvers import TOL, LpProblem, lp_solve
 
 #: Cap on the candidate bases of one basis enumeration.
 MAX_BASES = 10**6
+#: Candidate bases whose determinants and inverses are computed together.
+BASIS_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +108,10 @@ _BASIS_CACHE: dict[bytes, tuple] = {}
 
 
 def _basis_data(A: np.ndarray) -> tuple:
-    """Independent rows, basis column subsets, and batched inverses for A."""
+    """Independent rows, basis column subsets, and batched inverses for A.
+
+    Determinants and inverses are taken ``BASIS_CHUNK`` candidate bases at
+    a time, which bounds the working set of one enumeration."""
     key = A.tobytes() + bytes(str(A.shape), "ascii")
     if key in _BASIS_CACHE:
         return _BASIS_CACHE[key]
@@ -118,12 +123,15 @@ def _basis_data(A: np.ndarray) -> tuple:
         raise EnumerationLimitError(
             f"basis enumeration would visit {n_bases} bases (cap {MAX_BASES})"
         )
-    subsets = np.array(list(itertools.combinations(range(n), r)), dtype=int)
-    mats = Ar[:, subsets].transpose(1, 0, 2)  # (n_bases, r, r)
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-9
-    inverses = np.linalg.inv(mats[ok])
-    data = (rows, subsets[ok], inverses)
+    candidates = itertools.combinations(range(n), r)
+    subsets, inverses = [], []
+    for _ in range(0, n_bases, BASIS_CHUNK):
+        chunk = np.array(list(itertools.islice(candidates, BASIS_CHUNK)), dtype=int)
+        mats = Ar[:, chunk].transpose(1, 0, 2)  # (bases in the chunk, r, r)
+        ok = np.abs(np.linalg.det(mats)) > 1e-9
+        subsets.append(chunk[ok])
+        inverses.append(np.linalg.inv(mats[ok]))
+    data = (rows, np.concatenate(subsets), np.concatenate(inverses))
     _BASIS_CACHE[key] = data
     return data
 

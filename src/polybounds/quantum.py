@@ -6,23 +6,29 @@ closed form (I +- O) / 2, so no eigensolver is involved.
 
 The relaxation side builds moment matrices over operator words in the
 +-1-observable formulation.  Level ``L1`` uses words {1, A0, A1, B0, B1}
-(5x5); ``L1AB`` adds the four cross products (9x9).  Entries are
-identified whenever two word products reduce to the same monomial under
-O^2 = I and cross-party commutation, the diagonal is pinned to 1, and the
-resulting SDP is solved by the interior-point engine from an exactly
-feasible identity start.
+(5x5); ``L1AB`` adds the four cross products (9x9).  Every program is one
+affine family over the distinct canonical monomials (products reduced
+under O^2 = I and cross-party commutation, a word identified with its
+adjoint), Gamma = G0 + sum_j t_j G_j with the identity's moment 1 on the
+diagonal (Navascues, Pironio and Acin, NJP 10, 073013, 2008).  The rows of
+an instrumental table are solved into G0 and the free directions, and a
+treatment arm that the table makes deterministic pins A_z = +-1: that
+letter is substituted out and its words leave the matrix (facial
+reduction with the kernel known in advance; Permenter and Parrilo, Math.
+Program. 2018).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .causal import RESPONSE_MATRIX, ace_bounds, manski_bounds
-from .errors import InfeasibleTableError, ValidationError
+from .causal import ace_bounds, manski_bounds
+from .errors import ValidationError
 from .model import (
     Behavior,
     CorrelationTable,
@@ -32,8 +38,7 @@ from .model import (
     chsh_variant_values,
     CHSH_VARIANTS,
 )
-from .oracles import oracle_vertex_average
-from .polytope import STRATEGY_SIGNS, local_max, no_signaling_max
+from .polytope import local_max, no_signaling_max
 from .solvers import TOL, SdpProblem, sdp_solve
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -219,27 +224,24 @@ def _words(level: NpaLevel) -> tuple[Word, ...]:
     return _L1_WORDS if level is NpaLevel.L1 else _L1AB_WORDS
 
 
-def _sym_unit(n: int, i: int, j: int) -> np.ndarray:
-    E = np.zeros((n, n))
-    if i == j:
-        E[i, i] = 1.0
-    else:
-        E[i, j] = E[j, i] = 0.5
-    return E
+def _substitute(monomial: Word, pins: dict) -> tuple[float, Word]:
+    """Replace each pinned Alice letter A_z by its sign pins[z]: the sign
+    collected and the canonical monomial left."""
+    sign = float(np.prod([pins.get(a, 1.0) for a in monomial[0]]))
+    kept = [a for a in monomial[0] if a not in pins]
+    return sign, _canonical((_reduce_letters(kept), monomial[1]))
 
 
-def _entry(positions: dict, level: NpaLevel, monomial: Word) -> tuple[int, int]:
-    key = _canonical(monomial)
-    if key not in positions:
-        raise ValidationError(f"monomial {monomial!r} does not appear at level {level.value}")
-    return positions[key][0]
+def _pinned_letters(table: ObservedIVTable) -> dict[int, float]:
+    """Alice letters an IV table fixes: <A_z> = +1 when every treated cell
+    p(., 1 | z) is exactly 0, and -1 when every untreated cell p(., 0 | z) is."""
+    return {z: sign for z in range(2) for x, sign in ((1, 1.0), (0, -1.0)) if not table.p[:, x, z].any()}
 
 
 @dataclass(frozen=True, eq=False)
 class MomentProgram:
-    """A moment-matrix SDP instance: the word index, the equality
-    constraints encoding the operator algebra (and any data), and the
-    objective."""
+    """A moment-matrix SDP instance: the word index, the matrix entries of
+    each canonical monomial, and the problem confining X to the family."""
 
     level: NpaLevel
     words: tuple
@@ -252,61 +254,64 @@ class MomentProgram:
 
     def entry(self, monomial: Word) -> tuple[int, int]:
         """Representative matrix position whose value is the monomial's moment."""
-        return _entry(self.positions, self.level, monomial)
+        key = _canonical(monomial)
+        if key not in self.positions:
+            raise ValidationError(f"monomial {monomial!r} does not appear at level {self.level.value}")
+        return self.positions[key][0]
 
 
-def _moment_skeleton(level: NpaLevel):
-    words = _words(level)
-    n = len(words)
-    positions: dict[Word, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            key = _canonical(_entry_monomial(words[i], words[j]))
-            positions.setdefault(key, []).append((i, j))
-    constraints: list[tuple[np.ndarray, float]] = []
-    for i in range(n):
-        constraints.append((_sym_unit(n, i, i), 1.0))
-    for key, spots in positions.items():
-        if key == ((), ()):
-            continue
-        rep = spots[0]
-        for other in spots[1:]:
-            constraints.append(
-                (_sym_unit(n, *other) - _sym_unit(n, *rep), 0.0)
-            )
-    return words, positions, constraints
+def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | None = None) -> MomentProgram:
+    """Assemble a moment-matrix SDP over one affine family.
 
-
-def moment_program(
-    level: NpaLevel,
-    objective: dict,
-    extra_constraints=(),
-) -> MomentProgram:
-    """Assemble a moment-matrix SDP.
-
-    ``objective`` maps monomials (pairs of letter tuples) to coefficients;
-    ``extra_constraints`` is a sequence of (monomial-coefficient dict,
-    right-hand side) rows, with the empty monomial allowed as an affine
-    offset.
+    The level's words index the matrix, and the entries holding one
+    canonical monomial share its moment, the diagonal the identity's 1.  The
+    rows of an IV ``table`` (``_iv_data_constraints``) are solved: their
+    least-squares solution gives the offset G0 and their null space the
+    free directions G_j, so Gamma = G0 + sum_j t_j G_j.  An Alice letter
+    the table pins (``_pinned_letters``) is substituted: the words holding
+    it leave the word list, each being +-1 times a word that stays, and
+    A_z -> +-1 in every monomial.  X is held in the family by <Q_k, X> =
+    <Q_k, G0>, with Q_k an orthonormal basis of the family's orthogonal
+    complement from one SVD.  ``objective`` maps monomials (pairs of letter
+    tuples, the empty one a constant) to coefficients.
     """
-    words, positions, constraints = _moment_skeleton(level)
-    n = len(words)
+    pins = {} if table is None else _pinned_letters(table)
+    words = tuple(w for w in _words(level) if not pins.keys() & set(w[0]))
+    iu = np.triu_indices(len(words))
+    positions: dict[Word, list[tuple[int, int]]] = {}
+    keys = []
+    for i, j in zip(*iu):
+        keys.append(_canonical(_entry_monomial(words[i], words[j])))
+        positions.setdefault(keys[-1], []).append((int(i), int(j)))
+    index = {mono: k for k, mono in enumerate(positions)}  # the identity comes first
+    # each monomial's 0/1 pattern in orthonormal coordinates of the symmetric
+    # matrices: the upper triangle, off-diagonal entries times sqrt 2
+    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    patterns = scale * (np.array([index[k] for k in keys]) == np.arange(len(index))[:, None])
 
-    C = np.zeros((n, n))
-    for mono, coeff in objective.items():
-        i, j = _entry(positions, level, mono)
-        C += float(coeff) * _sym_unit(n, i, j)
-
-    all_constraints = list(constraints)
-    for coeffs, rhs in extra_constraints:
-        A = np.zeros((n, n))
+    def weights(coeffs: dict) -> np.ndarray:
+        w = np.zeros(len(index))
         for mono, coeff in coeffs.items():
-            i, j = _entry(positions, level, mono)
-            A += float(coeff) * _sym_unit(n, i, j)
-        all_constraints.append((A, float(rhs)))
+            sign, key = _substitute(mono, pins)
+            if key not in index:
+                raise ValidationError(f"monomial {mono!r} does not appear at level {level.value}")
+            w[index[key]] += sign * float(coeff)
+        return w
 
-    problem = SdpProblem(C=C, constraints=tuple(all_constraints))
-    return MomentProgram(level=level, words=words, positions=dict(positions), problem=problem)
+    data = [] if table is None else _iv_data_constraints(table)
+    D = np.array([weights(coeffs) for coeffs, _ in data]).reshape(len(data), len(index))
+    rhs = np.array([value for _, value in data]) - D[:, 0]
+    U, s, Vt = np.linalg.svd(D[:, 1:])
+    rank = int((s > 1e-10).sum())
+    offset = patterns[0] + Vt[:rank].T @ (U[:, :rank].T @ rhs / s[:rank]) @ patterns[1:]
+    _, s, Wt = np.linalg.svd(Vt[rank:] @ patterns[1:])
+    complement = Wt[int((s > 1e-10).sum()):]
+
+    objective_coords = weights(objective) / (patterns**2).sum(axis=1) @ patterns
+    mats = np.zeros((1 + len(complement), len(words), len(words)))
+    mats[:, iu[0], iu[1]] = mats[:, iu[1], iu[0]] = np.vstack([objective_coords, complement]) / scale
+    problem = SdpProblem(C=mats[0], constraints=tuple(zip(mats[1:], complement @ offset)))
+    return MomentProgram(level=level, words=words, positions=positions, problem=problem)
 
 
 def _correlator_objective(functional) -> dict:
@@ -330,7 +335,7 @@ def npa_bound(level: NpaLevel, functional, return_result: bool = False):
 
 
 def _iv_data_constraints(table: ObservedIVTable) -> list:
-    """Moment-entry equalities pinning the observed table.
+    """Moment rows reproducing the observed table.
 
     p(y, x | z) = [1 + (-1)^x <A_z> + (-1)^y <B_x> + (-1)^(x+y) <A_z B_x>] / 4
     with the treatment-side word A_z chosen by the instrument and the
@@ -339,63 +344,35 @@ def _iv_data_constraints(table: ObservedIVTable) -> list:
     dropped as redundant with normalization.
     """
     rows = []
-    for z in range(2):
-        for x in range(2):
-            for y in range(2):
-                if (x, y) == (1, 1):
-                    continue
-                sx = (-1.0) ** x
-                sy = (-1.0) ** y
-                coeffs = {
-                    ((), ()): 0.25,
-                    ((z,), ()): 0.25 * sx,
-                    ((), (x,)): 0.25 * sy,
-                    ((z,), (x,)): 0.25 * sx * sy,
-                }
-                rows.append((coeffs, float(table.p[y, x, z])))
+    for z, x, y in itertools.product(range(2), repeat=3):
+        if (x, y) != (1, 1):
+            sx, sy = (-1.0) ** x, (-1.0) ** y
+            coeffs = {((), ()): 0.25, ((z,), ()): 0.25 * sx, ((), (x,)): 0.25 * sy, ((z,), (x,)): 0.25 * sx * sy}
+            rows.append((coeffs, float(table.p[y, x, z])))
     return rows
-
-
-def _classical_moment_start(table: ObservedIVTable, level: NpaLevel) -> np.ndarray | None:
-    """Strictly feasible start from a relative-interior classical model, when
-    the table is classically compatible and the resulting matrix is PD."""
-    try:
-        q = oracle_vertex_average(RESPONSE_MATRIX, table.flat())
-    except InfeasibleTableError:
-        return None
-    # V[s, i]: value of word i on strategy s (response type s), a product of signs
-    columns = [list(a) + [2 + y for y in b] for a, b in _words(level)]
-    V = np.stack([STRATEGY_SIGNS[:, c].prod(axis=1) for c in columns], axis=1)
-    gamma = V.T @ (q[:, None] * V)
-    if np.linalg.eigvalsh(gamma).min() <= 1e-8:
-        return None
-    return gamma
 
 
 def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) -> tuple[Interval, dict]:
     """Treatment-effect bounds when the latent confounder may be quantum.
 
-    The observed table enters as affine constraints on moment-matrix
-    entries; the effect is (<B_0> - <B_1>) / 2.  This is an outer
-    relaxation, so the interval contains the classical LP interval.
+    The observed table fixes the moment family (``moment_program``); the
+    effect is (<B_0> - <B_1>) / 2.  This is an outer relaxation, so the
+    interval contains the classical LP interval.
 
     When the data pin the effect, the two solved endpoints can cross by
     rounding.  A crossing no larger than the sum of the two certified
     duality gaps returns the midpoint as a point interval; a larger one
     still fails the ``Interval`` check.
     """
-    data = _iv_data_constraints(table)
-    start = _classical_moment_start(table, level)
-    objective = {((), (0,)): 0.5, ((), (1,)): -0.5}
-    diagnostics: dict = {"level": level.value, "classical_start": start is not None}
-
-    hi_prog = moment_program(level, objective, data)
-    hi = sdp_solve(hi_prog.problem, start=start)
-    lo_prog = moment_program(level, {k: -v for k, v in objective.items()}, data)
-    lo = sdp_solve(lo_prog.problem, start=start)
-    diagnostics["sdp_iterations"] = (lo.iterations, hi.iterations)
-    diagnostics["sdp_termination"] = (lo.termination, hi.termination)
-    diagnostics["duality_gaps"] = (lo.gap, hi.gap)
+    program = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
+    hi = sdp_solve(program.problem)
+    lo = sdp_solve(SdpProblem(C=-program.problem.C, constraints=program.problem.constraints))
+    diagnostics = {
+        "level": level.value,
+        "sdp_iterations": (lo.iterations, hi.iterations),
+        "sdp_termination": (lo.termination, hi.termination),
+        "duality_gaps": (lo.gap, hi.gap),
+    }
     lo_value, hi_value = -lo.value, hi.value
     if 0.0 < lo_value - hi_value <= lo.gap + hi.gap:
         # endpoints crossing within the certified duality gaps: the data pin

@@ -449,3 +449,25 @@ def test_tolerance_option_sets_the_facet_and_lp_slack(tmp_path, capsys):
         assert doc["provenance"]["tolerances"]["facet"] == (tolerance or 1e-9)
         outcomes.append(doc["results"]["member_of_local_polytope"])
     assert outcomes == [False, True]
+
+
+def test_non_finite_json_constant_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"schema": 1, "payload": {"e1": 0.5, "e0": 0.2, "px1": 0.4, "note": NaN}}')
+    code, out = run_cli(capsys, "manski", "--input", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "SchemaError"
+    assert "NaN" in error["message"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constant_fails_the_whole_batch(tmp_path, capsys, token):
+    path = tmp_path / "batch.json"
+    path.write_text(
+        '[{"schema": 1, "kind": "frechet", "payload": {"u": 0.8, "v": 0.7}},'
+        f' {{"schema": 1, "kind": "manski", "payload": {{"e1": 0.5, "e0": 0.2, "px1": 0.4, "note": {token}}}}}]'
+    )
+    code, out = run_cli(capsys, "manski", "--batch", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SchemaError"

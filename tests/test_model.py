@@ -6,12 +6,14 @@ from polybounds import (
     CorrelationTable,
     Interval,
     NormalizationError,
+    ObservationalData,
     ObservedIVTable,
     ResponseTypeDist,
     ValidationError,
     behavior_to_correlations,
     chsh_value,
     chsh_variant_values,
+    entropy,
 )
 from conftest import random_local_behavior, random_nosignaling_behavior
 
@@ -123,3 +125,18 @@ def test_iv_table_validation():
 def test_correlation_table_range_check():
     with pytest.raises(ValidationError):
         CorrelationTable([[1.5, 0], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ObservationalData([[0.0, 0.0], [0.0, 0.0]]),
+        lambda: ResponseTypeDist(np.full(16, 0.5)),
+        lambda: entropy([0.25, 0.25]),
+    ],
+    ids=["observational-data", "response-type-dist", "entropy"],
+)
+def test_normalization_messages_print_plain_floats(build):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert "np.float64" not in str(info.value)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,16 @@ from polybounds import (
     InfeasibleTableError,
     RESPONSE_MATRIX,
     ValidationError,
+    ExperimentalData,
+    ObservationalData,
     enumerate_strategies,
     oracle_extremal_scan,
     oracle_feasible_vertices,
     oracle_joint_feasibility,
     oracle_vertex_average,
 )
+from polybounds import oracles
+from polybounds.causal import counterfactual_atom_system
 from conftest import random_iv_table
 
 
@@ -110,3 +116,24 @@ def test_feasible_vertices_and_interior_average():
 def test_scan_requires_either_vertices_or_system():
     with pytest.raises(ValidationError):
         oracle_extremal_scan(np.zeros(3))
+
+
+@pytest.mark.parametrize("chunk", [oracles.BASIS_CHUNK, 7])
+@pytest.mark.parametrize("system", ["response-matrix", "counterfactual-atoms"])
+def test_chunked_basis_data_equals_the_one_shot_computation(monkeypatch, chunk, system):
+    if system == "response-matrix":
+        A = RESPONSE_MATRIX
+    else:
+        A, _ = counterfactual_atom_system(ExperimentalData(0.7, 0.3), ObservationalData([[0.3, 0.2], [0.1, 0.4]]))
+    monkeypatch.setattr(oracles, "_BASIS_CACHE", {})
+    monkeypatch.setattr(oracles, "BASIS_CHUNK", chunk)
+    rows, subsets, inverses = oracles._basis_data(A)
+
+    Ar = A[oracles._independent_rows(A, 1e-10)]
+    r, n = Ar.shape
+    every = np.array(list(itertools.combinations(range(n), r)), dtype=int)
+    mats = Ar[:, every].transpose(1, 0, 2)
+    ok = np.abs(np.linalg.det(mats)) > 1e-9
+    assert rows == oracles._independent_rows(A, 1e-10)
+    np.testing.assert_array_equal(subsets, every[ok])
+    np.testing.assert_array_equal(inverses, np.linalg.inv(mats[ok]))

@@ -6,6 +6,7 @@ from polybounds import (
     CHSH_COEFFS,
     DichotomicObservable,
     NpaLevel,
+    ObservedIVTable,
     TwoQubitState,
     ValidationError,
     ace_bounds,
@@ -13,6 +14,7 @@ from polybounds import (
     chsh_operator,
     chsh_value,
     chsh_variant_values,
+    iv_table_from_response_dist,
     local_max,
     moment_program,
     no_signaling_max,
@@ -26,9 +28,7 @@ from polybounds import (
 from polybounds.quantum import (
     PAULI_X,
     PAULI_Z,
-    _classical_moment_start,
     _entry_monomial,
-    _iv_data_constraints,
     _words,
 )
 from conftest import random_iv_table, random_observable, random_quantum_behavior, random_state
@@ -290,20 +290,56 @@ def test_gap_report_ordering_on_random_functionals():
         assert report.quantum <= report.nosignaling + 1e-6
 
 
-def test_quantum_ace_boundary_table_raises_solver_error():
-    """Deterministic-compliance data leaves the moment relaxation with no
-    interior point; the solver error propagates rather than a loose value."""
-    from polybounds import SolverError
-
+def test_quantum_ace_full_compliance_table_gives_the_point_effect():
+    """Deterministic compliance pins both Alice letters; with A_0 = +1 and
+    A_1 = -1 substituted out, the data fix <B_0> and <B_1>, and the effect is
+    p(y=1 | z=1) - p(y=1 | z=0) exactly."""
     p = np.zeros((2, 2, 2))
     p[1, 1, 1] = 0.7
     p[0, 1, 1] = 0.3
     p[1, 0, 0] = 0.4
     p[0, 0, 0] = 0.6
-    from polybounds import ObservedIVTable
+    for level in NpaLevel:
+        interval, _ = quantum_ace_bounds(ObservedIVTable(p), level)
+        assert interval.lo == pytest.approx(0.3, abs=1e-7)
+        assert interval.hi == pytest.approx(0.3, abs=1e-7)
 
-    with pytest.raises(SolverError):
-        quantum_ace_bounds(ObservedIVTable(p), NpaLevel.L1)
+
+def _one_sided_table(rng) -> ObservedIVTable:
+    """No treated units at z = 0: treatment responses 0 and 1 only."""
+    q = np.zeros(16)
+    q[:8] = rng.dirichlet(np.ones(8))
+    return iv_table_from_response_dist(q)
+
+
+def test_quantum_ace_one_sided_tables_enclose_classical_and_shrink_with_level():
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        table = _one_sided_table(rng)
+        assert not table.p[:, 1, 0].any()
+        level1, _ = quantum_ace_bounds(table, NpaLevel.L1)
+        level1ab, _ = quantum_ace_bounds(table, NpaLevel.L1AB)
+        assert level1.encloses(ace_bounds(table), tol=1e-6)
+        assert level1.encloses(level1ab, tol=1e-6)
+
+
+def test_quantum_ace_interval_contains_the_models_own_effect():
+    """Soundness: the table of a quantum model, with a pinned treatment arm
+    (A_0 = +-I) or a generic one, gives a level-1 interval that holds the
+    model's own effect (<B_0> - <B_1>) / 2."""
+    rng = np.random.default_rng(5)
+    for k in range(20):
+        rho = random_state(rng)
+        if k % 2 == 0:
+            a0 = DichotomicObservable(np.eye(2) * (1.0 if k % 4 == 0 else -1.0))
+        else:
+            a0 = random_observable(rng)
+        a1, b0, b1 = (random_observable(rng) for _ in range(3))
+        behavior = quantum_behavior(rho, a0, a1, b0, b1)
+        table = ObservedIVTable(np.einsum("xyzx->yxz", behavior.p))
+        bob = [float(np.trace(rho.rho @ np.kron(np.eye(2), b.m)).real) for b in (b0, b1)]
+        interval, _ = quantum_ace_bounds(table, NpaLevel.L1)
+        assert interval.contains(0.5 * (bob[0] - bob[1]), tol=1e-6)
 
 
 def test_gap_report_behavior_route():
@@ -331,24 +367,10 @@ def test_quantum_ace_interval_contains_classical():
     rng = np.random.default_rng(68)
     table = random_iv_table(rng)
     classical = ace_bounds(table)
-    quantum, diagnostics = quantum_ace_bounds(table, NpaLevel.L1)
+    quantum, _ = quantum_ace_bounds(table, NpaLevel.L1)
     assert quantum.lo <= classical.lo + 1e-6
     assert classical.hi <= quantum.hi + 1e-6
     assert -1.0 - 1e-6 <= quantum.lo <= quantum.hi <= 1.0 + 1e-6
-    assert diagnostics["classical_start"]
-
-
-@pytest.mark.parametrize("level", list(NpaLevel))
-def test_classical_start_is_positive_definite_and_feasible(level):
-    rng = np.random.default_rng(70)
-    for _ in range(10):
-        table = random_iv_table(rng)
-        gamma = _classical_moment_start(table, level)
-        assert gamma is not None
-        assert np.linalg.eigvalsh(gamma).min() > 0.0
-        program = moment_program(level, {((), (0,)): 1.0}, _iv_data_constraints(table))
-        for A, rhs in program.problem.constraints:
-            assert abs(float(np.tensordot(A, gamma)) - rhs) <= 1e-12
 
 
 def test_gap_report_iv_table_route():
