@@ -15,6 +15,7 @@ __version__ = "0.1.0"
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
+    FloatRangeError,
     InconsistentDataError,
     InfeasibleTableError,
     IterationLimitError,
@@ -79,6 +80,7 @@ from .quantum import (
     quantum_ace_bounds,
     quantum_behavior,
     quantum_gap_report,
+    tsirelson_bound,
 )
 from .entropic import (
     EntropyVector,

@@ -9,13 +9,20 @@ One analysis per invocation:
 The input document is ``{"schema": 1, "payload": {...}, "options": {...}}``;
 distributions are nested arrays with an explicit ``order`` list naming the
 axes.  Exit codes: 0 success, 2 schema error, 3 infeasible or inconsistent
-input, 4 solver failure.
+input, 4 solver failure or a result past the floating-point range (a report
+never holds a non-finite number).
+
+``npa`` and ``gap`` on a functional or a behavior answer from the closed
+form ``tsirelson_bound`` (``provenance.solver.engine``); with ``--audit``
+they also solve the moment SDP at the requested level and report whether
+the two agree.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -23,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    FloatRangeError,
     InconsistentDataError,
     InfeasibleTableError,
     NormalizationError,
@@ -40,6 +48,7 @@ from .model import (
     chsh_value,
     chsh_variant_values,
     CHSH_COEFFS,
+    CHSH_VARIANTS,
 )
 from .causal import (
     ACE_COEFFS,
@@ -67,7 +76,7 @@ from .polytope import (
     local_membership,
     no_signaling_max,
 )
-from .quantum import NpaLevel, npa_bound, quantum_gap_report
+from .quantum import NpaLevel, npa_bound, quantum_gap_report, tsirelson_bound
 from .solvers import TOL
 from .solvers.sdp import GAP_ACCEPT
 
@@ -96,6 +105,8 @@ EXIT_SOLVER = 4
 
 
 def _round12(x: float) -> float:
+    if not math.isfinite(x):
+        raise FloatRangeError(f"result {x} is past the floating-point range")
     if x == 0.0:
         return 0.0
     return float(f"{x:.12g}")
@@ -121,8 +132,12 @@ def canonical(obj):
 
 
 def canonical_json(obj) -> str:
-    """JSON text of an object already in ``canonical`` form."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)
+    """JSON text of an object already in ``canonical`` form; a non-finite
+    number, which JSON does not allow, raises ``FloatRangeError``."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatRangeError(f"report holds a non-finite number ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -390,12 +405,23 @@ def _handle_membership(req: AnalysisRequest, tol: float, warnings: list) -> tupl
     return results, {}
 
 
+def _sdp_audit(level: NpaLevel, functional, value: float, results: dict, prov: dict) -> None:
+    """Re-solve the closed-form quantum ``value`` with the moment SDP; the
+    comparison goes to ``results`` and the solver's run to ``prov``."""
+    sdp_value, result = npa_bound(level, functional, return_result=True)
+    agrees = abs(sdp_value - value) <= 1e-6 * max(1.0, abs(value))
+    results["audit"] = {"sdp_bound": sdp_value, "agrees": bool(agrees)}
+    prov.update({"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap})
+
+
 def _handle_npa(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     functional = _functional_from(req.payload)
     level = NpaLevel.parse(req.options["npa_level"])
-    value, result = npa_bound(level, functional, return_result=True)
+    value = tsirelson_bound(functional)
     results = {"bound": value, "level": level.value, "functional": functional}
-    prov = {"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap}
+    prov = {"engine": "closed-form"}
+    if req.options["audit"]:
+        _sdp_audit(level, functional, value, results, prov)
     return results, prov
 
 
@@ -419,7 +445,11 @@ def _handle_gap(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict,
         "gap": report.gap,
         "level": report.level.value,
     }
-    return results, report.diagnostics
+    prov = dict(report.diagnostics)
+    if req.options["audit"] and report.kind != "iv-table":
+        functional = CHSH_VARIANTS[prov["facet_index"]] if report.kind == "behavior" else subject
+        _sdp_audit(level, functional, report.quantum, results, prov)
+    return results, prov
 
 
 def _handle_iv_bounds(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
@@ -665,7 +695,7 @@ def render_markdown(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _cross_section_csv(path: str, level: NpaLevel, samples: int = 36) -> None:
+def _cross_section_csv(path: str, samples: int = 36) -> None:
     """Support-function samples of the three correlation bodies in the plane
     spanned by two orthogonal CHSH combinations, for external plotting."""
     f1 = CHSH_COEFFS
@@ -676,7 +706,7 @@ def _cross_section_csv(path: str, level: NpaLevel, samples: int = 36) -> None:
         f = np.cos(phi) * f1 + np.sin(phi) * f2
         rows.append(
             f"{_round12(phi)},{_round12(local_max(f))},"
-            f"{_round12(npa_bound(level, f))},{_round12(no_signaling_max(f))}"
+            f"{_round12(tsirelson_bound(f))},{_round12(no_signaling_max(f))}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -776,7 +806,7 @@ def main(argv=None) -> int:
         if args.csv is not None:
             if request.kind != "gap":
                 raise SchemaError("--csv is only meaningful for the gap analysis")
-            _cross_section_csv(args.csv, NpaLevel.parse(request.options["npa_level"]))
+            _cross_section_csv(args.csv)
         if request.options["format"] == "md":
             print(render_markdown(report))
         else:

@@ -45,5 +45,9 @@ class SdpConvergenceError(SolverError):
     """Interior-point iteration cap reached before tolerances were met."""
 
 
+class FloatRangeError(SolverError):
+    """A computed value lies past the floating-point range."""
+
+
 class EnumerationLimitError(PolyboundsError):
     """Brute-force oracle would exceed its combinatorial budget."""

@@ -4,6 +4,12 @@ The simulator produces exact behaviors from a density matrix and four
 sign-valued observables; eigenprojectors of 2x2 observables come from the
 closed form (I +- O) / 2, so no eigensolver is involved.
 
+The quantum value of a 2x2 correlator functional has a closed form
+(``tsirelson_bound``), which both relaxation levels attain; it answers
+the functional and behavior routes of ``quantum_gap_report`` with no
+solver.  The moment-matrix SDP (``npa_bound``) stays as its independent
+cross-check, and is the engine for instrumental tables.
+
 The relaxation side builds moment matrices over operator words in the
 +-1-observable formulation.  Level ``L1`` uses words {1, A0, A1, B0, B1}
 (5x5); ``L1AB`` adds the four cross products (9x9).  Every program is one
@@ -20,15 +26,17 @@ Program. 2018).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .causal import ace_bounds, manski_bounds
-from .errors import ValidationError
+from .errors import FloatRangeError, ValidationError
 from .model import (
     Behavior,
     CorrelationTable,
@@ -314,21 +322,81 @@ def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | No
     return MomentProgram(level=level, words=words, positions=positions, problem=problem)
 
 
-def _correlator_objective(functional) -> dict:
+def _correlator_array(functional) -> np.ndarray:
+    """The coefficients f[x, y] of a correlation functional, checked 2x2 and finite."""
     f = functional.e if isinstance(functional, CorrelationTable) else np.asarray(functional, dtype=float)
     if f.shape != (2, 2):
         raise ValidationError("functional must be a 2x2 coefficient array")
-    return {((x,), (y,)): float(f[x, y]) for x in range(2) for y in range(2)}
+    if not np.all(np.isfinite(f)):
+        raise ValidationError("functional contains non-finite entries")
+    return f
+
+
+def _in_range(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise FloatRangeError(f"the {name} value of the functional is past the floating-point range")
+    return value
+
+
+def tsirelson_bound(functional) -> float:
+    """Exact quantum maximum of sum f[x, y] <A_x B_y>, with no solver.
+
+    Correlators of +-1 observables are inner products of unit vectors
+    (Tsirelson, Lett. Math. Phys. 4, 93, 1980), so with c the cosine
+    between Alice's two vectors the maximum is the largest over c in
+    [-1, 1] of sum_y sqrt(a_y + b_y c), where a_y = f0y^2 + f1y^2 and
+    b_y = 2 f0y f1y.  Levels 1 and 1ab of ``npa_bound`` both equal it
+    (Cleve, Hoyer, Toner and Watrous, CCC 2004).  The sum is concave in c,
+    and its stationary point c* = (b1^2 a0 - b0^2 a1) / (b0 b1 (b0 - b1))
+    exists when b0 b1 < 0, so the maximum is the best of c = -1, c = +1
+    and c* when it lies in (-1, 1).  The coefficients are divided by
+    max |f| first and the value scaled back; a value past the float range
+    raises ``FloatRangeError``.  The CHSH coefficients give 2*sqrt(2)
+    exactly.
+    """
+    f = _correlator_array(functional)
+    scale = float(np.abs(f).max())
+    if scale == 0.0:
+        return 0.0
+    g = f / scale
+    a = g[0] ** 2 + g[1] ** 2
+    b = 2.0 * g[0] * g[1]
+    cosines = [-1.0, 1.0]
+    if b[0] * b[1] < 0.0:
+        # the denominator underflows only when one column's b is so small
+        # that the sum is flat in c to rounding; the nan or inf it then
+        # gives fails the range test, and the endpoints decide
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stationary = (b[1] ** 2 * a[0] - b[0] ** 2 * a[1]) / (b[0] * b[1] * (b[0] - b[1]))
+        if -1.0 < stationary < 1.0:
+            cosines.append(float(stationary))
+    c = np.array(cosines)[:, None]
+    return _in_range("quantum", scale * float(np.sqrt(np.maximum(a + b * c, 0.0)).sum(axis=1).max()))
 
 
 def npa_bound(level: NpaLevel, functional, return_result: bool = False):
     """Relaxation maximum of a correlation functional over the moment cone.
 
     Monotone in the level: the 9x9 word set contains the 5x5 one, so the
-    bound can only shrink.
+    bound can only shrink.  For these 2x2 correlator functionals both
+    levels equal ``tsirelson_bound``; the SDP is its independent check.
+    The objective is divided by max |f| before assembly, and the value,
+    dual value, duality gap and dual iterate are scaled back, so the solver
+    sees unit-size data whatever the functional's magnitude.
     """
-    program = moment_program(level, _correlator_objective(functional))
+    f = _correlator_array(functional)
+    scale = float(np.abs(f).max()) or 1.0
+    program = moment_program(level, {((x,), (y,)): f[x, y] / scale for x in range(2) for y in range(2)})
     result = sdp_solve(program.problem, start=np.eye(program.dimension))
+    with np.errstate(over="ignore"):
+        result = dataclasses.replace(
+            result,
+            value=_in_range("relaxation", scale * float(result.value)),
+            dual_value=scale * float(result.dual_value),
+            gap=scale * float(result.gap),
+            y=scale * result.y,
+            Z=scale * result.Z,
+        )
     if return_result:
         return result.value, result
     return result.value
@@ -404,10 +472,17 @@ def quantum_gap_report(
     """Three-layer report for a correlation functional, a behavior, or an
     observed instrumental table.
 
-    For a functional the triple is (best of the 16 strategies, relaxation
-    bound, sum |f| over the no-signaling polytope); the canonical CHSH
-    coefficients give (2, 2*sqrt(2), 4).  ``tol`` is the LP feasibility
-    threshold of a table's classical interval.
+    For a functional the triple is (best of the 16 strategies,
+    ``tsirelson_bound``, sum |f| over the no-signaling polytope); the
+    canonical CHSH coefficients give (2, 2*sqrt(2), 4).  A behavior is
+    scored on its most-violated CHSH facet the same way.  Both routes are
+    closed forms (``diagnostics["engine"]``), and ``level`` is only echoed:
+    the two relaxation levels are equal on correlator functionals.  An
+    entry past the float range raises ``FloatRangeError``.  An instrumental
+    table is bounded by the moment SDP at ``level`` (``quantum_ace_bounds``),
+    and its diagnostics hold the solver's iterations, stop reasons and
+    duality gaps.  ``tol`` is the LP feasibility threshold of a table's
+    classical interval.
     """
     notes: list[str] = []
     diagnostics: dict = {}
@@ -428,39 +503,29 @@ def quantum_gap_report(
         gap = quantum.width - classical.width
         return GapReport("iv-table", classical, quantum, nosignaling, float(gap), level, tuple(notes), diagnostics)
 
+    diagnostics["engine"] = "closed-form"
     if isinstance(subject, Behavior):
         variants = chsh_variant_values(behavior_to_correlations(subject))
         k = int(np.argmax(variants))
         functional = CHSH_VARIANTS[k]
         classical = float(variants[k])
-        quantum, result = npa_bound(level, functional, return_result=True)
+        quantum = tsirelson_bound(functional)
         nosignaling = no_signaling_max(functional)
-        diagnostics.update(
-            {
-                "facet_index": k,
-                "sdp_iterations": result.iterations,
-                "sdp_termination": result.termination,
-                "duality_gap": result.gap,
-            }
-        )
+        diagnostics["facet_index"] = k
         notes.append("classical entry is the behavior's most-violated facet value")
         if classical > quantum + 1e-9:
             notes.append("behavior exceeds the relaxation bound: super-quantum correlations")
         return GapReport(
-            "behavior", classical, float(quantum), float(nosignaling), float(quantum - classical),
+            "behavior", classical, quantum, float(nosignaling), quantum - classical,
             level, tuple(notes), diagnostics,
         )
 
     functional = subject.e if isinstance(subject, CorrelationTable) else np.asarray(subject, dtype=float)
     if functional.shape != (2, 2):
         raise ValidationError("gap report takes a 2x2 functional, a Behavior, or an ObservedIVTable")
-    classical = local_max(functional)
-    quantum, result = npa_bound(level, functional, return_result=True)
-    nosignaling = no_signaling_max(functional)
-    diagnostics.update(
-        {"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap}
-    )
+    classical = _in_range("classical", local_max(functional))
+    quantum = tsirelson_bound(functional)
+    nosignaling = _in_range("no-signaling", no_signaling_max(functional))
     return GapReport(
-        "functional", float(classical), float(quantum), float(nosignaling),
-        float(quantum - classical), level, tuple(notes), diagnostics,
+        "functional", classical, quantum, nosignaling, quantum - classical, level, tuple(notes), diagnostics,
     )

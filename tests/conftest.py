@@ -79,6 +79,27 @@ def structural_iv_tables(rng, count: int) -> np.ndarray:
     return tables
 
 
+def tsirelson_closed_form(f) -> float:
+    """max over c in [-1, 1] of sum_y sqrt(f0y^2 + f1y^2 + 2 f0y f1y c).
+
+    c is the cosine between Alice's two unit vectors; the sum is concave in
+    c, so a ternary search finds the maximum.  An independent reference for
+    ``tsirelson_bound``.
+    """
+
+    def value(c):
+        return sum(np.sqrt(max(f[0, y] ** 2 + f[1, y] ** 2 + 2 * f[0, y] * f[1, y] * c, 0.0)) for y in range(2))
+
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if value(a) < value(b):
+            lo = a
+        else:
+            hi = b
+    return max(value(-1.0), value(1.0), value(0.5 * (lo + hi)))
+
+
 def random_counterfactual_instance(rng) -> tuple[ExperimentalData, ObservationalData]:
     """Forward-construct consistent experimental + observational data from an
     explicit joint over (Y0, Y1, X)."""

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from polybounds.cli import SchemaError, _classify, main, parse_request, serialize_request
+from polybounds import FloatRangeError
+from polybounds.cli import SchemaError, _classify, canonical, canonical_json, main, parse_request, serialize_request
+from conftest import tsirelson_closed_form
 
 
 def write_doc(tmp_path, payload, options=None, name="doc.json"):
@@ -14,6 +16,10 @@ def write_doc(tmp_path, payload, options=None, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _reject_constant(token):
+    raise ValueError(f"stdout holds the non-finite number {token}")
 
 
 def run_cli(capsys, *argv):
@@ -50,7 +56,14 @@ def test_npa_chsh(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-4)
+    assert doc["provenance"]["solver"] == {"engine": "closed-form"}
+    code, out = run_cli(capsys, "npa", "--input", path, "--audit")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["provenance"]["solver"]["engine"] == "closed-form"
     assert doc["provenance"]["solver"]["duality_gap"] <= 1e-6
+    assert doc["results"]["audit"]["agrees"] is True
+    assert doc["results"]["audit"]["sdp_bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-4)
 
 
 def test_gap_chsh_triple(tmp_path, capsys):
@@ -177,6 +190,9 @@ def test_solver_provenance_reports_termination(tmp_path, capsys):
     path = write_doc(tmp_path, {"functional": [[1, 1], [1, -1]]})
     code, out = run_cli(capsys, "npa", "--input", path, "--npa-level", "1ab")
     assert code == 0
+    assert json.loads(out)["provenance"]["solver"] == {"engine": "closed-form"}
+    code, out = run_cli(capsys, "npa", "--input", path, "--npa-level", "1ab", "--audit")
+    assert code == 0
     assert json.loads(out)["provenance"]["solver"]["sdp_termination"] in ("converged", "stalled")
     path = write_doc(tmp_path, {"table": np.full((2, 2, 2), 0.25).tolist()})
     code, out = run_cli(capsys, "gap", "--input", path)
@@ -185,13 +201,59 @@ def test_solver_provenance_reports_termination(tmp_path, capsys):
     assert len(solver["sdp_termination"]) == len(solver["sdp_iterations"]) == 2
 
 
-def test_huge_functional_is_solver_error(tmp_path, capsys):
-    path = write_doc(tmp_path, {"functional": [[1e300, 1.0], [1.0, -1.0]]})
+def test_huge_functional_is_answered(tmp_path, capsys):
+    f = np.array([[1e300, 1.0], [1.0, -1.0]])
+    path = write_doc(tmp_path, {"functional": f.tolist()})
     code, out = run_cli(capsys, "npa", "--input", path)
-    assert code == 4
-    assert json.loads(out)["error"]["code"] == 4
+    assert code == 0
+    bound = json.loads(out, parse_constant=_reject_constant)["results"]["bound"]
+    assert bound == pytest.approx(1e300 * tsirelson_closed_form(f / 1e300), rel=1e-11)
+
+
+def test_huge_functional_is_solver_error(tmp_path, capsys):
+    # the quantum, classical and no-signaling values all pass the float range
+    path = write_doc(tmp_path, {"functional": [[1e308, 1e308], [1e308, -1e308]]})
+    for kind in ("npa", "gap"):
+        code, out = run_cli(capsys, kind, "--input", path)
+        assert code == 4
+        error = json.loads(out, parse_constant=_reject_constant)["error"]
+        assert error["code"] == 4
+        assert error["type"] == "FloatRangeError"
+        assert "floating-point range" in error["message"]
     # numpy linear-algebra failures elsewhere are solver failures too
     assert _classify(np.linalg.LinAlgError("Eigenvalues did not converge")) == 4
+
+
+def test_gap_audit_resolves_functionals_and_behaviors_with_the_sdp(tmp_path, capsys):
+    singlet_chsh = np.full((2, 2, 2, 2), 0.0)
+    s = np.sqrt(2) / 2
+    for x, y in itertools.product(range(2), repeat=2):
+        e = -s if (x, y) == (1, 1) else s
+        for a, b in itertools.product(range(2), repeat=2):
+            singlet_chsh[a, b, x, y] = (1 + (-1) ** (a + b) * e) / 4
+    for payload in ({"functional": [[0.3, -1.2], [0.8, 0.4]]}, {"behavior": singlet_chsh.tolist()}):
+        path = write_doc(tmp_path, payload)
+        code, out = run_cli(capsys, "gap", "--input", path)
+        assert code == 0
+        assert "sdp_iterations" not in json.loads(out)["provenance"]["solver"]
+        for level in ("1", "1ab"):
+            code, out = run_cli(capsys, "gap", "--input", path, "--audit", "--npa-level", level)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["results"]["audit"]["agrees"] is True
+            assert doc["results"]["audit"]["sdp_bound"] == pytest.approx(doc["results"]["quantum"], abs=1e-7)
+            assert doc["results"]["level"] == level
+            solver = doc["provenance"]["solver"]
+            assert solver["engine"] == "closed-form"
+            assert solver["sdp_termination"] in ("converged", "stalled")
+
+
+def test_non_finite_report_values_are_solver_errors():
+    with pytest.raises(FloatRangeError):
+        canonical({"bound": float("inf")})
+    with pytest.raises(FloatRangeError):
+        canonical_json({"bound": float("nan")})
+    assert _classify(FloatRangeError("overflow")) == 4
 
 
 @pytest.mark.parametrize("tolerance", ["abc", True, [1e-6]])

@@ -2,8 +2,10 @@
 
 Documents of every kind are drawn valid, then one field may be replaced by
 a value of the wrong type or range.  Every document must end in a
-documented exit code with JSON on stdout, the same bytes every time, and
-results that do not depend on the axis order an array is written in.
+documented exit code with strict JSON on stdout (no NaN or Infinity, also
+for functionals whose values pass the float range), the same bytes every
+time, and results that do not depend on the axis order an array is
+written in.
 Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -30,8 +32,9 @@ PROPERTY_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: The two kinds that run the interior-point solver (at level 1) are drawn
-#: once each per 26 documents, the other eight three times each.
+#: The two kinds that can run the interior-point solver (on a table, or
+#: under audit) are drawn once each per 26 documents, the other eight three
+#: times each.
 SDP_KINDS = ("npa", "gap")
 kinds = st.sampled_from(tuple(k for k in KINDS if k not in SDP_KINDS) * 3 + SDP_KINDS)
 
@@ -68,7 +71,17 @@ iv_tables = st.one_of(
     _array(16, lambda v: (RESPONSE_MATRIX @ (np.array(v) / sum(v))).reshape(2, 2, 2)),
 )
 joints = _array(4, lambda v: np.array(v).reshape(2, 2) / sum(v))
-functionals = st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
+#: Unit-size functionals, or coefficients of magnitude 0.5 to 1 times a scale
+#: up to 1e308, where the closed-form values can pass the float range.
+functionals = st.one_of(
+    st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
+    st.builds(
+        lambda v, signs, scale: [c * s * scale for c, s in zip(v, signs)],
+        st.lists(st.floats(0.5, 1.0), min_size=4, max_size=4),
+        st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
+        st.sampled_from((1e20, 1e300, 1e308)),
+    ),
+).map(lambda v: np.array(v).reshape(2, 2))
 correlations = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
 
 #: Axis names of each array field, in the order the arrays above are built.
@@ -153,6 +166,15 @@ def _spoil(data, doc: dict) -> dict:
     return doc
 
 
+def _strict(token: str):
+    raise ValueError(f"stdout holds the non-finite number {token}")
+
+
+def _parse(out: str):
+    """Strict JSON: NaN and Infinity are rejected."""
+    return json.loads(out, parse_constant=_strict)
+
+
 def _run(doc) -> tuple[int, str]:
     """Exit code and stdout of the CLI on the document (a spoiled kind runs as manski)."""
     kind = doc["kind"] if doc.get("kind") in KINDS else "manski"
@@ -175,10 +197,24 @@ def test_every_document_ends_in_a_documented_exit_code(data):
         doc = _spoil(data, doc)
     code, out = _run(doc)  # an escaping exception fails the test
     assert code in (0, 2, 3, 4)
-    report = json.loads(out)
+    report = _parse(out)
     assert ("error" in report) == (code != 0)
     if code:
         assert report["error"]["code"] == code
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_functionals_of_every_magnitude_end_in_strict_json(data):
+    """Closed-form values past the float range end in exit 4, never in a
+    non-finite number on stdout."""
+    kind = data.draw(st.sampled_from(SDP_KINDS))
+    doc = _to_json({"schema": 1, "kind": kind, "payload": {"functional": data.draw(functionals)}})
+    code, out = _run(doc)
+    assert code in (0, 4)
+    report = _parse(out)
+    if code:
+        assert report["error"]["type"] == "FloatRangeError"
 
 
 @PROPERTY_SETTINGS
@@ -211,8 +247,8 @@ def test_axis_order_does_not_change_results(data):
     code_p, out_p = _run(permuted)
     assert code == code_p
     if code:
-        assert json.loads(out)["error"] == json.loads(out_p)["error"]
+        assert _parse(out)["error"] == _parse(out_p)["error"]
     else:
-        report, report_p = json.loads(out), json.loads(out_p)
+        report, report_p = _parse(out), _parse(out_p)
         assert report["results"] == report_p["results"]
         assert report["warnings"] == report_p["warnings"]

@@ -5,6 +5,7 @@ from polybounds import (
     Behavior,
     CHSH_COEFFS,
     DichotomicObservable,
+    FloatRangeError,
     NpaLevel,
     ObservedIVTable,
     TwoQubitState,
@@ -24,6 +25,7 @@ from polybounds import (
     quantum_behavior,
     quantum_gap_report,
     realify,
+    tsirelson_bound,
 )
 from polybounds.quantum import (
     PAULI_X,
@@ -31,7 +33,13 @@ from polybounds.quantum import (
     _entry_monomial,
     _words,
 )
-from conftest import random_iv_table, random_observable, random_quantum_behavior, random_state
+from conftest import (
+    random_iv_table,
+    random_observable,
+    random_quantum_behavior,
+    random_state,
+    tsirelson_closed_form,
+)
 
 KET0 = np.array([1.0, 0.0])
 Z = DichotomicObservable(PAULI_Z)
@@ -160,33 +168,76 @@ def test_npa_hierarchy_monotone_on_random_functionals():
         assert v2 <= v1 + 1e-6
 
 
-def _tsirelson_closed_form(f) -> float:
-    """max over c in [-1, 1] of sum_y sqrt(f0y^2 + f1y^2 + 2 f0y f1y c).
-
-    c is the cosine between Alice's two unit vectors; the sum is concave in
-    c, so a ternary search finds the maximum.
-    """
-
-    def value(c):
-        return sum(np.sqrt(max(f[0, y] ** 2 + f[1, y] ** 2 + 2 * f[0, y] * f[1, y] * c, 0.0)) for y in range(2))
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if value(a) < value(b):
-            lo = a
-        else:
-            hi = b
-    return max(value(-1.0), value(1.0), value(0.5 * (lo + hi)))
-
-
 def test_npa_level1ab_random_functionals_converge_to_closed_form():
     rng = np.random.default_rng(70)
     for _ in range(20):
         f = rng.normal(size=(2, 2))
         value, result = npa_bound(NpaLevel.L1AB, f, return_result=True)
         assert result.termination in ("converged", "stalled")
-        assert value == pytest.approx(_tsirelson_closed_form(f), abs=1e-8)
+        assert value == pytest.approx(tsirelson_closed_form(f), abs=1e-8)
+
+
+def _sampled_functionals() -> list:
+    """100 normal and 60 integer-valued functionals in {-2..2}, from default_rng(1)."""
+    rng = np.random.default_rng(1)
+    normal = [rng.normal(size=(2, 2)) for _ in range(100)]
+    return normal + [rng.integers(-2, 3, size=(2, 2)).astype(float) for _ in range(60)]
+
+
+def test_tsirelson_bound_matches_the_ternary_reference():
+    cases = set()
+    for f in _sampled_functionals():
+        b = 2.0 * f[0] * f[1]
+        if b[0] * b[1] < 0:
+            a = f[0] ** 2 + f[1] ** 2
+            stationary = (b[1] ** 2 * a[0] - b[0] ** 2 * a[1]) / (b[0] * b[1] * (b[0] - b[1]))
+            cases.add("interior" if -1 < stationary < 1 else "outside")
+        else:
+            cases.add("positive" if b[0] * b[1] > 0 else "zero")
+        reference = tsirelson_closed_form(f)
+        assert tsirelson_bound(f) == pytest.approx(reference, rel=1e-12, abs=1e-12), f
+    assert cases == {"interior", "outside", "positive", "zero"}
+
+
+def test_tsirelson_bound_chsh_and_zero_are_exact():
+    assert tsirelson_bound(CHSH_COEFFS) == 2 * np.sqrt(2)
+    assert tsirelson_bound(np.zeros((2, 2))) == 0.0
+
+
+def test_tsirelson_bound_with_coefficients_near_the_underflow_range():
+    # b0 b1 (b0 - b1) underflows for the smaller ones: the endpoints decide
+    for eps in (1e-50, 1e-154, 2.2125284822930556e-154, 1e-200, 5e-324):
+        for f in ([[1.0, eps], [eps, -1.0]], [[1.0, eps], [2 * eps, -eps]], [[eps, 1.0], [-3 * eps, 1.0]]):
+            f = np.array(f)
+            assert tsirelson_bound(f) == pytest.approx(tsirelson_closed_form(f), rel=1e-12), f
+
+
+def test_tsirelson_bound_is_invariant_under_relabelling():
+    for f in _sampled_functionals():
+        value = tsirelson_bound(f)
+        for g in (f.T, f[::-1], f[:, ::-1], f * [[1.0], [-1.0]], f * [[-1.0, 1.0]]):
+            assert tsirelson_bound(g) == pytest.approx(value, rel=1e-12), (f, g)
+
+
+def test_tsirelson_bound_agrees_with_both_relaxation_levels():
+    functionals = _sampled_functionals()
+    for f in functionals[:10] + functionals[100:110]:
+        for level in NpaLevel:
+            assert npa_bound(level, f) == pytest.approx(tsirelson_bound(f), abs=1e-7), (f, level)
+
+
+def test_npa_bound_scales_a_dominant_coefficient():
+    f = [[1e20, 1.0], [1.0, -1.0]]
+    for level in NpaLevel:
+        assert npa_bound(level, f) == pytest.approx(tsirelson_bound(f), rel=1e-8)
+
+
+def test_gap_entries_past_the_float_range_are_solver_errors():
+    # quantum 2*sqrt(2)*5e307 and classical 1e308 are finite; sum |f| is not
+    with pytest.raises(FloatRangeError, match="no-signaling"):
+        quantum_gap_report(5e307 * CHSH_COEFFS)
+    with pytest.raises(FloatRangeError, match="quantum"):
+        tsirelson_bound(1e308 * CHSH_COEFFS)
 
 
 def test_npa_upper_bounds_quantum_behaviors():
