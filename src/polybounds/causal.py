@@ -4,7 +4,10 @@ The latent coordinate is a distribution over 16 response types: a
 treatment response (instrument -> treatment) paired with an outcome
 response (treatment -> outcome), four functions each.  The observed table
 pins the type distribution down to a polytope; causal quantities are
-linear, so their sharp bounds are LPs over that polytope.
+linear, so their sharp bounds are linear programs over that polytope.  It is
+fixed and tiny, so the bounds come in closed form: the 8 Balke-Pearl dual
+vertices for the average causal effect, the Tian-Pearl bounds for the
+probabilities of causation.  ``lp_solve`` cross-checks both in tests and audits.
 
 Type order (index = 4 * treatment_response + outcome_response):
 
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .model import INEQUALITY_SLACK, NORMALIZATION_SLACK, Interval, ObservedIVTable, ResponseTypeDist
 from .polytope import STRATEGY_BEHAVIORS
-from .solvers import TOL, LpProblem, lp_solve
+from .solvers import TOL
 
 #: The 8x16 matrix mapping type weights to the observed table, rows in the
 #: order of ``ObservedIVTable.flat()`` (4y + 2x + z): entry [(y, x, z), t] is
@@ -51,6 +54,25 @@ RESPONSE_MATRIX.setflags(write=False)
 #: outcome response alone (0 for never/always, +1 helped, -1 hurt).
 ACE_COEFFS = np.tile([0.0, 1.0, -1.0, 0.0], 4)
 ACE_COEFFS.setflags(write=False)
+
+#: The 8 Balke-Pearl dual vertices of the lower effect bound (Balke and Pearl,
+#: JASA 92, 1997): columns are the cells of ``ObservedIVTable.flat()``
+#: (4y + 2x + z) and a constant, and the bound is the largest row value.
+#: With p_yx.z = p(y, x | z), the rows read p11.1 + p00.0 - 1,
+#: p11.0 + p00.1 - 1, p11.0 - p11.1 - p10.1 - p01.0 - p10.0, the same with
+#: z swapped, -p01.1 - p10.1, -p01.0 - p10.0,
+#: p00.1 - p01.1 - p10.1 - p01.0 - p00.0, and the same with z swapped.
+BALKE_PEARL_LO = np.array([
+    [1, 0, 0, 0, 0, 0, 0, 1, -1], [0, 1, 0, 0, 0, 0, 1, 0, -1],
+    [0, 0, -1, 0, -1, -1, 1, -1, 0], [0, 0, 0, -1, -1, -1, -1, 1, 0],
+    [0, 0, 0, -1, 0, -1, 0, 0, 0], [0, 0, -1, 0, -1, 0, 0, 0, 0],
+    [-1, 1, -1, -1, 0, -1, 0, 0, 0], [1, -1, -1, -1, -1, 0, 0, 0, 0],
+], dtype=float)
+#: The upper bound's vertices, the smallest row value: relabelling the
+#: outcome (y -> 1 - y) negates the effect, so hi(p) = -lo(p with y flipped).
+BALKE_PEARL_HI = -BALKE_PEARL_LO[:, [4, 5, 6, 7, 0, 1, 2, 3, 8]]
+BALKE_PEARL_LO.setflags(write=False)
+BALKE_PEARL_HI.setflags(write=False)
 
 
 def iv_table_from_response_dist(q) -> ObservedIVTable:
@@ -86,20 +108,25 @@ def instrumental_inequality(t: ObservedIVTable, variant: str = "standard") -> In
 
 
 def ace_bounds(t: ObservedIVTable, tol: float = TOL) -> Interval:
-    """Sharp bounds on the average causal effect by LP over type weights.
+    """Sharp bounds on the average causal effect, in closed form: each
+    endpoint is the best of the 8 Balke-Pearl dual-vertex expressions.
 
-    Raises ``InfeasibleTableError`` when the observed table is outside the
-    IV-compatible polytope (the LP analog of an instrumental-inequality
-    violation).
+    Raises ``InfeasibleTableError`` when twice the instrumental inequality's
+    excess is above ``tol``; for binary Z, X and Y the inequality is exactly
+    the polytope's boundary (Bonet, UAI 2001).  Endpoints that cross within
+    that tolerance collapse to the upper one.
     """
-    p = t.flat()
-    lo = lp_solve(LpProblem(c=ACE_COEFFS, A=RESPONSE_MATRIX, b=p, sense="min"), tol)
-    if lo.status == "infeasible":
+    excess = instrumental_inequality(t).value - 1.0
+    if 2.0 * excess > tol:
+        # the simplex's verdict and figure: its phase-1 artificial mass on
+        # this system equals exactly 2 * excess
         raise InfeasibleTableError(
-            f"observed table is not IV-compatible (phase-1 infeasibility {lo.phase1_infeasibility:.3e})"
+            f"observed table is not IV-compatible (phase-1 infeasibility {2.0 * excess:.3e})"
         )
-    hi = lp_solve(LpProblem(c=ACE_COEFFS, A=RESPONSE_MATRIX, b=p, sense="max"), tol)
-    return Interval(lo.value, hi.value)
+    cells = np.append(t.flat(), 1.0)
+    lo = float((BALKE_PEARL_LO @ cells).max())
+    hi = float((BALKE_PEARL_HI @ cells).min())
+    return Interval(min(lo, hi), hi)
 
 
 def manski_bounds(e1: float, e0: float, px1: float) -> Interval:
@@ -184,31 +211,15 @@ def counterfactual_atom_system(exp: ExperimentalData, obs: ObservationalData) ->
     Atom index = 4*y0 + 2*y1 + x.  Rows: the two interventional rates and
     the four observational cells (which imply normalization).
     """
-    A = np.zeros((6, 8))
-    b = np.zeros(6)
-    for y0 in range(2):
-        for y1 in range(2):
-            for x in range(2):
-                k = 4 * y0 + 2 * y1 + x
-                if y1 == 1:
-                    A[0, k] = 1.0
-                if y0 == 1:
-                    A[1, k] = 1.0
-                y_obs = y1 if x == 1 else y0
-                A[2 + 2 * x + y_obs, k] = 1.0
-    b[0] = exp.p_do1
-    b[1] = exp.p_do0
-    b[2], b[3] = obs.joint[0, 0], obs.joint[0, 1]
-    b[4], b[5] = obs.joint[1, 0], obs.joint[1, 1]
-    return A, b
+    y0, y1, x = np.indices((2, 2, 2)).reshape(3, 8)
+    observed_cell = 2 * x + np.where(x == 1, y1, y0)  # index of (x, y) in obs.joint.ravel()
+    A = np.vstack([y1, y0, np.arange(4)[:, None] == observed_cell]).astype(float)
+    return A, np.array([exp.p_do1, exp.p_do0, *obs.joint.ravel()])
 
 
 def pns_objective() -> np.ndarray:
     """Coefficients of P(Y1=1, Y0=0) over the 8 atoms."""
-    c = np.zeros(8)
-    for x in range(2):
-        c[4 * 0 + 2 * 1 + x] = 1.0
-    return c
+    return np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 class PointBounds(NamedTuple):
@@ -216,13 +227,24 @@ class PointBounds(NamedTuple):
     ps: Interval
 
 
+def _conditioned(lo: float, hi: float, cell: float, tol: float) -> Interval:
+    """[lo, hi] / cell for a numerator bounded by [0, cell]; endpoints that
+    cross by more than ``tol`` mean the data admit no common model."""
+    if lo - hi > tol:
+        raise InconsistentDataError("experimental and observational data admit no common causal model")
+    hi = max(hi, 0.0)
+    return Interval(min(lo, hi) / cell, hi / cell)
+
+
 def pn_ps_point_bounds(
     exp: ExperimentalData, obs: ObservationalData, tol: float = TOL
 ) -> PointBounds:
-    """LP bounds on the probabilities of necessity and of sufficiency.
-
-    Closed forms are not used here; both quantities are bounded over the
-    counterfactual atom polytope and divided by their conditioning cells.
+    """Sharp bounds on the probabilities of necessity and of sufficiency:
+    the Tian-Pearl closed forms (Ann. Math. Artif. Intell. 28, 2000) of
+    their numerators over the counterfactual atom polytope, divided by the
+    conditioning cells.  PN's numerator lies in
+    [max(0, P(y) - P(y_x')), min(P(x, y), P(y'_x') - P(x', y'))], PS's in
+    [max(0, P(y_x) - P(y)), min(P(x', y'), P(y_x) - P(x, y))].
     """
     p_xy = float(obs.joint[1, 1])
     p_xpyp = float(obs.joint[0, 0])
@@ -230,24 +252,7 @@ def pn_ps_point_bounds(
         raise ZeroConditioningError("necessity is conditioned on P(X=1, Y=1) > 0")
     if p_xpyp <= 0.0:
         raise ZeroConditioningError("sufficiency is conditioned on P(X=0, Y=0) > 0")
-    A, b = counterfactual_atom_system(exp, obs)
-
-    def lp_range(c: np.ndarray) -> Interval:
-        lo = lp_solve(LpProblem(c=c, A=A, b=b, sense="min"), tol)
-        if lo.status == "infeasible":
-            raise InconsistentDataError(
-                "experimental and observational data admit no common causal model"
-            )
-        hi = lp_solve(LpProblem(c=c, A=A, b=b, sense="max"), tol)
-        return Interval(lo.value, hi.value)
-
-    pn_num = np.zeros(8)
-    pn_num[4 * 0 + 2 * 1 + 1] = 1.0  # atoms with Y0=0, Y1=1, X=1
-    ps_num = np.zeros(8)
-    ps_num[4 * 0 + 2 * 1 + 0] = 1.0  # atoms with Y0=0, Y1=1, X=0
-    pn = lp_range(pn_num)
-    ps = lp_range(ps_num)
-    return PointBounds(
-        Interval(pn.lo / p_xy, pn.hi / p_xy),
-        Interval(ps.lo / p_xpyp, ps.hi / p_xpyp),
-    )
+    p_y = obs.p_y
+    pn = _conditioned(max(0.0, p_y - exp.p_do0), min(p_xy, 1.0 - exp.p_do0 - p_xpyp), p_xy, tol)
+    ps = _conditioned(max(0.0, exp.p_do1 - p_y), min(p_xpyp, exp.p_do1 - p_xy), p_xpyp, tol)
+    return PointBounds(pn, ps)

@@ -10,7 +10,13 @@ The input document is ``{"schema": 1, "payload": {...}, "options": {...}}``;
 distributions are nested arrays with an explicit ``order`` list naming the
 axes.  Exit codes: 0 success, 2 schema error, 3 infeasible or inconsistent
 input, 4 solver failure or a result past the floating-point range (a report
-never holds a non-finite number).
+never holds a non-finite number).  If the reader closes stdout early, the
+rest of the output is dropped quietly and the exit code stays the same.
+
+``iv-bounds`` and ``pns`` answer from closed forms (Balke-Pearl dual
+vertices, Tian-Pearl bounds); ``--audit`` checks them against the basis
+oracle, and the ``audit`` kind's ``lp`` suite also re-solves the effect
+bounds with the simplex.
 
 ``npa`` and ``gap`` on a functional or a behavior answer from the closed
 form ``tsirelson_bound`` (``provenance.solver.engine``); with ``--audit``
@@ -23,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -77,21 +84,10 @@ from .polytope import (
     no_signaling_max,
 )
 from .quantum import NpaLevel, npa_bound, quantum_gap_report, tsirelson_bound
-from .solvers import TOL
+from .solvers import TOL, LpProblem, lp_solve
 from .solvers.sdp import GAP_ACCEPT
 
-KINDS = (
-    "iv-bounds",
-    "chsh",
-    "membership",
-    "npa",
-    "gap",
-    "pns",
-    "manski",
-    "frechet",
-    "entropic",
-    "audit",
-)
+KINDS = ("iv-bounds", "chsh", "membership", "npa", "gap", "pns", "manski", "frechet", "entropic", "audit")
 
 
 class SchemaError(PolyboundsError):
@@ -582,9 +578,14 @@ def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dic
         worst = 0.0
         for _ in range(samples):
             table = iv_table_from_response_dist(rng.dirichlet(np.ones(16)))
-            lp_iv = ace_bounds(table, tol)
+            closed = ace_bounds(table, tol)
+            lp_lo, lp_hi = (
+                lp_solve(LpProblem(c=ACE_COEFFS, A=RESPONSE_MATRIX, b=table.flat(), sense=sense), tol).value
+                for sense in ("min", "max")
+            )
             oracle = oracle_extremal_scan(ACE_COEFFS, A=RESPONSE_MATRIX, b=table.flat(), tol=tol)
-            worst = max(worst, abs(lp_iv.lo - oracle.lo), abs(lp_iv.hi - oracle.hi))
+            # the widest spread of each endpoint among closed form, simplex and basis oracle
+            worst = max(worst, np.ptp([closed.lo, lp_lo, oracle.lo]), np.ptp([closed.hi, lp_hi, oracle.hi]))
         results["lp"] = {"max_discrepancy": worst, "agrees": bool(worst <= 1e-9)}
 
     if suite in ("all", "pns"):
@@ -771,8 +772,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _failure(exc: Exception) -> tuple[int, str]:
+    code = _classify(exc)
+    return code, canonical_json(_error_payload(code, exc))
+
+
+def _respond(args) -> tuple[int, str]:
+    """Run one invocation: its exit code and the text for stdout."""
     overrides = {k: getattr(args, k) for k in _DEFAULT_OPTIONS}
 
     if args.batch is not None:
@@ -780,9 +786,8 @@ def main(argv=None) -> int:
             documents = _read_document(args.batch)
             if not isinstance(documents, list):
                 raise SchemaError("batch file must hold a JSON array of request documents")
-        except Exception as exc:  # noqa: BLE001 - classified below
-            print(canonical_json(_error_payload(_classify(exc), exc)))
-            return _classify(exc)
+        except Exception as exc:  # noqa: BLE001 - classified in _failure
+            return _failure(exc)
         outputs = []
         worst = EXIT_OK
         for doc in documents:
@@ -793,12 +798,10 @@ def main(argv=None) -> int:
                 code = _classify(exc)
                 outputs.append(_error_payload(code, exc))
                 worst = max(worst, code)
-        print(canonical_json(outputs))
-        return worst
+        return worst, canonical_json(outputs)
 
     if args.input is None:
-        print(canonical_json(_error_payload(EXIT_SCHEMA, SchemaError("--input is required (or --batch)"))))
-        return EXIT_SCHEMA
+        return _failure(SchemaError("--input is required (or --batch)"))
     try:
         document = _read_document(args.input)
         request = parse_request(document, kind=args.kind, overrides=overrides)
@@ -808,14 +811,23 @@ def main(argv=None) -> int:
                 raise SchemaError("--csv is only meaningful for the gap analysis")
             _cross_section_csv(args.csv)
         if request.options["format"] == "md":
-            print(render_markdown(report))
-        else:
-            print(canonical_json(report.to_dict()))
-        return EXIT_OK
-    except Exception as exc:  # noqa: BLE001 - classified below
-        code = _classify(exc)
-        print(canonical_json(_error_payload(code, exc)))
-        return code
+            return EXIT_OK, render_markdown(report)
+        return EXIT_OK, canonical_json(report.to_dict())
+    except Exception as exc:  # noqa: BLE001 - classified in _failure
+        return _failure(exc)
+
+
+def main(argv=None) -> int:
+    code, text = _respond(build_parser().parse_args(argv))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): drop the rest and keep
+        # the analysis's exit code; stdout goes to devnull, so that the
+        # interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

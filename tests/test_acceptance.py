@@ -161,7 +161,7 @@ def test_criterion_05_balke_pearl_correctness():
                 _LP_HYGIENE.append((RESPONSE_MATRIX, table.flat(), res))
     _report(
         5,
-        f"LP bounds equal basis-enumeration bounds on 200 tables (worst gap {worst:.1e}), "
+        f"closed-form Balke-Pearl bounds equal basis-enumeration bounds on 200 tables (worst gap {worst:.1e}), "
         "width < 1, all sampled effects contained",
     )
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polybounds import (
     ACE_COEFFS,
@@ -20,6 +21,7 @@ from polybounds import (
     pns_bounds,
 )
 from polybounds.causal import counterfactual_atom_system, pns_objective
+from polybounds.solvers import TOL, LpProblem, lp_solve
 from conftest import random_counterfactual_instance, random_iv_table, structural_iv_tables
 
 
@@ -256,3 +258,201 @@ def test_pn_zero_conditioning_raises():
     obs = ObservationalData([[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(ZeroConditioningError):
         pn_ps_point_bounds(exp, obs)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the simplex and an outside LP solver
+
+
+@pytest.fixture(scope="module")
+def alpha_sweep():
+    """3000 tables whose arms are drawn from Dirichlet(alpha) over the four
+    (y, x) cells, 750 for each alpha (about 30 % violate the inequality),
+    each with the simplex's lower-endpoint run."""
+    rng = np.random.default_rng(5)
+    tables = [
+        ObservedIVTable(np.stack([rng.dirichlet(np.full(4, alpha)).reshape(2, 2) for _ in range(2)], axis=-1))
+        for alpha in (0.1, 0.5, 1.0, 5.0)
+        for _ in range(750)
+    ]
+    return [(t, lp_solve(LpProblem(c=ACE_COEFFS, A=RESPONSE_MATRIX, b=t.flat(), sense="min"))) for t in tables]
+
+
+def excess(t: ObservedIVTable) -> float:
+    return instrumental_inequality(t).value - 1.0
+
+
+def test_ace_bounds_match_the_simplex_on_the_alpha_sweep(alpha_sweep):
+    infeasible = 0
+    for t, lo in alpha_sweep:
+        if lo.status == "infeasible":
+            infeasible += 1
+            with pytest.raises(InfeasibleTableError) as err:
+                ace_bounds(t)
+            # the closed form reports the simplex's own figure, to the printed digit
+            assert str(err.value) == f"observed table is not IV-compatible (phase-1 infeasibility {lo.phase1_infeasibility:.3e})"
+            continue
+        hi = lp_solve(LpProblem(c=ACE_COEFFS, A=RESPONSE_MATRIX, b=t.flat(), sense="max"))
+        iv = ace_bounds(t)
+        assert abs(iv.lo - lo.value) <= 1e-11 and abs(iv.hi - hi.value) <= 1e-11
+    assert 500 < infeasible < 1500
+
+
+def test_phase1_mass_is_twice_the_instrumental_excess(alpha_sweep):
+    checked = 0
+    for t, lo in alpha_sweep:
+        if lo.status == "infeasible":
+            assert lo.phase1_infeasibility == pytest.approx(2.0 * excess(t), rel=1e-8)
+            checked += 1
+    assert checked > 500
+
+
+def _block_linprog(c_block, A_block, rhs):
+    """One LP per row of ``rhs`` (min c_block'x, A_block x = row, x >= 0),
+    solved by scipy as a single block-diagonal program; the optimal x per row.
+
+    HiGHS's feasibility tolerances are absolute (1e-10 at the tightest), so
+    the right-hand sides are scaled up by 1e4 and the solutions scaled back.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = len(rhs)
+    res = optimize.linprog(
+        np.tile(c_block, n),
+        A_eq=sparse.kron(sparse.eye(n), sparse.csr_matrix(A_block), format="csr"),
+        b_eq=1e4 * np.ravel(rhs),
+        method="highs-ds",
+        options={"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return res.x.reshape(n, -1) / 1e4
+
+
+def test_ace_bounds_match_scipy_on_the_alpha_sweep(alpha_sweep):
+    tables = [t for t, _ in alpha_sweep]
+    cells = np.array([t.flat() for t in tables])
+    # phase 1 of every table: R q + u - v = p, minimize the artificial mass sum(u + v)
+    phase1 = np.hstack([RESPONSE_MATRIX, np.eye(8), -np.eye(8)])
+    mass = _block_linprog(np.r_[np.zeros(16), np.ones(16)], phase1, cells)[:, 16:].sum(axis=1)
+    feasible = []
+    for t, m in zip(tables, mass):
+        assert m == pytest.approx(max(0.0, 2.0 * excess(t)), rel=1e-8, abs=1e-12)
+        try:
+            feasible.append((t, ace_bounds(t)))
+        except InfeasibleTableError:
+            assert m > TOL
+        else:
+            assert m <= TOL
+    rhs = [t.flat() for t, _ in feasible]
+    lows = _block_linprog(ACE_COEFFS, RESPONSE_MATRIX, rhs) @ ACE_COEFFS
+    highs = _block_linprog(-ACE_COEFFS, RESPONSE_MATRIX, rhs) @ ACE_COEFFS
+    closed = np.array([(iv.lo, iv.hi) for _, iv in feasible])
+    assert np.abs(closed[:, 0] - lows).max() <= 1e-11
+    assert np.abs(closed[:, 1] - highs).max() <= 1e-11
+
+
+def table_at_excess(inside: ObservedIVTable, outside: ObservedIVTable, target: float):
+    """The mixture (1 - s) inside + s outside whose instrumental excess is
+    ``target``, by bisection on s (the excess is convex in s)."""
+    def mix(s):
+        return ObservedIVTable((1.0 - s) * inside.p + s * outside.p)
+
+    lo, hi = 0.0, 1.0
+    assert excess(mix(lo)) <= target < excess(mix(hi))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if excess(mix(mid)) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return mix(lo)
+
+
+def test_infeasibility_verdict_matches_the_simplex_in_the_boundary_band():
+    rng = np.random.default_rng(6)
+    magnitudes = list(10.0 ** rng.uniform(-12, -8, size=60)) + [4.5e-10, 5.5e-10, 9e-10, 4.9e-12, 5.1e-12]
+    checked = 0
+    for magnitude in magnitudes:
+        for sign in (1.0, -1.0):
+            inside = random_iv_table(rng)
+            outside = ObservedIVTable(0.5 * crafted_violating_table().p + 0.5 * random_iv_table(rng).p)
+            t = table_at_excess(inside, outside, sign * magnitude)
+            assert 1e-12 * 0.99 <= abs(excess(t)) <= 1e-8 * 1.01
+            for tol in (TOL, 1e-11):
+                lp = lp_solve(LpProblem(c=ACE_COEFFS, A=RESPONSE_MATRIX, b=t.flat(), sense="min"), tol)
+                try:
+                    ace_bounds(t, tol)
+                    closed_feasible = True
+                except InfeasibleTableError:
+                    closed_feasible = False
+                assert closed_feasible == (lp.status != "infeasible"), (excess(t), tol)
+                checked += 1
+    assert checked == 4 * len(magnitudes)
+
+
+_arm = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda a: sum(a) > 0.01)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    types=st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16),
+    arms=st.tuples(_arm, _arm),
+    share=st.floats(0.0, 1.0),
+    tol=st.sampled_from((1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5)),
+)
+def test_ace_bounds_within_tolerance_never_fail_the_interval_check(types, arms, share, tol):
+    # a model's table mixed with arbitrary arms; outside the polytope the
+    # Balke-Pearl endpoints can cross, and at the larger tolerances such
+    # tables still pass the feasibility test
+    inside = iv_table_from_response_dist(np.array(types) / sum(types))
+    outside = np.stack([np.array(a).reshape(2, 2) / sum(a) for a in arms], axis=-1)
+    t = ObservedIVTable((1.0 - share) * inside.p + share * outside)
+    if excess(t) > tol:
+        return
+    try:
+        iv = ace_bounds(t, tol)  # a ValidationError from Interval fails the test
+    except InfeasibleTableError:
+        assert 2.0 * excess(t) > tol
+    else:
+        assert 2.0 * excess(t) <= tol and iv.lo <= iv.hi
+
+
+def test_pn_ps_numerators_match_the_atom_lp_down_to_tiny_conditioning_cells():
+    rng = np.random.default_rng(59)
+    for k in range(300):
+        pi = rng.dirichlet(np.ones(8))  # atom index 4*y0 + 2*y1 + x
+        scale = 10.0 ** rng.uniform(-12, -3)
+        pi[[3, 7] if k % 2 else [0, 2]] *= scale  # shrink P(x=1, y=1) or P(x=0, y=0)
+        pi /= pi.sum()
+        joint = np.array([[pi[0] + pi[2], pi[4] + pi[6]], [pi[1] + pi[5], pi[3] + pi[7]]])
+        exp = ExperimentalData(float(pi[2] + pi[3] + pi[6] + pi[7]), float(pi[4] + pi[5] + pi[6] + pi[7]))
+        obs = ObservationalData(joint)
+        pn, ps = pn_ps_point_bounds(exp, obs)
+        A, b = counterfactual_atom_system(exp, obs)
+        for bounds, atom, cell in ((pn, 3, joint[1, 1]), (ps, 2, joint[0, 0])):
+            assert 0.0 <= bounds.lo <= bounds.hi <= 1.0
+            lp_lo, lp_hi = (lp_solve(LpProblem(c=np.eye(8)[atom], A=A, b=b, sense=s)).value for s in ("min", "max"))
+            assert abs(bounds.lo * cell - lp_lo) <= 1e-12
+            assert abs(bounds.hi * cell - lp_hi) <= 1e-12
+
+
+def test_pn_ps_inconsistent_data_raises_like_the_atom_lp():
+    exp = ExperimentalData(0.1, 0.5)  # P(y_x) = 0.1 < P(x, y) = 0.25: no model has both
+    obs = ObservationalData(np.full((2, 2), 0.25))
+    A, b = counterfactual_atom_system(exp, obs)
+    assert lp_solve(LpProblem(c=np.eye(8)[3], A=A, b=b, sense="min")).status == "infeasible"
+    with pytest.raises(InconsistentDataError):
+        pn_ps_point_bounds(exp, obs)
+
+
+def test_pn_ps_stay_probabilities_on_data_inconsistent_within_tolerance():
+    # P(y_x') exceeds its largest compatible value by 1e-11, and P(x, y) is 1e-6
+    obs = ObservationalData([[0.5, 0.2], [0.3 - 1e-6, 1e-6]])
+    exp = ExperimentalData(0.3, 0.5 + 1e-11)
+    A, b = counterfactual_atom_system(exp, obs)
+    assert lp_solve(LpProblem(c=np.eye(8)[3], A=A, b=b, sense="min")).status == "optimal"
+    pn, ps = pn_ps_point_bounds(exp, obs)
+    assert 0.0 <= pn.lo <= pn.hi <= 1.0 and 0.0 <= ps.lo <= ps.hi <= 1.0
+    assert pn.hi == 0.0  # the numerator's upper end, -1e-11, is held at zero before dividing by 1e-6
+    with pytest.raises(InconsistentDataError):
+        pn_ps_point_bounds(exp, obs, tol=1e-12)

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polybounds
 from polybounds import FloatRangeError
 from polybounds.cli import SchemaError, _classify, canonical, canonical_json, main, parse_request, serialize_request
 from conftest import tsirelson_closed_form
@@ -343,6 +348,50 @@ def test_audit_battery(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["results"]["all_agree"] is True
     assert doc["results"]["lp"]["max_discrepancy"] <= 1e-9
+
+
+def test_audit_lp_suite_runs_the_simplex(tmp_path, capsys, monkeypatch):
+    import polybounds.cli as cli
+
+    senses = []
+    simplex = cli.lp_solve
+
+    def counted(problem, tol):
+        senses.append(problem.sense)
+        return simplex(problem, tol)
+
+    monkeypatch.setattr(cli, "lp_solve", counted)
+    path = write_doc(tmp_path, {"suite": "lp", "samples": 5, "seed": 1})
+    code, out = run_cli(capsys, "audit", "--input", path)
+    assert code == 0
+    assert sorted(senses) == ["max"] * 5 + ["min"] * 5
+    lp = json.loads(out)["results"]["lp"]
+    assert lp["agrees"] is True and lp["max_discrepancy"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, flag, doc, expected",
+    [
+        ("manski", "--input", {"schema": 1, "payload": {"e1": 0.7, "e0": 0.4, "px1": 0.5}, "options": {"format": "md"}}, 0),
+        ("iv-bounds", "--input", {"schema": 1, "payload": {"table": [[[0, 0], [0, 1]], [[0, 0], [1, 0]]]}}, 3),
+        ("manski", "--batch", [{"schema": 1, "kind": "manski", "payload": {"e1": 0.7, "e0": 0.4, "px1": 0.5}}] * 2000, 0),
+    ],
+)
+def test_closed_stdout_ends_quietly(tmp_path, kind, flag, doc, expected):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(Path(polybounds.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polybounds.cli", kind, flag, str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # no reader is left, so the program's writes to stdout fail
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == expected
+    assert err == b""
 
 
 def test_csv_cross_section(tmp_path, capsys):
