@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
     ZeroConditioningError,
 )
-from .model import INEQUALITY_SLACK, NORMALIZATION_SLACK, Interval, ObservedIVTable, ResponseTypeDist
+from .model import INEQUALITY_SLACK, Interval, ObservedIVTable, ResponseTypeDist, probability_array
 from .polytope import STRATEGY_BEHAVIORS
 from .solvers import TOL
 
@@ -161,16 +161,7 @@ class ObservationalData:
     joint: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.joint, dtype=float)
-        if arr.shape != (2, 2):
-            raise ValidationError(f"observational joint must be 2x2, got {arr.shape}")
-        if arr.min() < -NORMALIZATION_SLACK:
-            raise ValidationError("observational joint has a negative cell")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        if abs(arr.sum() - 1.0) > NORMALIZATION_SLACK:
-            raise ValidationError(f"observational joint must sum to 1, got {float(arr.sum())!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "joint", arr)
+        object.__setattr__(self, "joint", probability_array(self.joint, (2, 2), None, "observational joint"))
 
     @property
     def p_y(self) -> float:
@@ -181,15 +172,30 @@ def pns_bounds(exp: ExperimentalData, obs: ObservationalData) -> Interval:
     """Sharp closed-form bounds on the probability that treatment is both
     necessary and sufficient, combining experimental and observational data.
 
-    The upper bound carries four terms; dropping the mixed term
-    P(y_x) - P(y_x') + P(x, y') + P(x', y) leaves a valid but non-sharp
-    bound that the atom-grid LP oracle beats on some inputs.
+    The data admit a common model exactly when the Tian-Pearl conditions
+    P(x, y) <= P(y_x) <= P(x, y) + P(x') and
+    P(x', y) <= P(y_x') <= P(x', y) + P(x) hold (Tian and Pearl, Ann. Math.
+    Artif. Intell. 28, 2000); one failing by more than INEQUALITY_SLACK
+    raises ``InconsistentDataError``.  The upper bound carries four terms;
+    dropping the mixed term P(y_x) - P(y_x') + P(x, y') + P(x', y) leaves a
+    valid but non-sharp bound that the atom-grid LP oracle beats on some
+    inputs.
     """
     p_y = obs.p_y
     p_xy = float(obs.joint[1, 1])
     p_xyp = float(obs.joint[1, 0])
     p_xpy = float(obs.joint[0, 1])
     p_xpyp = float(obs.joint[0, 0])
+    for name, rate, lo, hi in (
+        ("P(y_x)", exp.p_do1, p_xy, p_xy + p_xpy + p_xpyp),
+        ("P(y_x')", exp.p_do0, p_xpy, p_xpy + p_xy + p_xyp),
+    ):
+        excess = max(lo - rate, rate - hi)
+        if excess > INEQUALITY_SLACK:
+            raise InconsistentDataError(
+                f"experimental and observational data admit no common model "
+                f"({name} = {rate:.6f} lies {excess:.3e} outside [{lo:.6f}, {hi:.6f}])"
+            )
     lower = max(0.0, exp.p_do1 - exp.p_do0, p_y - exp.p_do0, exp.p_do1 - p_y)
     upper = min(
         exp.p_do1,
@@ -197,11 +203,6 @@ def pns_bounds(exp: ExperimentalData, obs: ObservationalData) -> Interval:
         p_xy + p_xpyp,
         exp.p_do1 - exp.p_do0 + p_xyp + p_xpy,
     )
-    if lower > upper + INEQUALITY_SLACK:
-        raise InconsistentDataError(
-            f"experimental and observational data admit no common model "
-            f"(lower {lower:.6f} > upper {upper:.6f})"
-        )
     return Interval(min(lower, upper), upper)
 
 

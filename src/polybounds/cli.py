@@ -99,6 +99,11 @@ EXIT_SCHEMA = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
+#: Largest deviation of a request's block sums from 1 accepted without
+#: --renormalize; kept as text too, because error reports quote it.
+NORMALIZATION_ACCEPT_TEXT = "1e-9"
+NORMALIZATION_ACCEPT = float(NORMALIZATION_ACCEPT_TEXT)
+
 
 def _round12(x: float) -> float:
     if not math.isfinite(x):
@@ -280,48 +285,40 @@ def _scalar_field(payload: dict, name: str) -> float:
     return _as_float(v, name)
 
 
-def _mass(arr: np.ndarray, axes: tuple[int, ...] | None, what: str):
-    """Sums of user-supplied weights over ``axes``; a sum past the float range is a ``SchemaError``."""
+def _distribution_from(payload: dict, name: str, axes: str, what: str, renormalize: bool, warnings: list):
+    """A distribution field with one binary axis per letter of ``axes``, no
+    negative entry, and unit sums over its first two axes (one block per
+    setting of the other axes, or the whole table when there are two) within
+    ``NORMALIZATION_ACCEPT``; other sums are an error, or with
+    ``renormalize`` are rescaled with a warning."""
+    arr = _array_field(payload, name, tuple(axes))
+    if arr.shape != (2,) * len(axes):
+        raise SchemaError(f"{what} must be {'x'.join('2' * len(axes))}, got {arr.shape}")
+    if arr.min() < 0:
+        raise SchemaError(f"{what} has negative entries")
     with np.errstate(over="ignore"):
-        sums = arr.sum(axis=axes)
+        sums = arr.sum(axis=(0, 1))
     if not np.all(np.isfinite(sums)):
         raise SchemaError(f"{what} has a total mass past the floating-point range")
-    return sums
-
-
-def _normalize_blocks(arr: np.ndarray, block_axes: tuple[int, ...], renormalize: bool, what: str, warnings: list):
-    """Enforce unit block sums within 1e-9, renormalizing on request."""
-    sums = _mass(arr, block_axes, what)
     dev = float(np.abs(sums - 1.0).max())
-    if dev > 1e-9 and not renormalize:
+    if dev > NORMALIZATION_ACCEPT and not renormalize:
         raise SchemaError(
-            f"{what} deviates from normalization by {dev:.3e} (> 1e-9); pass --renormalize to accept"
+            f"{what} deviates from normalization by {dev:.3e} (> {NORMALIZATION_ACCEPT_TEXT}); "
+            "pass --renormalize to accept"
         )
-    if dev > 1e-9:
+    if dev > NORMALIZATION_ACCEPT:
         warnings.append(f"{what} renormalized (deviation {dev:.3e})")
     if np.min(sums) <= 0:
         raise SchemaError(f"{what} has a block with non-positive total mass")
-    return arr / np.expand_dims(sums, block_axes)
+    return arr / np.expand_dims(sums, (0, 1))
 
 
 def _behavior_from(payload: dict, renormalize: bool, warnings: list) -> Behavior:
-    arr = _array_field(payload, "behavior", ("a", "b", "x", "y"))
-    if arr.shape != (2, 2, 2, 2):
-        raise SchemaError(f"behavior must be 2x2x2x2, got {arr.shape}")
-    if arr.min() < 0:
-        raise SchemaError("behavior has negative entries")
-    arr = _normalize_blocks(arr, (0, 1), renormalize, "behavior", warnings)
-    return Behavior(arr)
+    return Behavior(_distribution_from(payload, "behavior", "abxy", "behavior", renormalize, warnings))
 
 
 def _iv_table_from(payload: dict, renormalize: bool, warnings: list) -> ObservedIVTable:
-    arr = _array_field(payload, "table", ("y", "x", "z"))
-    if arr.shape != (2, 2, 2):
-        raise SchemaError(f"IV table must be 2x2x2, got {arr.shape}")
-    if arr.min() < 0:
-        raise SchemaError("IV table has negative entries")
-    arr = _normalize_blocks(arr, (0, 1), renormalize, "IV table", warnings)
-    return ObservedIVTable(arr)
+    return ObservedIVTable(_distribution_from(payload, "table", "yxz", "IV table", renormalize, warnings))
 
 
 def _functional_from(payload: dict) -> np.ndarray:
@@ -487,17 +484,7 @@ def _handle_pns(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict,
     obs_doc = req.payload["observational"]
     if not isinstance(obs_doc, dict):
         raise SchemaError('"observational" must be an object')
-    joint = _array_field(obs_doc, "joint", ("x", "y"))
-    if joint.min() < 0:
-        raise SchemaError("observational joint has negative entries")
-    total = _mass(joint, None, "observational joint")
-    if abs(total - 1.0) > 1e-9 and not req.options["renormalize"]:
-        raise SchemaError(
-            f"observational joint deviates from normalization by {abs(total - 1.0):.3e}; pass --renormalize"
-        )
-    if total <= 0:
-        raise SchemaError("observational joint has non-positive total mass")
-    joint = joint / total
+    joint = _distribution_from(obs_doc, "joint", "xy", "observational joint", req.options["renormalize"], warnings)
     obs = ObservationalData(joint)
     pns = pns_bounds(exp, obs)
     results = {"pns_bounds": pns}
@@ -540,13 +527,9 @@ def _handle_entropic(req: AnalysisRequest, tol: float, warnings: list) -> tuple[
     behavior = _behavior_from(req.payload, req.options["renormalize"], warnings)
     settings = None
     if "settings" in req.payload:
-        settings = _array_field(req.payload, "settings", ("x", "y"))
-        total = _mass(settings, None, "settings distribution")
-        if abs(total - 1.0) > 1e-9 and not req.options["renormalize"]:
-            raise SchemaError("settings distribution is not normalized; pass --renormalize")
-        if total <= 0:
-            raise SchemaError("settings distribution has non-positive total mass")
-        settings = settings / total
+        settings = _distribution_from(
+            req.payload, "settings", "xy", "settings distribution", req.options["renormalize"], warnings
+        )
     result = entropic_chsh(behavior, settings)
     warnings.append(SETTINGS_CONVENTION)
     results = {
@@ -649,7 +632,7 @@ def run(request: AnalysisRequest) -> Report:
             "facet": tol,
             "lp_feasibility": tol,
             "sdp_gap_accept": GAP_ACCEPT,
-            "normalization_accept": 1e-9,
+            "normalization_accept": NORMALIZATION_ACCEPT,
         },
     }
     if solver_prov:
@@ -700,7 +683,7 @@ def _cross_section_csv(path: str, samples: int = 36) -> None:
     """Support-function samples of the three correlation bodies in the plane
     spanned by two orthogonal CHSH combinations, for external plotting."""
     f1 = CHSH_COEFFS
-    f2 = np.array([[1.0, -1.0], [1.0, 1.0]])
+    f2 = CHSH_VARIANTS[1]
     rows = ["phi,local,quantum,nosignaling"]
     for k in range(samples):
         phi = 2.0 * np.pi * k / samples

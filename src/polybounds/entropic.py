@@ -13,17 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NormalizationError, ValidationError
-from .model import INEQUALITY_SLACK, NORMALIZATION_SLACK, Behavior
+from .errors import ValidationError
+from .model import INEQUALITY_SLACK, Behavior, probability_array
 
 
 def entropy(dist) -> float:
     """Base-2 entropy of a discrete distribution, with 0 log 0 = 0."""
-    p = np.asarray(dist, dtype=float).reshape(-1)
-    if p.min() < -NORMALIZATION_SLACK:
-        raise ValidationError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > NORMALIZATION_SLACK:
-        raise NormalizationError(f"distribution sums to {float(p.sum())!r}, not 1")
+    p = np.asarray(dist, dtype=float)
+    p = probability_array(p, p.shape, None, "distribution").reshape(-1)
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum() + 0.0)
 
@@ -54,16 +51,8 @@ SETTINGS_CONVENTION = (
 def entropic_chsh(b: Behavior, settings=None) -> EntropicChshResult:
     """Entropic analog of the CHSH combination:
     I(A:B|00) + I(A:B|01) + I(A:B|10) - I(A:B|11) <= 2 H(settings)."""
-    if settings is None:
-        s = np.full((2, 2), 0.25)
-    else:
-        s = np.asarray(settings, dtype=float)
-        if s.shape != (2, 2):
-            raise ValidationError("settings distribution must be 2x2 over (x, y)")
-        if s.min() < -NORMALIZATION_SLACK:
-            raise ValidationError("settings distribution has a negative entry")
-        if abs(s.sum() - 1.0) > NORMALIZATION_SLACK:
-            raise NormalizationError("settings distribution must sum to 1")
+    s = np.full((2, 2), 0.25) if settings is None else settings
+    s = probability_array(s, (2, 2), None, "settings distribution")
     infos = tuple(
         mutual_information(b.p[:, :, x, y]) for x in range(2) for y in range(2)
     )

@@ -7,8 +7,14 @@ Conventions fixed here once and for all:
   ``[a, b, x, y]``.
 * An ``ObservedIVTable`` stores p(y, x | z) as a (2, 2, 2) array indexed
   ``[y, x, z]``.
-* Invalid tables raise at construction; ``renormalize`` classmethods exist
-  for deliberately noisy input.
+* Every distribution type (behaviors, IV tables, response-type
+  distributions, observational joints, entropy inputs, atom weights) is
+  checked by one rule, ``probability_array``: the right shape, finite
+  entries, none below -NORMALIZATION_SLACK (smaller dips are set to 0), and
+  block sums within NORMALIZATION_SLACK of 1.  Correlation functionals are
+  checked by ``correlator_functional``.  Invalid input raises at
+  construction, naming what it is; ``renormalize`` classmethods exist for
+  deliberately noisy input.
 
 All types are immutable values (backing arrays are frozen), so every
 operation in the package is a pure function and safe to call concurrently.
@@ -24,9 +30,6 @@ from .errors import NormalizationError, ValidationError
 
 #: Sign of an outcome bit: 0 -> +1, 1 -> -1.
 SIGNS = np.array([1.0, -1.0])
-
-#: Coefficients of the canonical CHSH combination e00 + e01 + e10 - e11.
-CHSH_COEFFS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 #: Rounding allowances of exact-valued checks, never settable: a probability
 #: may dip below 0 and a table's sums may miss 1 by NORMALIZATION_SLACK, an
@@ -47,16 +50,46 @@ def _frozen_array(values, shape, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_probabilities(arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("probability table contains non-finite entries")
-    if arr.min() < -NORMALIZATION_SLACK:
-        raise ValidationError(f"negative probability entry {arr.min():.3e}")
-    return np.where(arr < 0.0, 0.0, arr)
+def probability_array(values, shape: tuple, axes, what: str) -> np.ndarray:
+    """``values`` as a frozen probability table of ``shape``: entries finite,
+    those down to -NORMALIZATION_SLACK set to 0 and lower ones rejected, and
+    the sums over ``axes`` (all axes for None) within NORMALIZATION_SLACK of
+    1.  Each error names ``what``."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    low = float(arr.min(initial=0.0))
+    if low < -NORMALIZATION_SLACK:
+        raise ValidationError(f"{what} has a negative entry {low:.3e}")
+    if low < 0.0:
+        arr = np.where(arr < 0.0, 0.0, arr)
+    deviation = float(np.abs(arr.sum(axis=axes) - 1.0).max())
+    if deviation > NORMALIZATION_SLACK:
+        raise NormalizationError(f"{what} must sum to 1 (worst deviation {deviation:.3e})")
+    arr.setflags(write=False)
+    return arr
+
+
+class _BlockTable:
+    """A table of conditional distributions, ``_SHAPE`` with one block per
+    setting: its sums over the first two axes are each 1."""
+
+    @classmethod
+    def renormalize(cls, raw):
+        """Each block divided by its mass: the explicit helper for noisy input."""
+        arr = np.array(raw, dtype=float)
+        if arr.shape != cls._SHAPE:
+            raise ValidationError(f"{cls._WHAT} must have shape {cls._SHAPE}, got {arr.shape}")
+        sums = arr.sum(axis=(0, 1))
+        if sums.min() <= 0:
+            raise ValidationError(f"cannot renormalize {cls._WHAT}: a block has non-positive mass")
+        return cls(arr / sums)
 
 
 @dataclass(frozen=True, eq=False)
-class Behavior:
+class Behavior(_BlockTable):
     """Conditional outcome distribution p(a, b | x, y) of a two-setting,
     two-outcome bipartite experiment.
 
@@ -66,17 +99,11 @@ class Behavior:
     p: np.ndarray
     no_signaling: bool = field(init=False)
 
+    _SHAPE = (2, 2, 2, 2)
+    _WHAT = "behavior"
+
     def __post_init__(self):
-        arr = np.array(self.p, dtype=float)
-        if arr.shape != (2, 2, 2, 2):
-            raise ValidationError(f"behavior must have shape (2,2,2,2), got {arr.shape}")
-        arr = _check_probabilities(arr)
-        sums = arr.sum(axis=(0, 1))
-        if np.abs(sums - 1.0).max() > NORMALIZATION_SLACK:
-            raise NormalizationError(
-                f"behavior blocks must sum to 1 (worst deviation {np.abs(sums - 1.0).max():.3e})"
-            )
-        arr.setflags(write=False)
+        arr = probability_array(self.p, self._SHAPE, (0, 1), self._WHAT)
         object.__setattr__(self, "p", arr)
 
         alice = arr.sum(axis=1)  # (a, x, y)
@@ -94,14 +121,7 @@ class Behavior:
     @classmethod
     def pr_box(cls) -> "Behavior":
         """Popescu-Rohrlich box: p(a, b | x, y) = 1/2 iff a XOR b = x AND y."""
-        p = np.zeros((2, 2, 2, 2))
-        for a in range(2):
-            for b in range(2):
-                for x in range(2):
-                    for y in range(2):
-                        if (a ^ b) == (x & y):
-                            p[a, b, x, y] = 0.5
-        return cls(p)
+        return cls.from_correlations(CHSH_COEFFS)
 
     @classmethod
     def from_correlations(cls, e) -> "Behavior":
@@ -116,47 +136,19 @@ class Behavior:
                 p[a, b] = (1.0 + SIGNS[a] * SIGNS[b] * e) / 4.0
         return cls(p)
 
-    @classmethod
-    def renormalize(cls, raw) -> "Behavior":
-        """Explicit renormalization helper for noisy input tables."""
-        arr = np.array(raw, dtype=float)
-        if arr.shape != (2, 2, 2, 2):
-            raise ValidationError(f"behavior must have shape (2,2,2,2), got {arr.shape}")
-        sums = arr.sum(axis=(0, 1))
-        if sums.min() <= 0:
-            raise ValidationError("cannot renormalize a block with non-positive mass")
-        return cls(arr / sums)
-
 
 @dataclass(frozen=True, eq=False)
-class ObservedIVTable:
+class ObservedIVTable(_BlockTable):
     """Observed conditional distribution p(y, x | z) of an instrumental-
     variable experiment with binary instrument, treatment and outcome."""
 
     p: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.p, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise ValidationError(f"IV table must have shape (2,2,2), got {arr.shape}")
-        arr = _check_probabilities(arr)
-        sums = arr.sum(axis=(0, 1))
-        if np.abs(sums - 1.0).max() > NORMALIZATION_SLACK:
-            raise NormalizationError(
-                f"each instrument arm must sum to 1 (worst deviation {np.abs(sums - 1.0).max():.3e})"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+    _SHAPE = (2, 2, 2)
+    _WHAT = "IV table"
 
-    @classmethod
-    def renormalize(cls, raw) -> "ObservedIVTable":
-        arr = np.array(raw, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise ValidationError(f"IV table must have shape (2,2,2), got {arr.shape}")
-        sums = arr.sum(axis=(0, 1))
-        if sums.min() <= 0:
-            raise ValidationError("cannot renormalize an arm with non-positive mass")
-        return cls(arr / sums)
+    def __post_init__(self):
+        object.__setattr__(self, "p", probability_array(self.p, self._SHAPE, (0, 1), self._WHAT))
 
     def flat(self) -> np.ndarray:
         """Table as a length-8 vector in (y, x, z) row-major order."""
@@ -174,6 +166,17 @@ class CorrelationTable:
         if np.abs(arr).max() > 1.0 + INTERVAL_SLACK:
             raise ValidationError(f"correlators must lie in [-1, 1], got max |e| = {np.abs(arr).max()}")
         object.__setattr__(self, "e", arr)
+
+
+def correlator_functional(functional) -> np.ndarray:
+    """The coefficients f[x, y] of a correlation functional, given as an
+    array or a ``CorrelationTable``, checked 2x2 and finite."""
+    f = functional.e if isinstance(functional, CorrelationTable) else np.asarray(functional, dtype=float)
+    if f.shape != (2, 2):
+        raise ValidationError(f"functional must be a 2x2 coefficient array, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValidationError("functional has non-finite entries")
+    return f
 
 
 @dataclass(frozen=True)
@@ -227,14 +230,7 @@ class ResponseTypeDist:
     q: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.q, dtype=float)
-        if arr.shape != (16,):
-            raise ValidationError(f"response-type distribution must have 16 entries, got {arr.shape}")
-        arr = _check_probabilities(arr)
-        if abs(arr.sum() - 1.0) > NORMALIZATION_SLACK:
-            raise NormalizationError(f"weights must sum to 1, got {float(arr.sum())!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "q", arr)
+        object.__setattr__(self, "q", probability_array(self.q, (16,), None, "response-type distribution"))
 
 
 def behavior_to_correlations(b: Behavior) -> CorrelationTable:
@@ -266,6 +262,8 @@ def chsh_variant_coefficients() -> np.ndarray:
 
 CHSH_VARIANTS = chsh_variant_coefficients()
 CHSH_VARIANTS.setflags(write=False)
+#: Coefficients of the canonical CHSH combination e00 + e01 + e10 - e11.
+CHSH_COEFFS = CHSH_VARIANTS[3]
 
 
 def chsh_variant_values(c: CorrelationTable | np.ndarray) -> np.ndarray:

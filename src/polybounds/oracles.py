@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .errors import EnumerationLimitError, InfeasibleTableError, ValidationError
-from .model import NORMALIZATION_SLACK, Interval
+from .model import Interval, probability_array
 from .solvers import TOL, LpProblem, lp_solve
 
 #: Cap on the candidate bases of one basis enumeration.
@@ -43,15 +43,8 @@ class AtomGrid:
             raise ValidationError("all atoms must assign the same variables")
         object.__setattr__(self, "atoms", atoms)
         if self.probs is not None:
-            p = np.array(self.probs, dtype=float)
-            if p.shape != (len(atoms),):
-                raise ValidationError("probability vector length must match the atom count")
-            if p.min() < -NORMALIZATION_SLACK:
-                raise ValidationError("atom probabilities must be nonnegative")
-            if abs(p.sum() - 1.0) > NORMALIZATION_SLACK:
-                raise ValidationError("atom probabilities must sum to 1")
-            p.setflags(write=False)
-            object.__setattr__(self, "probs", p)
+            probs = probability_array(self.probs, (len(atoms),), None, "atom probability vector")
+            object.__setattr__(self, "probs", probs)
 
     @classmethod
     def signs(cls, n: int) -> "AtomGrid":

@@ -34,6 +34,7 @@ from .model import (
     Interval,
     behavior_to_correlations,
     chsh_variant_values,
+    correlator_functional,
 )
 from .oracles import AtomGrid, oracle_joint_feasibility
 from .solvers import TOL, LpProblem, lp_solve
@@ -87,13 +88,8 @@ class DeterministicStrategy:
         return CorrelationTable(np.outer(a, b))
 
     def behavior(self) -> Behavior:
-        p = np.zeros((2, 2, 2, 2))
-        a_bits = (_bit(self.a0), _bit(self.a1))
-        b_bits = (_bit(self.b0), _bit(self.b1))
-        for x in range(2):
-            for y in range(2):
-                p[a_bits[x], b_bits[y], x, y] = 1.0
-        return Behavior(p)
+        rx, ry = self.response_indices()
+        return Behavior(STRATEGY_BEHAVIORS[4 * rx + ry])
 
 
 def enumerate_strategies() -> list[DeterministicStrategy]:
@@ -216,20 +212,11 @@ def countermonotone_coupling(u: float, v: float) -> np.ndarray:
     return np.array([[1.0 - u - v + p11, v - p11], [u - p11, p11]])
 
 
-def _functional(functional) -> np.ndarray:
-    f = np.asarray(functional, dtype=float)
-    if f.shape != (2, 2):
-        raise ValidationError("functional must be a 2x2 coefficient array")
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("functional contains non-finite entries")
-    return f
-
-
 def local_max(functional) -> float:
     """Maximum of a correlation functional over the local polytope: the best
     of its 16 vertices, the deterministic strategies; inf when a vertex
     value passes the float range."""
-    f = _functional(functional)
+    f = correlator_functional(functional)
     with np.errstate(over="ignore"):
         return float((STRATEGY_CORRELATIONS * f).sum(axis=(1, 2)).max())
 
@@ -243,6 +230,6 @@ def no_signaling_max(functional) -> float:
     the correlators fill the cube [-1, 1]^4 and the maximum is sum |f|
     (inf past the float range).
     """
-    f = _functional(functional)
+    f = correlator_functional(functional)
     with np.errstate(over="ignore"):
         return float(np.abs(f).sum())

@@ -39,11 +39,11 @@ from .causal import ace_bounds, manski_bounds
 from .errors import FloatRangeError, ValidationError
 from .model import (
     Behavior,
-    CorrelationTable,
     Interval,
     ObservedIVTable,
     behavior_to_correlations,
     chsh_variant_values,
+    correlator_functional,
     CHSH_VARIANTS,
 )
 from .polytope import local_max, no_signaling_max
@@ -322,16 +322,6 @@ def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | No
     return MomentProgram(level=level, words=words, positions=positions, problem=problem)
 
 
-def _correlator_array(functional) -> np.ndarray:
-    """The coefficients f[x, y] of a correlation functional, checked 2x2 and finite."""
-    f = functional.e if isinstance(functional, CorrelationTable) else np.asarray(functional, dtype=float)
-    if f.shape != (2, 2):
-        raise ValidationError("functional must be a 2x2 coefficient array")
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("functional contains non-finite entries")
-    return f
-
-
 def _in_range(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise FloatRangeError(f"the {name} value of the functional is past the floating-point range")
@@ -354,7 +344,7 @@ def tsirelson_bound(functional) -> float:
     raises ``FloatRangeError``.  The CHSH coefficients give 2*sqrt(2)
     exactly.
     """
-    f = _correlator_array(functional)
+    f = correlator_functional(functional)
     scale = float(np.abs(f).max())
     if scale == 0.0:
         return 0.0
@@ -384,10 +374,10 @@ def npa_bound(level: NpaLevel, functional, return_result: bool = False):
     dual value, duality gap and dual iterate are scaled back, so the solver
     sees unit-size data whatever the functional's magnitude.
     """
-    f = _correlator_array(functional)
+    f = correlator_functional(functional)
     scale = float(np.abs(f).max()) or 1.0
     program = moment_program(level, {((x,), (y,)): f[x, y] / scale for x in range(2) for y in range(2)})
-    result = sdp_solve(program.problem, start=np.eye(program.dimension))
+    result = sdp_solve(program.problem)
     with np.errstate(over="ignore"):
         result = dataclasses.replace(
             result,
@@ -520,9 +510,7 @@ def quantum_gap_report(
             level, tuple(notes), diagnostics,
         )
 
-    functional = subject.e if isinstance(subject, CorrelationTable) else np.asarray(subject, dtype=float)
-    if functional.shape != (2, 2):
-        raise ValidationError("gap report takes a 2x2 functional, a Behavior, or an ObservedIVTable")
+    functional = correlator_functional(subject)
     classical = _in_range("classical", local_max(functional))
     quantum = tsirelson_bound(functional)
     nosignaling = _in_range("no-signaling", no_signaling_max(functional))

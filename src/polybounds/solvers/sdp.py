@@ -132,12 +132,9 @@ def _max_step(inv_half: np.ndarray, dS: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def sdp_solve(problem: SdpProblem, *, start: np.ndarray | None = None) -> SdpResult:
-    """Solve a small dense SDP; raises ``SdpConvergenceError`` on stagnation.
-
-    ``start`` may supply a strictly feasible primal matrix (a Slater point);
-    without it the solver uses the identity-based infeasible start.
-    """
+def sdp_solve(problem: SdpProblem) -> SdpResult:
+    """Solve a small dense SDP from the identity-based infeasible start;
+    raises ``SdpConvergenceError`` on stagnation."""
     n = problem.dimension
     m = len(problem.constraints)
     if m == 0:
@@ -157,14 +154,7 @@ def sdp_solve(problem: SdpProblem, *, start: np.ndarray | None = None) -> SdpRes
     def Aadj(y: np.ndarray) -> np.ndarray:
         return (y @ As2).reshape(n, n)
 
-    if start is not None:
-        X = 0.5 * (np.array(start, dtype=float) + np.array(start, dtype=float).T)
-        if X.shape != (n, n):
-            raise DimensionMismatchError(f"start must have shape {(n, n)}, got {X.shape}")
-        if np.linalg.eigvalsh(X).min() <= 0:
-            raise ValidationError("start matrix must be strictly positive definite")
-    else:
-        X = np.eye(n) * max(1.0, float(np.abs(b).max()))
+    X = np.eye(n) * max(1.0, float(np.abs(b).max()))
     Z = np.eye(n) * max(1.0, np.linalg.norm(C0, "fro") / np.sqrt(n))
     y = np.zeros(m)
     tau = STEP_FRACTION
@@ -182,22 +172,6 @@ def sdp_solve(problem: SdpProblem, *, start: np.ndarray | None = None) -> SdpRes
     termination = "iteration_limit"
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        # boundary lifting: while materially infeasible, keep both iterates
-        # off the PSD boundary or the Newton system becomes unsolvable
-        if max(
-            np.linalg.norm(b - Aop(X)) / norm_b,
-            np.linalg.norm(C0 - Z - Aadj(y), "fro") / norm_c,
-        ) > 1e-9:
-            mu_est = max(float(np.vdot(X, Z)) / n, 1e-12)
-            lam_x = np.linalg.eigvalsh(X)
-            lam_z = np.linalg.eigvalsh(Z)
-            floor_x = 1e-3 * mu_est / max(lam_z.max(), 1e-12)
-            floor_z = 1e-3 * mu_est / max(lam_x.max(), 1e-12)
-            if lam_x.min() < floor_x:
-                X = X + (floor_x - lam_x.min()) * np.eye(n)
-            if lam_z.min() < floor_z:
-                Z = Z + (floor_z - lam_z.min()) * np.eye(n)
-
         xz = float(np.vdot(X, Z))
         mu = xz / n
         rp = b - Aop(X)

@@ -212,6 +212,32 @@ def test_pns_inconsistent_data_raises():
         pns_bounds(exp, obs)
 
 
+def test_pns_consistency_conditions_match_the_basis_oracle():
+    # random experimental rates against random joints, 3 in 10 with a zero
+    # cell: pns_bounds raises exactly when the atom system has no feasible
+    # point, and otherwise agrees with the oracle's bracket
+    rng = np.random.default_rng(1)
+    answered = 0
+    for _ in range(3000):
+        joint = rng.dirichlet(np.ones(4))
+        if rng.uniform() < 0.3:
+            joint[rng.integers(4)] = 0.0
+            joint /= joint.sum()
+        exp = ExperimentalData(*(float(v) for v in rng.uniform(size=2)))
+        obs = ObservationalData(joint.reshape(2, 2))
+        A, b = counterfactual_atom_system(exp, obs)
+        try:
+            oracle = oracle_extremal_scan(pns_objective(), A=A, b=b)
+        except InfeasibleTableError:
+            with pytest.raises(InconsistentDataError):
+                pns_bounds(exp, obs)
+            continue
+        bounds = pns_bounds(exp, obs)
+        assert abs(bounds.lo - oracle.lo) <= 1e-12 and abs(bounds.hi - oracle.hi) <= 1e-12
+        answered += 1
+    assert 300 < answered < 2700  # both verdicts are well represented
+
+
 def test_pn_deterministic_outcome_equals_one():
     exp = ExperimentalData(1.0, 0.0)
     obs = ObservationalData([[0.5, 0.0], [0.0, 0.5]])

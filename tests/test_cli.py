@@ -128,6 +128,19 @@ def test_pns_audit(tmp_path, capsys):
     assert doc["results"]["audit"]["agrees"] is True
 
 
+@pytest.mark.parametrize("audit", [False, True])
+def test_pns_data_no_model_fits_exit_three(tmp_path, capsys, audit):
+    # P(y_x') = 0.1 lies below P(x', y) = 0.5, and the zero cell P(x, y) skips PN and PS
+    path = write_doc(
+        tmp_path,
+        {"experimental": {"p_do1": 0.6, "p_do0": 0.1}, "observational": {"joint": [[0.5, 0.5], [0, 0]]}},
+        options={"audit": audit},
+    )
+    code, out = run_cli(capsys, "pns", "--input", path)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "InconsistentDataError"
+
+
 def test_frechet(tmp_path, capsys):
     path = write_doc(tmp_path, {"u": 0.8, "v": 0.7})
     code, out = run_cli(capsys, "frechet", "--input", path)
@@ -582,3 +595,31 @@ def test_non_finite_json_constant_fails_the_whole_batch(tmp_path, capsys, token)
     code, out = run_cli(capsys, "manski", "--batch", str(path))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
+SHORT_2X2 = [[0.225, 0.225], [0.225, 0.225]]  # sums to 0.9
+
+
+@pytest.mark.parametrize(
+    "kind, payload, what",
+    [
+        ("iv-bounds", {"table": [SHORT_2X2, SHORT_2X2]}, "IV table"),
+        ("pns", {"experimental": {"p_do1": 0.5, "p_do0": 0.5}, "observational": {"joint": SHORT_2X2}}, "observational joint"),
+        ("entropic", {"behavior": UNIFORM_BEHAVIOR, "settings": SHORT_2X2}, "settings distribution"),
+    ],
+    ids=["iv-table", "pns-joint", "entropic-settings"],
+)
+def test_every_distribution_field_shares_one_normalization_policy(tmp_path, capsys, kind, payload, what):
+    path = write_doc(tmp_path, payload)
+    code, out = run_cli(capsys, kind, "--input", path)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        f"{what} deviates from normalization by 1.000e-01 (> 1e-9); pass --renormalize to accept"
+    )
+    code, out = run_cli(capsys, kind, "--input", path, "--renormalize")
+    assert code == 0
+    assert f"{what} renormalized (deviation 1.000e-01)" in json.loads(out)["warnings"]
+    negative = json.loads(json.dumps(payload).replace("0.225, 0.225]", "0.225, -0.225]", 1))
+    code, out = run_cli(capsys, kind, "--input", write_doc(tmp_path, negative), "--renormalize")
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": 2, "message": f"{what} has negative entries", "type": "SchemaError"}

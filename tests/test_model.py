@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from polybounds import (
+    CHSH_COEFFS,
+    AtomGrid,
     Behavior,
     CorrelationTable,
     Interval,
     NormalizationError,
+    NpaLevel,
     ObservationalData,
     ObservedIVTable,
     ResponseTypeDist,
@@ -13,7 +16,14 @@ from polybounds import (
     behavior_to_correlations,
     chsh_value,
     chsh_variant_values,
+    entropic_chsh,
     entropy,
+    local_max,
+    mutual_information,
+    no_signaling_max,
+    npa_bound,
+    quantum_gap_report,
+    tsirelson_bound,
 )
 from conftest import random_local_behavior, random_nosignaling_behavior
 
@@ -140,3 +150,68 @@ def test_normalization_messages_print_plain_floats(build):
     with pytest.raises(ValidationError) as info:
         build()
     assert "np.float64" not in str(info.value)
+
+
+# (builder, a valid input, what its errors name, the attribute holding the stored table)
+PROBABILITY_INPUTS = {
+    "behavior": (Behavior, np.full((2, 2, 2, 2), 0.25), "behavior", "p"),
+    "iv-table": (ObservedIVTable, np.full((2, 2, 2), 0.25), "IV table", "p"),
+    "response-type-dist": (ResponseTypeDist, np.full(16, 1 / 16), "response-type distribution", "q"),
+    "observational-data": (ObservationalData, np.full((2, 2), 0.25), "observational joint", "joint"),
+    "atom-grid": (lambda p: AtomGrid(((0,), (1,), (2,), (3,)), p), np.full(4, 0.25), "atom probability vector", "probs"),
+    "entropy": (entropy, np.full(4, 0.25), "distribution", None),
+    "mutual-information": (mutual_information, np.full((2, 2), 0.25), "distribution", None),
+    "entropic-chsh-settings": (
+        lambda s: entropic_chsh(Behavior.uniform(), s).settings_entropy,
+        np.full((2, 2), 0.25),
+        "settings distribution",
+        None,
+    ),
+}
+
+
+def _with_first_cell(p, value):
+    """``p`` with ``value`` in its first cell, the block's sum kept by the cell
+    one step along axis 0 (in the same block of every table type)."""
+    q = p.copy()
+    first, partner = (0,) * p.ndim, (1,) + (0,) * (p.ndim - 1)
+    q[partner] += q[first] - value
+    q[first] = value
+    return q
+
+
+@pytest.mark.parametrize("name", PROBABILITY_INPUTS)
+def test_every_probability_input_is_checked_by_one_rule(name):
+    build, p, what, attr = PROBABILITY_INPUTS[name]
+    build(p)
+    off = p.copy()
+    off.flat[0] += 1e-11
+    for values in (_with_first_cell(p, np.nan), _with_first_cell(p, np.inf), _with_first_cell(p, -2e-12), off):
+        with pytest.raises(ValidationError, match=what):
+            build(values)
+    if name != "entropy":  # entropy takes a distribution of any shape
+        with pytest.raises(ValidationError):
+            build(p[..., None])
+    # a dip of 1e-13 below zero is rounding: it is set to 0
+    dipped = build(_with_first_cell(p, -1e-13))
+    if attr is None:
+        assert dipped == pytest.approx(build(_with_first_cell(p, 0.0)), abs=1e-12)
+    else:
+        table = getattr(dipped, attr)
+        assert table.flat[0] == 0.0 and not table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [local_max, no_signaling_max, tsirelson_bound, lambda f: npa_bound(NpaLevel.L1, f), quantum_gap_report],
+    ids=["local_max", "no_signaling_max", "tsirelson_bound", "npa_bound", "quantum_gap_report"],
+)
+@pytest.mark.parametrize("functional", [[[np.nan, 1.0], [1.0, -1.0]], np.ones((3, 2))], ids=["nan", "3x2"])
+def test_every_functional_input_is_checked_by_one_rule(bound, functional):
+    with pytest.raises(ValidationError, match="functional"):
+        bound(functional)
+
+
+def test_functionals_may_be_correlation_tables():
+    chsh = CorrelationTable(CHSH_COEFFS)
+    assert (local_max(chsh), no_signaling_max(chsh), tsirelson_bound(chsh)) == (2.0, 4.0, 2 * np.sqrt(2))

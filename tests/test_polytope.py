@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polybounds import (
+    CHSH_COEFFS,
     CHSH_VARIANTS,
     AtomGrid,
     Behavior,
@@ -215,6 +216,23 @@ def test_strategy_constants_rederived_from_strategy_objects():
     # the PR boxes' (the CHSH variants) the odd ones: together every pattern
     patterns = {tuple(e.ravel()) for e in STRATEGY_CORRELATIONS} | {tuple(v.ravel()) for v in CHSH_VARIANTS}
     assert patterns == set(itertools.product((1.0, -1.0), repeat=4))
+
+
+def test_fixed_tables_match_their_definitions():
+    # strategies, the PR box and the CHSH coefficients are read off one table
+    # each; these rebuild them from their definitions
+    for s in enumerate_strategies():
+        a_bits, b_bits = ((1 - s.a0) // 2, (1 - s.a1) // 2), ((1 - s.b0) // 2, (1 - s.b1) // 2)
+        p = np.zeros((2, 2, 2, 2))
+        for x, y in itertools.product(range(2), repeat=2):
+            p[a_bits[x], b_bits[y], x, y] = 1.0
+        assert np.array_equal(s.behavior().p, p)
+    pr = np.zeros((2, 2, 2, 2))
+    for a, b, x, y in itertools.product(range(2), repeat=4):
+        pr[a, b, x, y] = 0.5 if (a ^ b) == (x & y) else 0.0
+    assert np.array_equal(Behavior.pr_box().p, pr)
+    assert np.array_equal(CHSH_COEFFS, [[1.0, 1.0], [1.0, -1.0]])
+    assert np.array_equal(CHSH_VARIANTS[1], [[1.0, -1.0], [1.0, 1.0]])
 
 
 def test_maxima_match_an_independent_lp():

@@ -41,7 +41,7 @@ def test_offdiagonal_capped_by_psd():
 
 def test_npa_level1_chsh_instance():
     program = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
-    r = sdp_solve(program.problem, start=np.eye(program.dimension))
+    r = sdp_solve(program.problem)
     assert r.value == pytest.approx(2 * np.sqrt(2), abs=1e-6)
 
 
@@ -69,7 +69,7 @@ def test_iteration_cap_is_never_reported_as_converged(monkeypatch):
     program = moment_program(NpaLevel.L1AB, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
     try:
-        r = sdp_solve(program.problem, start=np.eye(program.dimension))
+        r = sdp_solve(program.problem)
     except SdpConvergenceError:
         return
     assert r.termination == "iteration_limit"
@@ -92,16 +92,10 @@ def test_size_ceiling_32x32():
     b = [float(np.tensordot(A, X0)) for A in As]
     C = rng.normal(size=(n, n))
     C = 0.5 * (C + C.T)
-    r = sdp_solve(SdpProblem(C=C, constraints=tuple(zip(As, b))), start=X0)
+    r = sdp_solve(SdpProblem(C=C, constraints=tuple(zip(As, b))))
     assert np.linalg.eigvalsh(r.X).min() >= -1e-7
     assert max(abs(float(np.tensordot(A, r.X)) - bk) for A, bk in zip(As, b)) <= 1e-7
     assert r.gap <= 1e-6 * (1 + abs(r.value))
-
-
-def test_supplied_start_must_be_interior():
-    p = SdpProblem(C=np.eye(2), constraints=((np.eye(2), 1.0),))
-    with pytest.raises(ValidationError):
-        sdp_solve(p, start=np.diag([1.0, 0.0]))
 
 
 def test_infeasible_sdp_raises_convergence_error():
