@@ -40,11 +40,12 @@ from .model import (
     chsh_value,
     chsh_variant_values,
 )
-from .solvers import LpProblem, LpResult, SdpProblem, SdpResult, lp_solve, realify, sdp_solve
+from .solvers import LpProblem, LpResult, SdpProblem, SdpResult, lp_solve, sdp_solve
 from .polytope import (
     DeterministicStrategy,
     MembershipCertificate,
     boole_bell_check,
+    chsh_facets_hold,
     comonotone_coupling,
     countermonotone_coupling,
     enumerate_strategies,
@@ -70,7 +71,6 @@ from .causal import (
 from .quantum import (
     DichotomicObservable,
     GapReport,
-    MomentProgram,
     NpaLevel,
     TwoQubitState,
     chsh_operator,
@@ -90,10 +90,8 @@ from .entropic import (
     shannon_cone_check,
 )
 from .oracles import (
-    AtomGrid,
     oracle_extremal_scan,
     oracle_feasible_vertices,
-    oracle_joint_feasibility,
     oracle_vertex_average,
 )
 

@@ -168,41 +168,44 @@ class ObservationalData:
         return float(self.joint[:, 1].sum())
 
 
-def pns_bounds(exp: ExperimentalData, obs: ObservationalData) -> Interval:
-    """Sharp closed-form bounds on the probability that treatment is both
-    necessary and sufficient, combining experimental and observational data.
-
-    The data admit a common model exactly when the Tian-Pearl conditions
-    P(x, y) <= P(y_x) <= P(x, y) + P(x') and
-    P(x', y) <= P(y_x') <= P(x', y) + P(x) hold (Tian and Pearl, Ann. Math.
-    Artif. Intell. 28, 2000); one failing by more than INEQUALITY_SLACK
-    raises ``InconsistentDataError``.  The upper bound carries four terms;
-    dropping the mixed term P(y_x) - P(y_x') + P(x, y') + P(x', y) leaves a
-    valid but non-sharp bound that the atom-grid LP oracle beats on some
-    inputs.
-    """
-    p_y = obs.p_y
-    p_xy = float(obs.joint[1, 1])
-    p_xyp = float(obs.joint[1, 0])
-    p_xpy = float(obs.joint[0, 1])
-    p_xpyp = float(obs.joint[0, 0])
+def _check_consistent(exp: ExperimentalData, obs: ObservationalData, tol: float) -> None:
+    """Raise ``InconsistentDataError`` unless the data admit a common model:
+    the Tian-Pearl conditions P(x, y) <= P(y_x) <= P(x, y) + P(x') and
+    P(x', y) <= P(y_x') <= P(x', y) + P(x) (Tian and Pearl, Ann. Math.
+    Artif. Intell. 28, 2000), each allowed to fail by ``tol``."""
+    p_xpyp, p_xpy, p_xyp, p_xy = (float(v) for v in obs.joint.ravel())
     for name, rate, lo, hi in (
         ("P(y_x)", exp.p_do1, p_xy, p_xy + p_xpy + p_xpyp),
         ("P(y_x')", exp.p_do0, p_xpy, p_xpy + p_xy + p_xyp),
     ):
         excess = max(lo - rate, rate - hi)
-        if excess > INEQUALITY_SLACK:
+        if excess > tol:
             raise InconsistentDataError(
                 f"experimental and observational data admit no common model "
                 f"({name} = {rate:.6f} lies {excess:.3e} outside [{lo:.6f}, {hi:.6f}])"
             )
+
+
+def pns_bounds(exp: ExperimentalData, obs: ObservationalData, tol: float = TOL) -> Interval:
+    """Sharp closed-form bounds on the probability that treatment is both
+    necessary and sufficient, combining experimental and observational data.
+
+    Data failing ``_check_consistent`` by more than ``tol`` raise
+    ``InconsistentDataError``; an upper end that such a failure within
+    ``tol`` pushes below 0 is held at 0.  The upper bound carries four terms;
+    dropping the mixed term P(y_x) - P(y_x') + P(x, y') + P(x', y) leaves a
+    valid but non-sharp bound that the basis oracle beats on some inputs.
+    """
+    _check_consistent(exp, obs, tol)
+    p_y = obs.p_y
+    p_xpyp, p_xpy, p_xyp, p_xy = (float(v) for v in obs.joint.ravel())
     lower = max(0.0, exp.p_do1 - exp.p_do0, p_y - exp.p_do0, exp.p_do1 - p_y)
-    upper = min(
+    upper = max(0.0, min(
         exp.p_do1,
         1.0 - exp.p_do0,
         p_xy + p_xpyp,
         exp.p_do1 - exp.p_do0 + p_xyp + p_xpy,
-    )
+    ))
     return Interval(min(lower, upper), upper)
 
 
@@ -228,11 +231,10 @@ class PointBounds(NamedTuple):
     ps: Interval
 
 
-def _conditioned(lo: float, hi: float, cell: float, tol: float) -> Interval:
-    """[lo, hi] / cell for a numerator bounded by [0, cell]; endpoints that
-    cross by more than ``tol`` mean the data admit no common model."""
-    if lo - hi > tol:
-        raise InconsistentDataError("experimental and observational data admit no common causal model")
+def _conditioned(lo: float, hi: float, cell: float) -> Interval:
+    """[lo, hi] / cell for a numerator bounded by [0, cell].  On data that
+    pass ``_check_consistent`` the ends cross by at most its tolerance: the
+    upper end is held at 0 and the lower one at the upper."""
     hi = max(hi, 0.0)
     return Interval(min(lo, hi) / cell, hi / cell)
 
@@ -245,7 +247,10 @@ def pn_ps_point_bounds(
     their numerators over the counterfactual atom polytope, divided by the
     conditioning cells.  PN's numerator lies in
     [max(0, P(y) - P(y_x')), min(P(x, y), P(y'_x') - P(x', y'))], PS's in
-    [max(0, P(y_x) - P(y)), min(P(x', y'), P(y_x) - P(x, y))].
+    [max(0, P(y_x) - P(y)), min(P(x', y'), P(y_x) - P(x, y))].  Those ends
+    cross exactly when a condition of ``_check_consistent`` fails, PN's on
+    P(y_x') and PS's on P(y_x), and by as much, so data failing it by more
+    than ``tol`` raise ``InconsistentDataError``.
     """
     p_xy = float(obs.joint[1, 1])
     p_xpyp = float(obs.joint[0, 0])
@@ -253,7 +258,8 @@ def pn_ps_point_bounds(
         raise ZeroConditioningError("necessity is conditioned on P(X=1, Y=1) > 0")
     if p_xpyp <= 0.0:
         raise ZeroConditioningError("sufficiency is conditioned on P(X=0, Y=0) > 0")
+    _check_consistent(exp, obs, tol)
     p_y = obs.p_y
-    pn = _conditioned(max(0.0, p_y - exp.p_do0), min(p_xy, 1.0 - exp.p_do0 - p_xpyp), p_xy, tol)
-    ps = _conditioned(max(0.0, exp.p_do1 - p_y), min(p_xpyp, exp.p_do1 - p_xy), p_xpyp, tol)
+    pn = _conditioned(max(0.0, p_y - exp.p_do0), min(p_xy, 1.0 - exp.p_do0 - p_xpyp), p_xy)
+    ps = _conditioned(max(0.0, exp.p_do1 - p_y), min(p_xpyp, exp.p_do1 - p_xy), p_xpyp)
     return PointBounds(pn, ps)

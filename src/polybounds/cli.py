@@ -76,6 +76,7 @@ from .oracles import oracle_extremal_scan
 from .polytope import (
     STRATEGY_BEHAVIORS,
     MembershipCertificate,
+    chsh_facets_hold,
     comonotone_coupling,
     countermonotone_coupling,
     frechet_bounds,
@@ -340,11 +341,6 @@ def _certificate(cert: MembershipCertificate) -> dict:
     return {"violated_facet": facet}
 
 
-def _facet_member(behavior: Behavior, tol: float) -> bool:
-    """Local-polytope membership read off the 8 CHSH facets, within ``tol``."""
-    return bool(chsh_variant_values(behavior_to_correlations(behavior)).max() <= 2.0 + tol)
-
-
 def _oracle_audit(objective, A, b, bounds: Interval, tol: float) -> dict:
     """The basis oracle's interval for the same LP, and whether it matches ``bounds``."""
     oracle = oracle_extremal_scan(objective, A=A, b=b, tol=tol)
@@ -379,7 +375,7 @@ def _handle_chsh(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict
         **_certificate(cert),
     }
     if req.options["audit"]:
-        agree = cert.member == _facet_member(behavior, tol) or not behavior.no_signaling
+        agree = cert.member == chsh_facets_hold(behavior, tol) or not behavior.no_signaling
         results["audit"] = {"facet_check_agrees": bool(agree)}
     return results, {}
 
@@ -394,16 +390,16 @@ def _handle_membership(req: AnalysisRequest, tol: float, warnings: list) -> tupl
         reconstruction = np.tensordot(cert.weights, STRATEGY_BEHAVIORS, axes=(0, 0))
         results["reconstruction_error"] = float(np.abs(reconstruction - behavior.p).max())
     if req.options["audit"] and behavior.no_signaling:
-        results["audit"] = {"facet_check_agrees": cert.member == _facet_member(behavior, tol)}
+        results["audit"] = {"facet_check_agrees": cert.member == chsh_facets_hold(behavior, tol)}
     return results, {}
 
 
 def _sdp_audit(level: NpaLevel, functional, value: float, results: dict, prov: dict) -> None:
     """Re-solve the closed-form quantum ``value`` with the moment SDP; the
     comparison goes to ``results`` and the solver's run to ``prov``."""
-    sdp_value, result = npa_bound(level, functional, return_result=True)
-    agrees = abs(sdp_value - value) <= 1e-6 * max(1.0, abs(value))
-    results["audit"] = {"sdp_bound": sdp_value, "agrees": bool(agrees)}
+    result = npa_bound(level, functional)
+    agrees = abs(result.value - value) <= 1e-6 * max(1.0, abs(value))
+    results["audit"] = {"sdp_bound": result.value, "agrees": bool(agrees)}
     prov.update({"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap})
 
 
@@ -486,7 +482,7 @@ def _handle_pns(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict,
         raise SchemaError('"observational" must be an object')
     joint = _distribution_from(obs_doc, "joint", "xy", "observational joint", req.options["renormalize"], warnings)
     obs = ObservationalData(joint)
-    pns = pns_bounds(exp, obs)
+    pns = pns_bounds(exp, obs, tol)
     results = {"pns_bounds": pns}
     try:
         results["pn_bounds"], results["ps_bounds"] = pn_ps_point_bounds(exp, obs, tol)
@@ -580,7 +576,7 @@ def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dic
                 [[pi[0] + pi[2], pi[4] + pi[6]], [pi[1] + pi[5], pi[3] + pi[7]]]
             )
             obs = ObservationalData(joint)
-            formula = pns_bounds(exp, obs)
+            formula = pns_bounds(exp, obs, tol)
             A, b = counterfactual_atom_system(exp, obs)
             oracle = oracle_extremal_scan(pns_objective(), A=A, b=b, tol=tol)
             worst = max(worst, abs(formula.lo - oracle.lo), abs(formula.hi - oracle.hi))
@@ -596,7 +592,7 @@ def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dic
                 lam = rng.uniform()
                 p = lam * Behavior.pr_box().p + (1 - lam) * np.full((2, 2, 2, 2), 0.25)
             behavior = Behavior(p)
-            if local_membership(behavior, tol).member != _facet_member(behavior, tol):
+            if local_membership(behavior, tol).member != chsh_facets_hold(behavior, tol):
                 disagreements += 1
         results["membership"] = {"disagreements": disagreements, "agrees": disagreements == 0}
 

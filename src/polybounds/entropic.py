@@ -14,12 +14,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .model import INEQUALITY_SLACK, Behavior, probability_array
+from .model import INEQUALITY_SLACK, Behavior, float_array, probability_array
 
 
 def entropy(dist) -> float:
     """Base-2 entropy of a discrete distribution, with 0 log 0 = 0."""
-    p = np.asarray(dist, dtype=float)
+    p = float_array(dist, "distribution")
     p = probability_array(p, p.shape, None, "distribution").reshape(-1)
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum() + 0.0)
@@ -27,7 +27,7 @@ def entropy(dist) -> float:
 
 def mutual_information(joint) -> float:
     """I(A : B) of a bivariate joint given as a 2-D table."""
-    j = np.asarray(joint, dtype=float)
+    j = float_array(joint, "distribution")
     if j.ndim != 2:
         raise ValidationError("mutual information needs a 2-D joint table")
     return entropy(j.sum(axis=1)) + entropy(j.sum(axis=0)) - entropy(j)

@@ -8,8 +8,9 @@ Conventions fixed here once and for all:
 * An ``ObservedIVTable`` stores p(y, x | z) as a (2, 2, 2) array indexed
   ``[y, x, z]``.
 * Every distribution type (behaviors, IV tables, response-type
-  distributions, observational joints, entropy inputs, atom weights) is
-  checked by one rule, ``probability_array``: the right shape, finite
+  distributions, observational joints, entropy inputs, settings
+  distributions) is checked by one rule, ``probability_array``: a
+  rectangular numeric array (``float_array``) of the right shape, finite
   entries, none below -NORMALIZATION_SLACK (smaller dips are set to 0), and
   block sums within NORMALIZATION_SLACK of 1.  Correlation functionals are
   checked by ``correlator_functional``.  Invalid input raises at
@@ -50,12 +51,21 @@ def _frozen_array(values, shape, dtype=float) -> np.ndarray:
     return arr
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """``values`` as a new float array; a ragged or non-numeric nesting
+    raises ``ValidationError`` naming ``what``."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a rectangular array of numbers") from None
+
+
 def probability_array(values, shape: tuple, axes, what: str) -> np.ndarray:
     """``values`` as a frozen probability table of ``shape``: entries finite,
     those down to -NORMALIZATION_SLACK set to 0 and lower ones rejected, and
     the sums over ``axes`` (all axes for None) within NORMALIZATION_SLACK of
     1.  Each error names ``what``."""
-    arr = np.array(values, dtype=float)
+    arr = float_array(values, what)
     if arr.shape != shape:
         raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

@@ -1,81 +1,27 @@
-"""Brute-force oracles: explicit atom grids and basic-solution enumeration.
+"""Brute-force oracle: basic-solution enumeration.
 
-These are the independent slow paths every optimized bound is checked
-against before being trusted.  ``oracle_joint_feasibility`` poses a
-moment-matching problem over an explicit atom grid and asks LP phase 1
-whether any probability vector works.  ``oracle_extremal_scan`` brackets a
-linear functional either over an explicit vertex list or over all basic
-feasible solutions of A q = b, q >= 0, enumerated basis by basis.
+The independent slow path every optimized bound is checked against before
+being trusted.  ``oracle_extremal_scan`` brackets a linear functional over
+all basic feasible solutions of A q = b, q >= 0, enumerated basis by basis;
+``oracle_feasible_vertices`` lists them and ``oracle_vertex_average`` takes
+their mean.  No simplex is involved: each basis is solved by its inverse.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .errors import EnumerationLimitError, InfeasibleTableError, ValidationError
-from .model import Interval, probability_array
-from .solvers import TOL, LpProblem, lp_solve
+from .errors import EnumerationLimitError, InfeasibleTableError
+from .model import Interval
+from .solvers import TOL
 
 #: Cap on the candidate bases of one basis enumeration.
 MAX_BASES = 10**6
 #: Candidate bases whose determinants and inverses are computed together.
 BASIS_CHUNK = 1024
-
-
-@dataclass(frozen=True, eq=False)
-class AtomGrid:
-    """Enumeration of the atoms of a small discrete joint, optionally with
-    a probability vector attached (a witness distribution)."""
-
-    atoms: tuple
-    probs: np.ndarray | None = None
-
-    def __post_init__(self):
-        atoms = tuple(tuple(float(v) for v in atom) for atom in self.atoms)
-        if not atoms:
-            raise ValidationError("atom grid must contain at least one atom")
-        width = len(atoms[0])
-        if any(len(a) != width for a in atoms):
-            raise ValidationError("all atoms must assign the same variables")
-        object.__setattr__(self, "atoms", atoms)
-        if self.probs is not None:
-            probs = probability_array(self.probs, (len(atoms),), None, "atom probability vector")
-            object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def signs(cls, n: int) -> "AtomGrid":
-        """All +-1 assignments to n variables (+1 listed first)."""
-        return cls(tuple(itertools.product((1.0, -1.0), repeat=n)))
-
-    @classmethod
-    def binary(cls, n: int) -> "AtomGrid":
-        return cls(tuple(itertools.product((0.0, 1.0), repeat=n)))
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-
-def oracle_joint_feasibility(constraints, grid: AtomGrid, tol: float = TOL) -> bool:
-    """Does any probability vector on the grid satisfy the moment constraints?
-
-    Each constraint is (coefficient vector over atoms, target value);
-    normalization is always imposed.  Decided by LP phase 1.
-    """
-    n = len(grid)
-    rows = [np.ones(n)]
-    rhs = [1.0]
-    for coeffs, target in constraints:
-        row = np.asarray(coeffs, dtype=float)
-        if row.shape != (n,):
-            raise ValidationError(f"constraint vector must have length {n}, got {row.shape}")
-        rows.append(row)
-        rhs.append(float(target))
-    result = lp_solve(LpProblem(c=np.zeros(n), A=np.array(rows), b=np.array(rhs), sense="min"), tol)
-    return result.status == "optimal"
 
 
 def _independent_rows(A: np.ndarray, tol: float) -> list[int]:
@@ -129,31 +75,11 @@ def _basis_data(A: np.ndarray) -> tuple:
     return data
 
 
-def oracle_extremal_scan(
-    objective,
-    *,
-    vertices=None,
-    A=None,
-    b=None,
-    tol: float = TOL,
-) -> Interval:
-    """Bracket a linear functional by brute force.
-
-    Either over an explicit ``vertices`` array (rows are vertices), or over
-    every basic feasible solution of A q = b, q >= 0, with entries down
-    to ``-tol`` counted as feasible.  The basis scan is capped at
-    ``MAX_BASES`` candidate bases.
-    """
+def oracle_extremal_scan(objective, *, A, b, tol: float = TOL) -> Interval:
+    """Bracket a linear functional over every basic feasible solution of
+    A q = b, q >= 0, with entries down to ``-tol`` counted as feasible.
+    The scan is capped at ``MAX_BASES`` candidate bases."""
     c = np.asarray(objective, dtype=float)
-    if vertices is not None:
-        V = np.asarray(vertices, dtype=float)
-        if V.ndim != 2 or V.shape[1] != c.shape[0]:
-            raise ValidationError("vertices must be rows of the objective's dimension")
-        values = V @ c
-        return Interval(float(values.min()), float(values.max()))
-
-    if A is None or b is None:
-        raise ValidationError("provide either vertices or the system (A, b)")
     subsets, solutions, _ = _basic_feasible_solutions(A, b, tol)
     values = np.einsum("bi,bi->b", solutions, c[subsets])
     return Interval(float(values.min()), float(values.max()))

@@ -36,7 +36,6 @@ from .model import (
     chsh_variant_values,
     correlator_functional,
 )
-from .oracles import AtomGrid, oracle_joint_feasibility
 from .solvers import TOL, LpProblem, lp_solve
 
 
@@ -99,7 +98,7 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
 
 #: The strategies' answers as a (16, 4) sign table with columns (a0, a1, b0,
 #: b1).  Its row order is that of ``enumerate_strategies``, of
-#: ``oracles.AtomGrid.signs(4)`` and of the response types (4 * rx + ry).
+#: ``itertools.product((1, -1), repeat=4)`` and of the response types (4 * rx + ry).
 STRATEGY_SIGNS = np.array([[s.a0, s.a1, s.b0, s.b1] for s in enumerate_strategies()], dtype=float)
 #: Correlators E[A_x B_y] = a_x b_y of each strategy, shape (16, 2, 2).
 STRATEGY_CORRELATIONS = STRATEGY_SIGNS[:, :2, None] * STRATEGY_SIGNS[:, None, 2:]
@@ -126,6 +125,8 @@ class MembershipCertificate:
 
 def local_membership(b: Behavior, tol: float = TOL) -> MembershipCertificate:
     """Decide membership in the local polytope by LP over the 16 strategies."""
+    # the rows of each setting pair (x, y) sum to the total weight and their
+    # targets to 1, so the weights' normalization needs no row of its own
     target = b.p.reshape(16)
     result = lp_solve(
         LpProblem(c=np.zeros(16), A=_STRATEGY_MATRIX, b=target, sense="min"), tol
@@ -143,22 +144,25 @@ class FineCheckResult(NamedTuple):
     all_chsh_hold: bool
 
 
+def chsh_facets_hold(b: Behavior, tol: float = TOL) -> bool:
+    """Do all 8 CHSH facets hold within ``tol``?  For a no-signaling
+    behavior this is local-polytope membership (Fine, J. Math. Phys. 23,
+    1306, 1982)."""
+    return bool(chsh_variant_values(behavior_to_correlations(b)).max() <= 2.0 + tol)
+
+
 def fine_check(b: Behavior, tol: float = TOL) -> FineCheckResult:
     """Joint-distribution existence versus the 8 CHSH inequalities.
 
-    The joint is sought over the 16 atoms of the four observables by LP;
-    the facet check is plain arithmetic on the correlators.  The two
-    answers must agree for every no-signaling behavior; signaling input is
-    rejected because the equivalence presupposes no-signaling.
+    A joint of (A0, A1, B0, B1) is a distribution over the 16 strategies
+    that reproduces the behavior, so its existence is ``local_membership``;
+    the facet check is ``chsh_facets_hold``.  The two answers must agree
+    for every no-signaling behavior; signaling input is rejected because
+    the equivalence presupposes no-signaling.
     """
     if not b.no_signaling:
         raise SignalingError("joint-distribution equivalence requires a no-signaling behavior")
-    # atom = (value A0, value A1, value B0, value B1); the row of cell (a, b, x, y)
-    # marks the atoms that answer a to x and b to y, i.e. the strategy matrix row
-    constraints = list(zip(_STRATEGY_MATRIX, b.p.reshape(16)))
-    joint = oracle_joint_feasibility(constraints, AtomGrid.signs(4), tol)
-    variants = chsh_variant_values(behavior_to_correlations(b))
-    return FineCheckResult(joint, bool(variants.max() <= 2.0 + tol))
+    return FineCheckResult(local_membership(b, tol).member, chsh_facets_hold(b, tol))
 
 
 class BooleBellResult(NamedTuple):
@@ -175,17 +179,14 @@ def boole_bell_check(t: CorrelationTriple) -> BooleBellResult:
 def triple_feasibility(t: CorrelationTriple, tol: float = TOL) -> bool:
     """Is there a joint +-1 distribution with the three pair correlations?
 
+    Decided by LP phase 1 over the 8 sign assignments of (A, B, C).
     Single-variable marginals are left free; unit variances are automatic
     for sign variables.
     """
-    grid = AtomGrid.signs(3)
-    atoms = np.asarray(grid.atoms, dtype=float)
-    constraints = [
-        (atoms[:, 0] * atoms[:, 1], t.e_ab),
-        (atoms[:, 0] * atoms[:, 2], t.e_ac),
-        (atoms[:, 1] * atoms[:, 2], t.e_bc),
-    ]
-    return oracle_joint_feasibility(constraints, grid, tol)
+    a, b, c = np.array(list(itertools.product((1.0, -1.0), repeat=3))).T
+    rows = np.vstack([np.ones(8), a * b, a * c, b * c])
+    rhs = np.array([1.0, t.e_ab, t.e_ac, t.e_bc])
+    return lp_solve(LpProblem(c=np.zeros(8), A=rows, b=rhs, sense="min"), tol).status == "optimal"
 
 
 def frechet_bounds(u: float, v: float) -> Interval:

@@ -47,7 +47,7 @@ from .model import (
     CHSH_VARIANTS,
 )
 from .polytope import local_max, no_signaling_max
-from .solvers import TOL, SdpProblem, sdp_solve
+from .solvers import TOL, SdpProblem, SdpResult, sdp_solve
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -246,29 +246,7 @@ def _pinned_letters(table: ObservedIVTable) -> dict[int, float]:
     return {z: sign for z in range(2) for x, sign in ((1, 1.0), (0, -1.0)) if not table.p[:, x, z].any()}
 
 
-@dataclass(frozen=True, eq=False)
-class MomentProgram:
-    """A moment-matrix SDP instance: the word index, the matrix entries of
-    each canonical monomial, and the problem confining X to the family."""
-
-    level: NpaLevel
-    words: tuple
-    positions: dict
-    problem: SdpProblem
-
-    @property
-    def dimension(self) -> int:
-        return len(self.words)
-
-    def entry(self, monomial: Word) -> tuple[int, int]:
-        """Representative matrix position whose value is the monomial's moment."""
-        key = _canonical(monomial)
-        if key not in self.positions:
-            raise ValidationError(f"monomial {monomial!r} does not appear at level {self.level.value}")
-        return self.positions[key][0]
-
-
-def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | None = None) -> MomentProgram:
+def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | None = None) -> SdpProblem:
     """Assemble a moment-matrix SDP over one affine family.
 
     The level's words index the matrix, and the entries holding one
@@ -281,17 +259,14 @@ def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | No
     A_z -> +-1 in every monomial.  X is held in the family by <Q_k, X> =
     <Q_k, G0>, with Q_k an orthonormal basis of the family's orthogonal
     complement from one SVD.  ``objective`` maps monomials (pairs of letter
-    tuples, the empty one a constant) to coefficients.
+    tuples, the empty one a constant) to coefficients; a monomial absent at
+    this level raises ``ValidationError``.
     """
     pins = {} if table is None else _pinned_letters(table)
     words = tuple(w for w in _words(level) if not pins.keys() & set(w[0]))
     iu = np.triu_indices(len(words))
-    positions: dict[Word, list[tuple[int, int]]] = {}
-    keys = []
-    for i, j in zip(*iu):
-        keys.append(_canonical(_entry_monomial(words[i], words[j])))
-        positions.setdefault(keys[-1], []).append((int(i), int(j)))
-    index = {mono: k for k, mono in enumerate(positions)}  # the identity comes first
+    keys = [_canonical(_entry_monomial(words[i], words[j])) for i, j in zip(*iu)]
+    index = {mono: k for k, mono in enumerate(dict.fromkeys(keys))}  # the identity comes first
     # each monomial's 0/1 pattern in orthonormal coordinates of the symmetric
     # matrices: the upper triangle, off-diagonal entries times sqrt 2
     scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
@@ -318,8 +293,7 @@ def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | No
     objective_coords = weights(objective) / (patterns**2).sum(axis=1) @ patterns
     mats = np.zeros((1 + len(complement), len(words), len(words)))
     mats[:, iu[0], iu[1]] = mats[:, iu[1], iu[0]] = np.vstack([objective_coords, complement]) / scale
-    problem = SdpProblem(C=mats[0], constraints=tuple(zip(mats[1:], complement @ offset)))
-    return MomentProgram(level=level, words=words, positions=positions, problem=problem)
+    return SdpProblem(C=mats[0], constraints=tuple(zip(mats[1:], complement @ offset)))
 
 
 def _in_range(name: str, value: float) -> float:
@@ -364,8 +338,9 @@ def tsirelson_bound(functional) -> float:
     return _in_range("quantum", scale * float(np.sqrt(np.maximum(a + b * c, 0.0)).sum(axis=1).max()))
 
 
-def npa_bound(level: NpaLevel, functional, return_result: bool = False):
-    """Relaxation maximum of a correlation functional over the moment cone.
+def npa_bound(level: NpaLevel, functional) -> SdpResult:
+    """Relaxation maximum of a correlation functional over the moment cone,
+    as the solver's result; the bound is its ``value``.
 
     Monotone in the level: the 9x9 word set contains the 5x5 one, so the
     bound can only shrink.  For these 2x2 correlator functionals both
@@ -376,10 +351,9 @@ def npa_bound(level: NpaLevel, functional, return_result: bool = False):
     """
     f = correlator_functional(functional)
     scale = float(np.abs(f).max()) or 1.0
-    program = moment_program(level, {((x,), (y,)): f[x, y] / scale for x in range(2) for y in range(2)})
-    result = sdp_solve(program.problem)
+    result = sdp_solve(moment_program(level, {((x,), (y,)): f[x, y] / scale for x in range(2) for y in range(2)}))
     with np.errstate(over="ignore"):
-        result = dataclasses.replace(
+        return dataclasses.replace(
             result,
             value=_in_range("relaxation", scale * float(result.value)),
             dual_value=scale * float(result.dual_value),
@@ -387,9 +361,6 @@ def npa_bound(level: NpaLevel, functional, return_result: bool = False):
             y=scale * result.y,
             Z=scale * result.Z,
         )
-    if return_result:
-        return result.value, result
-    return result.value
 
 
 def _iv_data_constraints(table: ObservedIVTable) -> list:
@@ -422,9 +393,9 @@ def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) ->
     duality gaps returns the midpoint as a point interval; a larger one
     still fails the ``Interval`` check.
     """
-    program = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
-    hi = sdp_solve(program.problem)
-    lo = sdp_solve(SdpProblem(C=-program.problem.C, constraints=program.problem.constraints))
+    problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
+    hi = sdp_solve(problem)
+    lo = sdp_solve(SdpProblem(C=-problem.C, constraints=problem.constraints))
     diagnostics = {
         "level": level.value,
         "sdp_iterations": (lo.iterations, hi.iterations),

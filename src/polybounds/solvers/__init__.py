@@ -1,7 +1,7 @@
 """Self-contained optimization engines: dense simplex LP and interior-point SDP."""
 
 from .lp import TOL, LpProblem, LpResult, lp_solve
-from .sdp import SdpProblem, SdpResult, realify, sdp_solve
+from .sdp import SdpProblem, SdpResult, sdp_solve
 
 __all__ = [
     "TOL",
@@ -10,6 +10,5 @@ __all__ = [
     "lp_solve",
     "SdpProblem",
     "SdpResult",
-    "realify",
     "sdp_solve",
 ]

@@ -99,18 +99,6 @@ class SdpResult:
     termination: str  # "converged", "stalled" or "iteration_limit"
 
 
-def realify(H: np.ndarray) -> np.ndarray:
-    """Real-symmetric embedding [[Re H, -Im H], [Im H, Re H]] of a Hermitian matrix.
-
-    The embedding doubles every eigenvalue's multiplicity, so PSD-ness and
-    spectral bounds transfer; it is how a complex Hermitian program would be
-    fed to this real solver.
-    """
-    H = np.asarray(H)
-    re, im = H.real, H.imag
-    return np.block([[re, -im], [im, re]])
-
-
 def _psd_sqrt_pair(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S^1/2, S^-1/2, S^-1) via eigendecomposition with an eigenvalue floor."""
     w, Q = np.linalg.eigh(S)

@@ -65,7 +65,8 @@ def _report(number: int, text: str) -> None:
 
 def test_criterion_01_tsirelson_reproduction():
     t0 = time.perf_counter()
-    value, result = npa_bound(NpaLevel.L1, CHSH_COEFFS, return_result=True)
+    result = npa_bound(NpaLevel.L1, CHSH_COEFFS)
+    value = result.value
     elapsed = time.perf_counter() - t0
     _SDP_HYGIENE.append(result)
     assert value == pytest.approx(TSIRELSON, abs=1e-4)
@@ -269,10 +270,10 @@ def test_criterion_11_entropic_inequality():
 def test_criterion_12_solver_hygiene_and_runtime():
     rng = np.random.default_rng(109)
     for level in (NpaLevel.L1, NpaLevel.L1AB):
-        _, result = npa_bound(level, CHSH_COEFFS, return_result=True)
+        result = npa_bound(level, CHSH_COEFFS)
         _SDP_HYGIENE.append(result)
     for _ in range(6):
-        _, result = npa_bound(NpaLevel.L1, rng.normal(size=(2, 2)), return_result=True)
+        result = npa_bound(NpaLevel.L1, rng.normal(size=(2, 2)))
         _SDP_HYGIENE.append(result)
 
     assert _SDP_HYGIENE

@@ -7,6 +7,7 @@ from polybounds import (
     ExperimentalData,
     InconsistentDataError,
     InfeasibleTableError,
+    Interval,
     ObservationalData,
     ObservedIVTable,
     RESPONSE_MATRIX,
@@ -480,5 +481,18 @@ def test_pn_ps_stay_probabilities_on_data_inconsistent_within_tolerance():
     pn, ps = pn_ps_point_bounds(exp, obs)
     assert 0.0 <= pn.lo <= pn.hi <= 1.0 and 0.0 <= ps.lo <= ps.hi <= 1.0
     assert pn.hi == 0.0  # the numerator's upper end, -1e-11, is held at zero before dividing by 1e-6
-    with pytest.raises(InconsistentDataError):
-        pn_ps_point_bounds(exp, obs, tol=1e-12)
+    pns = pns_bounds(exp, obs)
+    for bounds in (pn_ps_point_bounds, pns_bounds):
+        with pytest.raises(InconsistentDataError, match=r"P\(y_x'\) = 0.500000 lies 1.000e-11 outside"):
+            bounds(exp, obs, tol=1e-12)
+    assert 0.0 <= pns.lo <= pns.hi <= 1.0
+
+
+def test_pns_upper_end_is_held_at_zero_within_tolerance():
+    # P(y_x) 1e-10 below P(x, y) and P(y_x') 1e-10 above P(x', y) + P(x): the
+    # mixed term of the upper bound is -2e-10
+    exp = ExperimentalData(0.25 - 1e-10, 0.75 + 1e-10)
+    obs = ObservationalData(np.full((2, 2), 0.25))
+    assert pns_bounds(exp, obs) == Interval(0.0, 0.0)
+    with pytest.raises(InconsistentDataError, match=r"P\(y_x\)"):
+        pns_bounds(exp, obs, tol=1e-11)

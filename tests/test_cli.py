@@ -141,6 +141,20 @@ def test_pns_data_no_model_fits_exit_three(tmp_path, capsys, audit):
     assert json.loads(out)["error"]["type"] == "InconsistentDataError"
 
 
+@pytest.mark.parametrize("tolerance, code", [(None, 0), (1e-6, 0), (1e-12, 3)])
+def test_pns_consistency_is_judged_at_the_tolerance(tmp_path, capsys, tolerance, code):
+    # P(y_x') lies 1e-11 above P(x', y) + P(x) = 0.5: PNS, PN and PS take one verdict at T
+    path = write_doc(
+        tmp_path,
+        {
+            "experimental": {"p_do1": 0.3, "p_do0": 0.50000000001},
+            "observational": {"joint": [[0.5, 0.2], [0.299999, 0.000001]]},
+        },
+        options={"tolerance": tolerance} if tolerance else None,
+    )
+    assert run_cli(capsys, "pns", "--input", path)[0] == code
+
+
 def test_frechet(tmp_path, capsys):
     path = write_doc(tmp_path, {"u": 0.8, "v": 0.7})
     code, out = run_cli(capsys, "frechet", "--input", path)

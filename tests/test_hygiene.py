@@ -1,13 +1,16 @@
 """Static hygiene of the package source, read with ``ast``: no module imports
 a name it never uses (the re-exports of ``__init__.py`` aside), and no
-private module-level name is left that nothing in the package references."""
+private module-level name is left that nothing in the package references.
+Every function the benchmark's tracer wraps must still exist."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "polybounds"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "polybounds"
 TREES = {path.relative_to(SRC).as_posix(): ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
 
 
@@ -50,3 +53,21 @@ def test_no_unreferenced_private_name(module):
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     referenced = set().union(*(_reads(tree) for tree in TREES.values()))
     assert sorted(private - referenced) == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracing.py is loaded as it stands; a name it lists that the
+    # package no longer defines would otherwise surface only in a traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr, _ in tracing.TRACED:
+        owner = importlib.import_module(module_name)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        # a method is looked up in its own class's namespace, as the tracer does
+        if owner is None or not callable(vars(owner).get(name)):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

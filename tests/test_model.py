@@ -3,7 +3,6 @@ import pytest
 
 from polybounds import (
     CHSH_COEFFS,
-    AtomGrid,
     Behavior,
     CorrelationTable,
     Interval,
@@ -158,7 +157,6 @@ PROBABILITY_INPUTS = {
     "iv-table": (ObservedIVTable, np.full((2, 2, 2), 0.25), "IV table", "p"),
     "response-type-dist": (ResponseTypeDist, np.full(16, 1 / 16), "response-type distribution", "q"),
     "observational-data": (ObservationalData, np.full((2, 2), 0.25), "observational joint", "joint"),
-    "atom-grid": (lambda p: AtomGrid(((0,), (1,), (2,), (3,)), p), np.full(4, 0.25), "atom probability vector", "probs"),
     "entropy": (entropy, np.full(4, 0.25), "distribution", None),
     "mutual-information": (mutual_information, np.full((2, 2), 0.25), "distribution", None),
     "entropic-chsh-settings": (
@@ -168,6 +166,16 @@ PROBABILITY_INPUTS = {
         None,
     ),
 }
+
+
+def _ragged(p):
+    """``p`` as nested lists whose first entry is wrapped one level deeper."""
+    rows = p.tolist()
+    inner = rows
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = [inner[0]]
+    return rows
 
 
 def _with_first_cell(p, value):
@@ -186,7 +194,8 @@ def test_every_probability_input_is_checked_by_one_rule(name):
     build(p)
     off = p.copy()
     off.flat[0] += 1e-11
-    for values in (_with_first_cell(p, np.nan), _with_first_cell(p, np.inf), _with_first_cell(p, -2e-12), off):
+    bad = (_with_first_cell(p, np.nan), _with_first_cell(p, np.inf), _with_first_cell(p, -2e-12), off, _ragged(p))
+    for values in bad:
         with pytest.raises(ValidationError, match=what):
             build(values)
     if name != "entropy":  # entropy takes a distribution of any shape

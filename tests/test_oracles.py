@@ -5,17 +5,13 @@ import pytest
 
 from polybounds import (
     ACE_COEFFS,
-    AtomGrid,
     EnumerationLimitError,
     InfeasibleTableError,
     RESPONSE_MATRIX,
-    ValidationError,
     ExperimentalData,
     ObservationalData,
-    enumerate_strategies,
     oracle_extremal_scan,
     oracle_feasible_vertices,
-    oracle_joint_feasibility,
     oracle_vertex_average,
 )
 from polybounds import oracles
@@ -23,57 +19,14 @@ from polybounds.causal import counterfactual_atom_system
 from conftest import random_iv_table
 
 
-def test_atom_grid_constructors():
-    g = AtomGrid.signs(3)
-    assert len(g) == 8
-    assert g.atoms[0] == (1.0, 1.0, 1.0)
-    b = AtomGrid.binary(2)
-    assert len(b) == 4
-    with pytest.raises(ValidationError):
-        AtomGrid(((1.0,), (1.0, -1.0)))
-    with pytest.raises(ValidationError):
-        AtomGrid(((1.0,), (-1.0,)), probs=[0.5, 0.2])
-
-
-def test_empty_constraint_set_is_feasible():
-    assert oracle_joint_feasibility([], AtomGrid.signs(2))
-
-
-def test_tsirelson_correlators_have_no_fourfold_joint():
-    grid = AtomGrid.signs(4)  # values of A0, A1, B0, B1
-    atoms = np.asarray(grid.atoms)
-    s = np.sqrt(2) / 2
-    targets = {(0, 2): s, (0, 3): s, (1, 2): s, (1, 3): -s}
-    constraints = [(atoms[:, i] * atoms[:, j], v) for (i, j), v in targets.items()]
-    assert not oracle_joint_feasibility(constraints, grid)
-    # the local point (all correlators 1/2) does admit a joint
-    constraints = [(atoms[:, i] * atoms[:, j], 0.5) for (i, j) in targets]
-    assert oracle_joint_feasibility(constraints, grid)
-
-
 def test_consistent_counterfactual_atoms_feasible():
-    from polybounds.causal import counterfactual_atom_system
-    from polybounds import ExperimentalData, ObservationalData
-
     exp = ExperimentalData(0.7, 0.3)
     obs = ObservationalData([[0.3, 0.2], [0.1, 0.4]])
     A, b = counterfactual_atom_system(exp, obs)
-    grid = AtomGrid.binary(3)
-    constraints = [(A[k], b[k]) for k in range(len(b))]
-    assert oracle_joint_feasibility(constraints, grid)
-
-
-def test_vertex_scan_chsh_over_strategies():
-    corr = np.array([s.correlations().e.reshape(4) for s in enumerate_strategies()])
-    chsh = np.array([1.0, 1.0, 1.0, -1.0])
-    iv = oracle_extremal_scan(chsh, vertices=corr)
-    assert iv.lo == pytest.approx(-2.0)
-    assert iv.hi == pytest.approx(2.0)
-
-
-def test_constant_objective_degenerate_interval():
-    iv = oracle_extremal_scan(np.zeros(4), vertices=np.eye(4))
-    assert iv.lo == iv.hi == 0.0
+    vertices = oracle_feasible_vertices(A, b)
+    assert len(vertices) > 0
+    assert np.abs(vertices @ A.T - b).max() <= 1e-12
+    assert np.abs(vertices.sum(axis=1) - 1.0).max() <= 1e-12  # the four cells imply normalization
 
 
 def test_basis_scan_perfect_compliance():
@@ -111,11 +64,6 @@ def test_feasible_vertices_and_interior_average():
     center = oracle_vertex_average(RESPONSE_MATRIX, t.flat())
     assert center.min() > 0.0  # interior table -> full-support center
     assert np.abs(RESPONSE_MATRIX @ center - t.flat()).max() <= 1e-8
-
-
-def test_scan_requires_either_vertices_or_system():
-    with pytest.raises(ValidationError):
-        oracle_extremal_scan(np.zeros(3))
 
 
 @pytest.mark.parametrize("chunk", [oracles.BASIS_CHUNK, 7])

@@ -6,7 +6,6 @@ import pytest
 from polybounds import (
     CHSH_COEFFS,
     CHSH_VARIANTS,
-    AtomGrid,
     Behavior,
     CorrelationTriple,
     DeterministicStrategy,
@@ -105,6 +104,10 @@ def test_membership_is_convex():
 def test_fine_check_examples():
     assert fine_check(Behavior.uniform()) == (True, True)
     assert fine_check(Behavior.pr_box()) == (False, False)
+    # Tsirelson's correlators admit no joint of (A0, A1, B0, B1); all
+    # correlators 1/2 do
+    assert fine_check(Behavior.from_correlations(CHSH_COEFFS * np.sqrt(2) / 2)) == (False, False)
+    assert fine_check(Behavior.from_correlations(np.full((2, 2), 0.5))) == (True, True)
     rng = np.random.default_rng(43)
     for _ in range(10):
         assert fine_check(random_local_behavior(rng)) == (True, True)
@@ -137,6 +140,31 @@ def test_triple_feasibility_examples():
     assert triple_feasibility(CorrelationTriple(0, 0, 0))
     assert not triple_feasibility(CorrelationTriple(1, -1, 1))
     assert triple_feasibility(CorrelationTriple(0.6, 0.1, 0.4))
+
+
+#: Sign vectors s with an even number of minus signs: 1 + s . (e_ab, e_ac,
+#: e_bc) >= 0 are the four facets of the three-variable correlation polytope.
+TRIANGLE_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+
+
+def test_triple_feasibility_is_the_four_triangle_inequalities():
+    rng = np.random.default_rng(46)
+    verdicts = set()
+    for k in range(600):
+        e = rng.uniform(-1, 1, 3)
+        if k % 2:  # onto a facet, or 1e-6 to either side of it
+            s = TRIANGLE_SIGNS[rng.integers(4)]
+            e[2] = s[2] * (rng.choice([0.0, 1e-6, -1e-6]) - 1.0 - s[0] * e[0] - s[1] * e[1])
+            if abs(e[2]) > 1.0:
+                continue
+        slack = float((1.0 + TRIANGLE_SIGNS @ e).min())
+        feasible = triple_feasibility(CorrelationTriple(*(float(v) for v in e)))
+        if abs(slack) <= 1e-12:
+            assert feasible, e  # a facet point
+        else:
+            assert feasible == (slack > 0.0), e
+        verdicts.add((feasible, abs(slack) <= 1e-12))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_feasible_triples_satisfy_boole_bell():
@@ -211,7 +239,7 @@ def test_strategy_constants_rederived_from_strategy_objects():
         np.testing.assert_array_equal(STRATEGY_BEHAVIORS[k], s.behavior().p)
         np.testing.assert_array_equal(_STRATEGY_MATRIX[:, k], s.behavior().p.reshape(16))
         np.testing.assert_array_equal(STRATEGY_CORRELATIONS[k], s.correlations().e)
-    np.testing.assert_array_equal(STRATEGY_SIGNS, np.array(AtomGrid.signs(4).atoms))
+    np.testing.assert_array_equal(STRATEGY_SIGNS, np.array(list(itertools.product((1.0, -1.0), repeat=4))))
     # the strategies' correlation tables are the even-parity sign patterns and
     # the PR boxes' (the CHSH variants) the odd ones: together every pattern
     patterns = {tuple(e.ravel()) for e in STRATEGY_CORRELATIONS} | {tuple(v.ravel()) for v in CHSH_VARIANTS}

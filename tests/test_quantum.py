@@ -24,7 +24,6 @@ from polybounds import (
     quantum_ace_bounds,
     quantum_behavior,
     quantum_gap_report,
-    realify,
     tsirelson_bound,
 )
 from polybounds.quantum import (
@@ -148,23 +147,23 @@ def test_witness_intermediate_angle_strictly_between():
 
 
 def test_npa_chsh_both_levels():
-    v1 = npa_bound(NpaLevel.L1, CHSH_COEFFS)
-    v2 = npa_bound(NpaLevel.L1AB, CHSH_COEFFS)
+    v1 = npa_bound(NpaLevel.L1, CHSH_COEFFS).value
+    v2 = npa_bound(NpaLevel.L1AB, CHSH_COEFFS).value
     assert v1 == pytest.approx(2 * np.sqrt(2), abs=1e-4)
     assert v2 == pytest.approx(2 * np.sqrt(2), abs=1e-4)
     assert v2 <= v1 + 1e-6
 
 
 def test_npa_single_correlator():
-    assert npa_bound(NpaLevel.L1, [[1, 0], [0, 0]]) == pytest.approx(1.0, abs=1e-6)
+    assert npa_bound(NpaLevel.L1, [[1, 0], [0, 0]]).value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_npa_hierarchy_monotone_on_random_functionals():
     rng = np.random.default_rng(64)
     for _ in range(10):
         f = rng.normal(size=(2, 2))
-        v1 = npa_bound(NpaLevel.L1, f)
-        v2 = npa_bound(NpaLevel.L1AB, f)
+        v1 = npa_bound(NpaLevel.L1, f).value
+        v2 = npa_bound(NpaLevel.L1AB, f).value
         assert v2 <= v1 + 1e-6
 
 
@@ -172,9 +171,9 @@ def test_npa_level1ab_random_functionals_converge_to_closed_form():
     rng = np.random.default_rng(70)
     for _ in range(20):
         f = rng.normal(size=(2, 2))
-        value, result = npa_bound(NpaLevel.L1AB, f, return_result=True)
+        result = npa_bound(NpaLevel.L1AB, f)
         assert result.termination in ("converged", "stalled")
-        assert value == pytest.approx(tsirelson_closed_form(f), abs=1e-8)
+        assert result.value == pytest.approx(tsirelson_closed_form(f), abs=1e-8)
 
 
 def _sampled_functionals() -> list:
@@ -223,13 +222,13 @@ def test_tsirelson_bound_agrees_with_both_relaxation_levels():
     functionals = _sampled_functionals()
     for f in functionals[:10] + functionals[100:110]:
         for level in NpaLevel:
-            assert npa_bound(level, f) == pytest.approx(tsirelson_bound(f), abs=1e-7), (f, level)
+            assert npa_bound(level, f).value == pytest.approx(tsirelson_bound(f), abs=1e-7), (f, level)
 
 
 def test_npa_bound_scales_a_dominant_coefficient():
     f = [[1e20, 1.0], [1.0, -1.0]]
     for level in NpaLevel:
-        assert npa_bound(level, f) == pytest.approx(tsirelson_bound(f), rel=1e-8)
+        assert npa_bound(level, f).value == pytest.approx(tsirelson_bound(f), rel=1e-8)
 
 
 def test_gap_entries_past_the_float_range_are_solver_errors():
@@ -244,7 +243,7 @@ def test_npa_upper_bounds_quantum_behaviors():
     rng = np.random.default_rng(65)
     for _ in range(10):
         f = rng.normal(size=(2, 2))
-        bound = npa_bound(NpaLevel.L1, f)
+        bound = npa_bound(NpaLevel.L1, f).value
         for _ in range(5):
             b = random_quantum_behavior(rng)
             value = float(np.sum(f * behavior_to_correlations(b).e))
@@ -252,19 +251,20 @@ def test_npa_upper_bounds_quantum_behaviors():
 
 
 def test_moment_matrix_dimensions_and_monomials():
-    p1 = moment_program(NpaLevel.L1, {((0,), (0,)): 1.0})
-    assert p1.dimension == 5
-    p2 = moment_program(NpaLevel.L1AB, {((0,), (0,)): 1.0})
-    assert p2.dimension == 9
-    # the cross product words make the length-2 monomials appear
-    assert p2.entry(((0, 1), (0, 1)))
-    with pytest.raises(ValidationError):
-        p1.entry(((0, 1), (0, 1)))
+    assert moment_program(NpaLevel.L1, {((0,), (0,)): 1.0}).dimension == 5
+    assert moment_program(NpaLevel.L1AB, {((0,), (0,)): 1.0}).dimension == 9
+    # the cross product words make the length-2 monomials appear: an objective
+    # on one is accepted at level 1ab and rejected at level 1
+    length_two = {((0, 1), (0, 1)): 1.0}
+    assert moment_program(NpaLevel.L1AB, length_two).C.any()
+    with pytest.raises(ValidationError, match="does not appear at level 1"):
+        moment_program(NpaLevel.L1, length_two)
 
 
 def test_exact_quantum_moment_matrix_is_feasible_for_the_relaxation():
-    """Soundness: the realified moment matrix of an actual quantum model
-    satisfies every constraint of the relaxation and never beats its bound."""
+    """Soundness: the real part of an actual quantum model's moment matrix
+    is PSD, satisfies every constraint of the relaxation and never beats
+    its bound."""
     rng = np.random.default_rng(66)
     words = _words(NpaLevel.L1AB)
 
@@ -289,17 +289,17 @@ def test_exact_quantum_moment_matrix_is_feasible_for_the_relaxation():
             for j in range(n):
                 gamma[i, j] = np.trace(rho.rho @ ops[i].conj().T @ ops[j])
         assert np.abs(gamma - gamma.conj().T).max() < 1e-10
-        assert np.linalg.eigvalsh(realify(gamma)).min() >= -1e-10
+        re_gamma = gamma.real
+        assert np.linalg.eigvalsh(re_gamma).min() >= -1e-10
 
         f = rng.normal(size=(2, 2))
-        program = moment_program(
+        problem = moment_program(
             NpaLevel.L1AB, {((x,), (y,)): f[x, y] for x in range(2) for y in range(2)}
         )
-        re_gamma = gamma.real
-        for A, rhs in program.problem.constraints:
+        for A, rhs in problem.constraints:
             assert float(np.tensordot(A, re_gamma)) == pytest.approx(rhs, abs=1e-10)
-        achieved = float(np.tensordot(program.problem.C, re_gamma))
-        assert achieved <= npa_bound(NpaLevel.L1AB, f) + 1e-6
+        achieved = float(np.tensordot(problem.C, re_gamma))
+        assert achieved <= npa_bound(NpaLevel.L1AB, f).value + 1e-6
 
 
 def test_gap_report_chsh_triple():
@@ -329,7 +329,7 @@ def test_correlator_plane_cross_section_matches_closed_forms():
         f = c * CHSH_COEFFS + s * f2
         assert local_max(f) == pytest.approx(2 * (abs(c) + abs(s)), abs=1e-9)
         assert no_signaling_max(f) == pytest.approx(4 * max(abs(c), abs(s)), abs=1e-9)
-        assert npa_bound(NpaLevel.L1, f) == pytest.approx(2 * np.sqrt(2), abs=1e-6)
+        assert npa_bound(NpaLevel.L1, f).value == pytest.approx(2 * np.sqrt(2), abs=1e-6)
 
 
 def test_gap_report_ordering_on_random_functionals():

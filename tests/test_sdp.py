@@ -9,7 +9,6 @@ from polybounds import (
     SolverError,
     ValidationError,
     moment_program,
-    realify,
     sdp_solve,
 )
 from polybounds.solvers import sdp
@@ -40,8 +39,8 @@ def test_offdiagonal_capped_by_psd():
 
 
 def test_npa_level1_chsh_instance():
-    program = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
-    r = sdp_solve(program.problem)
+    problem = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
+    r = sdp_solve(problem)
     assert r.value == pytest.approx(2 * np.sqrt(2), abs=1e-6)
 
 
@@ -66,10 +65,10 @@ def test_random_instances_meet_hygiene_invariants():
 
 
 def test_iteration_cap_is_never_reported_as_converged(monkeypatch):
-    program = moment_program(NpaLevel.L1AB, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
+    problem = moment_program(NpaLevel.L1AB, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
     try:
-        r = sdp_solve(program.problem)
+        r = sdp_solve(problem)
     except SdpConvergenceError:
         return
     assert r.termination == "iteration_limit"
@@ -103,22 +102,6 @@ def test_infeasible_sdp_raises_convergence_error():
     p = SdpProblem(C=np.eye(2), constraints=((_unit(2, 0, 0), -1.0),))
     with pytest.raises((SdpConvergenceError, SolverError)):
         sdp_solve(p)
-
-
-def test_realify_preserves_spectrum_and_psd():
-    rng = np.random.default_rng(32)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        H = 0.5 * (H + H.conj().T)
-        R = realify(H)
-        lam_h = np.linalg.eigvalsh(H)
-        lam_r = np.linalg.eigvalsh(R)
-        np.testing.assert_allclose(np.sort(np.repeat(lam_h, 2)), np.sort(lam_r), atol=1e-10)
-    # PSD transfer
-    V = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    P = V @ V.conj().T
-    assert np.linalg.eigvalsh(realify(P)).min() >= -1e-10
 
 
 def test_symmetry_validation():
