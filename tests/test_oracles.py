@@ -29,6 +29,19 @@ def test_consistent_counterfactual_atoms_feasible():
     assert np.abs(vertices.sum(axis=1) - 1.0).max() <= 1e-12  # the four cells imply normalization
 
 
+def test_tsirelson_correlators_have_no_fourfold_joint():
+    atoms = np.array(list(itertools.product((1.0, -1.0), repeat=4)))  # values of A0, A1, B0, B1
+    s = np.sqrt(2) / 2
+    targets = {(0, 2): s, (0, 3): s, (1, 2): s, (1, 3): -s}
+    A = np.vstack([np.ones(len(atoms))] + [atoms[:, i] * atoms[:, j] for i, j in targets])
+    with pytest.raises(InfeasibleTableError):
+        oracle_feasible_vertices(A, np.array([1.0, *targets.values()]))
+    # the local point (all correlators 1/2) does admit a joint
+    b = np.array([1.0] + [0.5] * len(targets))
+    vertices = oracle_feasible_vertices(A, b)
+    assert np.abs(vertices @ A.T - b).max() <= 1e-12
+
+
 def test_basis_scan_perfect_compliance():
     p = np.zeros((2, 2, 2))
     p[1, 1, 1] = 0.7
