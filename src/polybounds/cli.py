@@ -13,6 +13,12 @@ input, 4 solver failure or a result past the floating-point range (a report
 never holds a non-finite number).  If the reader closes stdout early, the
 rest of the output is dropped quietly and the exit code stays the same.
 
+One emitter, ``canonical_json``, writes every JSON report, error payload
+and ``--batch`` entry in one pass over the raw result tree; markdown
+reports read their numbers back from its text.  The argument parser is
+built once per process, so in-process callers of ``main`` do not pay for
+it on every call.
+
 ``iv-bounds`` and ``pns`` answer from closed forms (Balke-Pearl dual
 vertices, Tian-Pearl bounds); ``--audit`` checks them against the basis
 oracle, and the ``audit`` kind's ``lp`` suite also re-solves the effect
@@ -32,6 +38,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -114,32 +121,48 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def canonical(obj):
-    """Canonical JSON-ready form: floats at 12 significant digits, ordered keys."""
-    if isinstance(obj, dict):
-        return {str(k): canonical(obj[k]) for k in sorted(obj, key=str)}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [canonical(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+def _block(parts: list, level: int, brackets: str) -> str:
+    """Already rendered ``parts`` as the items of a JSON array or object
+    (``brackets`` "[]" or "{}") opening at indent ``level``, laid out as
+    ``json.dumps`` lays them out with ``indent=2``."""
+    if not parts:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(parts) + "\n" + "  " * level + brackets[1]
+
+
+def _emit(obj, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
-        return _round12(float(obj))
+        return float.__repr__(_round12(float(obj)))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(str(k)) + ": " + _emit(obj[k], level + 1) for k in sorted(obj, key=str)]
+        return _block(items, level, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _block([_emit(v, level + 1) for v in obj], level, "[]")
+    if isinstance(obj, np.ndarray):
+        return _emit(obj.tolist(), level)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
     if isinstance(obj, Interval):
-        return {"lo": _round12(obj.lo), "hi": _round12(obj.hi), "width": _round12(obj.width)}
-    return obj
+        return _emit({"hi": obj.hi, "lo": obj.lo, "width": obj.width}, level)
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def canonical_json(obj) -> str:
-    """JSON text of an object already in ``canonical`` form; a non-finite
+def canonical_json(obj, level: int = 0) -> str:
+    """The one emitter of every JSON report, error payload and ``--batch``
+    entry: the text of ``obj`` in one pass over the raw tree, byte for byte
+    what ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=True)``
+    writes once floats are rounded to 12 significant digits, keys (distinct
+    as text) are made ``str``, arrays are lists and an ``Interval`` is
+    ``{hi, lo, width}``.  Indentation starts at ``level``.  A non-finite
     number, which JSON does not allow, raises ``FloatRangeError``."""
-    try:
-        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
-    except ValueError as exc:
-        raise FloatRangeError(f"report holds a non-finite number ({exc})") from exc
+    return _emit(obj, level)
 
 
 @dataclass(frozen=True)
@@ -158,16 +181,15 @@ class Report:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return canonical(
-            {
-                "schema": 1,
-                "kind": self.kind,
-                "request": self.request,
-                "results": self.results,
-                "provenance": self.provenance,
-                "warnings": self.warnings,
-            }
-        )
+        """The report as a plain, unrounded tree; ``canonical_json`` renders it."""
+        return {
+            "schema": 1,
+            "kind": self.kind,
+            "request": self.request,
+            "results": self.results,
+            "provenance": self.provenance,
+            "warnings": self.warnings,
+        }
 
 
 _DEFAULT_OPTIONS = {
@@ -220,7 +242,7 @@ def parse_request(document, kind: str | None = None, overrides: dict | None = No
 
 
 def serialize_request(request: AnalysisRequest) -> dict:
-    """The request as a document; ``canonical`` renders it with the report."""
+    """The request as a document; ``canonical_json`` renders it with the report."""
     return {"schema": 1, "kind": request.kind, "payload": request.payload, "options": request.options}
 
 
@@ -647,7 +669,7 @@ def run(request: AnalysisRequest) -> Report:
 
 
 def render_markdown(report: Report) -> str:
-    doc = report.to_dict()
+    doc = json.loads(canonical_json(report.to_dict()))
     lines = [f"# polybounds report: {doc['kind']}", ""]
     results = doc["results"]
     if doc["kind"] == "gap":
@@ -697,12 +719,7 @@ def _cross_section_csv(path: str, samples: int = 36) -> None:
 
 
 def _error_payload(code: int, exc: Exception) -> dict:
-    return canonical(
-        {
-            "schema": 1,
-            "error": {"code": code, "type": type(exc).__name__, "message": str(exc)},
-        }
-    )
+    return {"schema": 1, "error": {"code": code, "type": type(exc).__name__, "message": str(exc)}}
 
 
 def _classify(exc: Exception) -> int:
@@ -733,7 +750,7 @@ def _read_document(path: str):
         raise SchemaError(f"request is not readable JSON: {exc}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polybounds",
         description="Classical and quantum bounds over marginal-compatibility polytopes.",
@@ -749,6 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--audit", action="store_true", default=None)
     parser.add_argument("--csv", default=None, help="write polytope cross-section samples (gap only)")
     return parser
+
+
+#: Built once per process: parsing keeps no state between calls of ``main``.
+_PARSER = _build_parser()
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
@@ -770,14 +791,16 @@ def _respond(args) -> tuple[int, str]:
         outputs = []
         worst = EXIT_OK
         for doc in documents:
+            # each entry is rendered on its own, so that a report past the
+            # float range becomes that entry's error payload alone
             try:
                 request = parse_request(doc, kind=None, overrides=overrides)
-                outputs.append(run(request).to_dict())
+                outputs.append(canonical_json(run(request).to_dict(), 1))
             except Exception as exc:  # noqa: BLE001
                 code = _classify(exc)
-                outputs.append(_error_payload(code, exc))
+                outputs.append(canonical_json(_error_payload(code, exc), 1))
                 worst = max(worst, code)
-        return worst, canonical_json(outputs)
+        return worst, _block(outputs, 0, "[]")
 
     if args.input is None:
         return _failure(SchemaError("--input is required (or --batch)"))
@@ -797,7 +820,7 @@ def _respond(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    code, text = _respond(build_parser().parse_args(argv))
+    code, text = _respond(_PARSER.parse_args(argv))
     try:
         print(text)
         sys.stdout.flush()

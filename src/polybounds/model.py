@@ -13,9 +13,10 @@ Conventions fixed here once and for all:
   rectangular numeric array (``float_array``) of the right shape, finite
   entries, none below -NORMALIZATION_SLACK (smaller dips are set to 0), and
   block sums within NORMALIZATION_SLACK of 1.  Correlation functionals are
-  checked by ``correlator_functional``.  Invalid input raises at
-  construction, naming what it is; ``renormalize`` classmethods exist for
-  deliberately noisy input.
+  checked by ``correlator_functional`` and correlators by
+  ``CorrelationTable``, both through ``float_array`` too.  Invalid input
+  raises at construction, naming what it is; ``renormalize`` classmethods
+  exist for deliberately noisy input.
 
 All types are immutable values (backing arrays are frozen), so every
 operation in the package is a pure function and safe to call concurrently.
@@ -41,14 +42,6 @@ NORMALIZATION_SLACK = 1e-12
 INTERVAL_SLACK = 1e-12
 INEQUALITY_SLACK = 1e-12
 NO_SIGNALING_SLACK = 1e-9
-
-
-def _frozen_array(values, shape, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    if arr.shape != shape:
-        raise ValidationError(f"expected array of shape {shape}, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 def float_array(values, what: str) -> np.ndarray:
@@ -89,7 +82,7 @@ class _BlockTable:
     @classmethod
     def renormalize(cls, raw):
         """Each block divided by its mass: the explicit helper for noisy input."""
-        arr = np.array(raw, dtype=float)
+        arr = float_array(raw, cls._WHAT)
         if arr.shape != cls._SHAPE:
             raise ValidationError(f"{cls._WHAT} must have shape {cls._SHAPE}, got {arr.shape}")
         sums = arr.sum(axis=(0, 1))
@@ -136,10 +129,9 @@ class Behavior(_BlockTable):
     @classmethod
     def from_correlations(cls, e) -> "Behavior":
         """Unbiased-marginal behavior with the given correlators:
-        p(a, b | x, y) = (1 + (-1)^(a+b) e[x, y]) / 4."""
-        e = np.asarray(e, dtype=float)
-        if e.shape != (2, 2):
-            raise ValidationError("correlations must be a 2x2 array")
+        p(a, b | x, y) = (1 + (-1)^(a+b) e[x, y]) / 4, with ``e`` checked as
+        a ``CorrelationTable``."""
+        e = CorrelationTable(e).e
         p = np.empty((2, 2, 2, 2))
         for a in range(2):
             for b in range(2):
@@ -172,16 +164,19 @@ class CorrelationTable:
     e: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.e, (2, 2))
-        if np.abs(arr).max() > 1.0 + INTERVAL_SLACK:
+        arr = float_array(self.e, "correlation table")
+        if arr.shape != (2, 2):
+            raise ValidationError(f"correlation table must have shape (2, 2), got {arr.shape}")
+        if not np.abs(arr).max() <= 1.0 + INTERVAL_SLACK:  # a NaN fails too
             raise ValidationError(f"correlators must lie in [-1, 1], got max |e| = {np.abs(arr).max()}")
+        arr.setflags(write=False)
         object.__setattr__(self, "e", arr)
 
 
 def correlator_functional(functional) -> np.ndarray:
     """The coefficients f[x, y] of a correlation functional, given as an
     array or a ``CorrelationTable``, checked 2x2 and finite."""
-    f = functional.e if isinstance(functional, CorrelationTable) else np.asarray(functional, dtype=float)
+    f = functional.e if isinstance(functional, CorrelationTable) else float_array(functional, "functional")
     if f.shape != (2, 2):
         raise ValidationError(f"functional must be a 2x2 coefficient array, got shape {f.shape}")
     if not np.isfinite(f).all():

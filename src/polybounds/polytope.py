@@ -145,10 +145,12 @@ class FineCheckResult(NamedTuple):
 
 
 def chsh_facets_hold(b: Behavior, tol: float = TOL) -> bool:
-    """Do all 8 CHSH facets hold within ``tol``?  For a no-signaling
+    """Do all 8 CHSH facets hold at tolerance ``tol``?  For a no-signaling
     behavior this is local-polytope membership (Fine, J. Math. Phys. 23,
-    1306, 1982)."""
-    return bool(chsh_variant_values(behavior_to_correlations(b)).max() <= 2.0 + tol)
+    1306, 1982).  A CHSH excess e over 2 leaves the strategy LP a phase-1
+    optimum of 2e, so the facets hold when 2 (max CHSH - 2) <= ``tol``:
+    the LP's own test, so that both give one verdict."""
+    return bool(2.0 * (chsh_variant_values(behavior_to_correlations(b)).max() - 2.0) <= tol)
 
 
 def fine_check(b: Behavior, tol: float = TOL) -> FineCheckResult:

@@ -10,7 +10,7 @@ import pytest
 
 import polybounds
 from polybounds import FloatRangeError
-from polybounds.cli import SchemaError, _classify, canonical, canonical_json, main, parse_request, serialize_request
+from polybounds.cli import SchemaError, _classify, canonical_json, main, parse_request, serialize_request
 from conftest import tsirelson_closed_form
 
 
@@ -282,7 +282,7 @@ def test_gap_audit_resolves_functionals_and_behaviors_with_the_sdp(tmp_path, cap
 
 def test_non_finite_report_values_are_solver_errors():
     with pytest.raises(FloatRangeError):
-        canonical({"bound": float("inf")})
+        canonical_json({"bound": [float("inf")]})
     with pytest.raises(FloatRangeError):
         canonical_json({"bound": float("nan")})
     assert _classify(FloatRangeError("overflow")) == 4
@@ -366,6 +366,44 @@ def test_batch_mode(tmp_path, capsys):
     assert docs[0]["results"]["ate_bounds"]["width"] == 1.0
     assert docs[1]["results"]["joint_bounds"]["lo"] == 0.5
     assert docs[2]["error"]["code"] == 2
+
+
+def test_in_process_calls_share_the_parser_but_no_state(tmp_path, capsys):
+    path = write_doc(tmp_path, {"functional": [[1, 1], [1, -1]]})
+    code, bare = run_cli(capsys, "npa", "--input", path)
+    assert code == 0
+    code, out = run_cli(capsys, "npa", "--input", path, "--audit", "--renormalize", "--npa-level", "1ab", "--format", "md")
+    assert code == 0 and out.startswith("# polybounds report: npa")
+    assert run_cli(capsys, "npa", "--input", path) == (0, bare)
+    # a fresh process builds its own parser and answers with the same bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(polybounds.__file__).parents[1])}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "polybounds.cli", "npa", "--input", path], capture_output=True, text=True, env=env
+    )
+    assert (fresh.returncode, fresh.stdout) == (0, bare)
+
+
+@pytest.mark.parametrize("where", ["analysis", "rendering"])
+def test_report_past_the_float_range_fails_only_its_batch_entry(tmp_path, capsys, monkeypatch, where):
+    import polybounds.cli as cli
+
+    huge = {"schema": 1, "kind": "npa", "payload": {"functional": [[1e308, 1e308], [1e308, -1e308]]}}
+    if where == "rendering":
+        # a result the analysis lets through as inf fails when it is written
+        closed_form = cli.tsirelson_bound
+        monkeypatch.setattr(cli, "tsirelson_bound", lambda f: float("inf") if f[0, 0] == 3 else closed_form(f))
+        huge["payload"]["functional"] = [[3, 1], [1, -1]]
+    chsh = {"schema": 1, "kind": "npa", "payload": {"functional": [[1, 1], [1, -1]]}}
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([huge, chsh]))
+    code, out = run_cli(capsys, "npa", "--batch", str(path))
+    assert code == 4
+    docs = json.loads(out, parse_constant=_reject_constant)
+    assert docs[0]["schema"] == 1 and sorted(docs[0]) == ["error", "schema"]
+    assert (docs[0]["error"]["code"], docs[0]["error"]["type"]) == (4, "FloatRangeError")
+    code, single = run_cli(capsys, "npa", "--input", write_doc(tmp_path, chsh["payload"]))
+    assert code == 0
+    assert docs[1] == json.loads(single)
 
 
 def test_audit_battery(tmp_path, capsys):

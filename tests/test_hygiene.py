@@ -1,10 +1,12 @@
 """Static hygiene of the package source, read with ``ast``: no module imports
 a name it never uses (the re-exports of ``__init__.py`` aside), and no
 private module-level name is left that nothing in the package references.
-Every function the benchmark's tracer wraps must still exist."""
+Every function the benchmark's tracer wraps must still exist, and its
+rendering span must time each document once."""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -55,12 +57,18 @@ def test_no_unreferenced_private_name(module):
     assert sorted(private - referenced) == []
 
 
-def test_every_traced_name_resolves():
-    # perfbench/tracing.py is loaded as it stands; a name it lists that the
-    # package no longer defines would otherwise surface only in a traced run
+def _tracing():
+    """perfbench/tracing.py, loaded as it stands."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    # a name the tracer lists that the package no longer defines would
+    # otherwise surface only in a traced run
+    tracing = _tracing()
     missing = []
     for module_name, attr, _ in tracing.TRACED:
         owner = importlib.import_module(module_name)
@@ -71,3 +79,26 @@ def test_every_traced_name_resolves():
         if owner is None or not callable(vars(owner).get(name)):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_rendering_spans_do_not_nest(tmp_path, capsys):
+    # cli.canonical_ms_per_doc sums the cli.canonical_json spans: a span
+    # inside another would count its time twice
+    cli = importlib.import_module("polybounds.cli")
+    chsh = {"schema": 1, "kind": "npa", "payload": {"functional": [[1, 1], [1, -1]]}}
+    single, batch = tmp_path / "single.json", tmp_path / "batch.json"
+    single.write_text(json.dumps(chsh))
+    batch.write_text(json.dumps([chsh, {**chsh, "kind": "gap"}, {"schema": 1}]))
+    tracer = _tracing().Tracer()
+    main = tracer.root(cli.main)
+    tracer.install()
+    try:
+        assert main(["npa", "--input", str(single)]) == 0
+        assert main(["npa", "--batch", str(batch)]) == 2
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span: name for _, span, _, name, *_ in tracer.spans}
+    parents = [parent for _, _, parent, name, *_ in tracer.spans if name == "cli.canonical_json"]
+    assert len(parents) == 1 + 3
+    assert [names.get(parent) for parent in parents] == ["cli.main"] * 4

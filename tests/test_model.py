@@ -215,10 +215,29 @@ def test_every_probability_input_is_checked_by_one_rule(name):
     [local_max, no_signaling_max, tsirelson_bound, lambda f: npa_bound(NpaLevel.L1, f), quantum_gap_report],
     ids=["local_max", "no_signaling_max", "tsirelson_bound", "npa_bound", "quantum_gap_report"],
 )
-@pytest.mark.parametrize("functional", [[[np.nan, 1.0], [1.0, -1.0]], np.ones((3, 2))], ids=["nan", "3x2"])
+@pytest.mark.parametrize(
+    "functional", [[[np.nan, 1.0], [1.0, -1.0]], np.ones((3, 2)), [[1, 2], [3]]], ids=["nan", "3x2", "ragged"]
+)
 def test_every_functional_input_is_checked_by_one_rule(bound, functional):
     with pytest.raises(ValidationError, match="functional"):
         bound(functional)
+
+
+@pytest.mark.parametrize("build", [CorrelationTable, Behavior.from_correlations], ids=["table", "behavior"])
+@pytest.mark.parametrize(
+    "correlations",
+    [[[np.nan, 0.0], [0.0, 0.0]], [[1.5, 0.0], [0.0, 0.0]], np.zeros((3, 2)), [[1, 0], [0]]],
+    ids=["nan", "out-of-range", "3x2", "ragged"],
+)
+def test_every_correlation_input_is_checked_by_one_rule(build, correlations):
+    with pytest.raises(ValidationError, match="correlat"):
+        build(correlations)
+
+
+@pytest.mark.parametrize("table", [Behavior, ObservedIVTable])
+def test_renormalize_rejects_a_ragged_table(table):
+    with pytest.raises(ValidationError, match=table._WHAT):
+        table.renormalize([[1, 0], [0]])
 
 
 def test_functionals_may_be_correlation_tables():

@@ -128,6 +128,25 @@ def test_fine_equivalence_on_random_behaviors():
         assert result.joint_exists == result.all_chsh_hold
 
 
+def _pr_uniform_mixture(excess: float) -> Behavior:
+    """The PR/uniform mixture whose CHSH value is 2 + ``excess``."""
+    lam = (2.0 + excess) / 4.0
+    return Behavior(lam * Behavior.pr_box().p + (1.0 - lam) * np.full((2, 2, 2, 2), 0.25))
+
+
+def test_fine_equivalence_near_the_facet():
+    # an excess in (tol/2, tol] once split the facet test from the LP, whose
+    # phase-1 optimum is twice the excess
+    assert fine_check(_pr_uniform_mixture(7.5e-10)) == (False, False)
+    assert fine_check(_pr_uniform_mixture(4.5e-10)) == (True, True)
+    rng = np.random.default_rng(45)
+    for _ in range(250):
+        behavior = _pr_uniform_mixture(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -8))
+        for tol in (1e-9, 1e-11):
+            result = fine_check(behavior, tol)
+            assert result.joint_exists == result.all_chsh_hold
+
+
 def test_boole_bell_examples():
     assert boole_bell_check(CorrelationTriple(0, 0, 0)) == (True, 1.0)
     holds, slack = boole_bell_check(CorrelationTriple(1, -1, 1))

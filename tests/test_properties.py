@@ -5,13 +5,16 @@ a value of the wrong type or range.  Every document must end in a
 documented exit code with strict JSON on stdout (no NaN or Infinity, also
 for functionals whose values pass the float range), the same bytes every
 time, and results that do not depend on the axis order an array is
-written in.
+written in.  The one-pass report emitter must write the bytes of the
+two-pass renderer it replaced, on generated trees of every value type a
+report can hold.
 Examples are derandomized, so the suite stays deterministic.
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,9 +22,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from polybounds import RESPONSE_MATRIX  # noqa: E402
-from polybounds.cli import KINDS, main  # noqa: E402
+from polybounds import RESPONSE_MATRIX, FloatRangeError, Interval  # noqa: E402
+from polybounds.cli import KINDS, canonical_json, main  # noqa: E402
 from polybounds.polytope import STRATEGY_BEHAVIORS  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
@@ -252,3 +256,126 @@ def test_axis_order_does_not_change_results(data):
         report, report_p = _parse(out), _parse(out_p)
         assert report["results"] == report_p["results"]
         assert report["warnings"] == report_p["warnings"]
+
+
+# ---------------------------------------------------------------------------
+# the report emitter against the two-pass renderer it replaced
+
+
+def _round12(x: float) -> float:
+    if not math.isfinite(x):
+        raise FloatRangeError(f"result {x} is past the floating-point range")
+    return 0.0 if x == 0.0 else float(f"{x:.12g}")
+
+
+def _rounded(obj):
+    """The rounded tree the two-pass renderer built before encoding.  An
+    array goes through ``tolist`` whole, so a 0-d array is its scalar."""
+    if isinstance(obj, dict):
+        return {str(k): _rounded(obj[k]) for k in sorted(obj, key=str)}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _rounded(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _round12(float(obj))
+    if isinstance(obj, Interval):
+        return {"lo": _round12(obj.lo), "hi": _round12(obj.hi), "width": _round12(obj.width)}
+    return obj
+
+
+def _two_pass(obj) -> str:
+    return json.dumps(_rounded(obj), sort_keys=True, indent=2, ensure_ascii=True)
+
+
+def _distinct_keys(d: dict) -> dict:
+    """``d`` without the keys that print like an earlier one: the keys of a
+    report are distinct as text."""
+    kept: dict = {}
+    for k, v in d.items():
+        kept.setdefault(str(k), (k, v))
+    return dict(kept.values())
+
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 0.1, 1.7976931348623157e308)),
+    # 13 significant digits ending in 5: a tie of the 12-digit rounding
+    st.builds(lambda m, e: float(f"{m}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-330, 290)),
+)
+texts = st.one_of(st.text(max_size=6), st.sampled_from(("", "\x00\x1f\x7f\"\\", "\u00e9\u2603", "\U0001f600", "\u2028")))
+arrays = hnp.arrays(
+    st.sampled_from((np.float64, np.int64, np.bool_)),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    elements={"allow_nan": False, "allow_infinity": False},
+)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    finite,
+    texts,
+    finite.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    arrays,
+    st.tuples(finite, finite).map(lambda ends: Interval(min(ends), max(ends))),
+)
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.integers(), texts), children, max_size=4).map(_distinct_keys),
+    ),
+    max_leaves=24,
+)
+
+
+def _outcome(render, obj):
+    try:
+        return render(obj)
+    except FloatRangeError:
+        return FloatRangeError
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(trees)
+def test_the_emitter_writes_the_two_pass_bytes(tree):
+    expected = _outcome(_two_pass, tree)
+    assert _outcome(canonical_json, tree) == expected
+    # a --batch entry opens at indent level 1
+    entry = _outcome(lambda t: "[\n  " + canonical_json(t, 1) + "\n]", tree)
+    assert entry == _outcome(_two_pass, [tree])
+
+
+def _plant(data, tree, bad):
+    """``[tree]`` with ``bad`` added to a drawn list or dict anywhere in it."""
+    root = [tree]
+    holders, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (list, dict)):
+            holders.append(node)
+        if isinstance(node, (list, tuple, dict)):
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    holder = data.draw(st.sampled_from(holders))
+    if isinstance(holder, list):
+        holder.insert(data.draw(st.integers(0, len(holder))), bad)
+    else:
+        holder[data.draw(texts)] = bad
+    return root
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.data())
+def test_a_non_finite_number_anywhere_raises(data):
+    x = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    bad = data.draw(st.sampled_from((x, np.float64(x), np.float32(x), np.array([0.5, x]), (x,))))
+    root = _plant(data, data.draw(trees), bad)
+    with pytest.raises(FloatRangeError):
+        canonical_json(root)
