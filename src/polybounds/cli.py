@@ -24,6 +24,12 @@ vertices, Tian-Pearl bounds); ``--audit`` checks them against the basis
 oracle, and the ``audit`` kind's ``lp`` suite also re-solves the effect
 bounds with the simplex.
 
+``membership`` and ``chsh`` decide local membership by Fine's theorem:
+the CHSH facets give the verdict and Fine's joint distribution the
+weights, with no solver.  ``--audit`` re-decides it with the strategy LP
+and the facet check (``fine_check``), and the ``audit`` kind's
+``membership`` suite compares all three.
+
 ``npa`` and ``gap`` on a functional or a behavior answer from the closed
 form ``tsirelson_bound`` (``provenance.solver.engine``); with ``--audit``
 they also solve the moment SDP at the requested level and report whether
@@ -83,9 +89,9 @@ from .oracles import oracle_extremal_scan
 from .polytope import (
     STRATEGY_BEHAVIORS,
     MembershipCertificate,
-    chsh_facets_hold,
     comonotone_coupling,
     countermonotone_coupling,
+    fine_check,
     frechet_bounds,
     local_max,
     local_membership,
@@ -363,6 +369,13 @@ def _certificate(cert: MembershipCertificate) -> dict:
     return {"violated_facet": facet}
 
 
+def _membership_audit(behavior: Behavior, cert: MembershipCertificate, tol: float) -> dict:
+    """Whether the strategy LP and the facet check (``fine_check``) reach the
+    verdict of ``cert``."""
+    joint_exists, facets_hold = fine_check(behavior, tol)
+    return {"facet_check_agrees": cert.member == facets_hold, "lp_agrees": cert.member == joint_exists}
+
+
 def _oracle_audit(objective, A, b, bounds: Interval, tol: float) -> dict:
     """The basis oracle's interval for the same LP, and whether it matches ``bounds``."""
     oracle = oracle_extremal_scan(objective, A=A, b=b, tol=tol)
@@ -373,7 +386,7 @@ def _oracle_audit(objective, A, b, bounds: Interval, tol: float) -> dict:
 def _handle_chsh(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     if "behavior" in req.payload:
         behavior = _behavior_from(req.payload, req.options["renormalize"], warnings)
-        if not behavior.no_signaling:
+        if not behavior.no_signaling_at(tol):
             warnings.append("behavior is signaling; membership is necessarily false")
         source = "behavior"
     elif "correlations" in req.payload:
@@ -396,23 +409,23 @@ def _handle_chsh(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict
         "member_of_local_polytope": cert.member,
         **_certificate(cert),
     }
-    if req.options["audit"]:
-        agree = cert.member == chsh_facets_hold(behavior, tol) or not behavior.no_signaling
-        results["audit"] = {"facet_check_agrees": bool(agree)}
+    if req.options["audit"] and behavior.no_signaling_at(tol):
+        results["audit"] = _membership_audit(behavior, cert, tol)
     return results, {}
 
 
 def _handle_membership(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     behavior = _behavior_from(req.payload, req.options["renormalize"], warnings)
-    if not behavior.no_signaling:
+    no_signaling = behavior.no_signaling_at(tol)
+    if not no_signaling:
         warnings.append("behavior is signaling; it cannot be a strategy mixture")
     cert = local_membership(behavior, tol)
-    results = {"member": cert.member, "no_signaling": behavior.no_signaling, **_certificate(cert)}
+    results = {"member": cert.member, "no_signaling": no_signaling, **_certificate(cert)}
     if cert.member:
         reconstruction = np.tensordot(cert.weights, STRATEGY_BEHAVIORS, axes=(0, 0))
         results["reconstruction_error"] = float(np.abs(reconstruction - behavior.p).max())
-    if req.options["audit"] and behavior.no_signaling:
-        results["audit"] = {"facet_check_agrees": cert.member == chsh_facets_hold(behavior, tol)}
+    if req.options["audit"] and no_signaling:
+        results["audit"] = _membership_audit(behavior, cert, tol)
     return results, {}
 
 
@@ -614,7 +627,9 @@ def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dic
                 lam = rng.uniform()
                 p = lam * Behavior.pr_box().p + (1 - lam) * np.full((2, 2, 2, 2), 0.25)
             behavior = Behavior(p)
-            if local_membership(behavior, tol).member != chsh_facets_hold(behavior, tol):
+            # Fine's construction, the strategy LP and the facet check
+            joint_exists, facets_hold = fine_check(behavior, tol)
+            if not local_membership(behavior, tol).member == joint_exists == facets_hold:
                 disagreements += 1
         results["membership"] = {"disagreements": disagreements, "agrees": disagreements == 0}
 

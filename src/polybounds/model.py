@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NormalizationError, ValidationError
+from .solvers.lp import TOL
 
 #: Sign of an outcome bit: 0 -> +1, 1 -> -1.
 SIGNS = np.array([1.0, -1.0])
@@ -36,12 +37,11 @@ SIGNS = np.array([1.0, -1.0])
 #: Rounding allowances of exact-valued checks, never settable: a probability
 #: may dip below 0 and a table's sums may miss 1 by NORMALIZATION_SLACK, an
 #: interval's endpoints may cross and a correlator may pass +-1 by
-#: INTERVAL_SLACK, an inequality may fail by INEQUALITY_SLACK and still hold,
-#: and marginals that differ by up to NO_SIGNALING_SLACK count as equal.
+#: INTERVAL_SLACK, and an inequality may fail by INEQUALITY_SLACK and still
+#: hold.
 NORMALIZATION_SLACK = 1e-12
 INTERVAL_SLACK = 1e-12
 INEQUALITY_SLACK = 1e-12
-NO_SIGNALING_SLACK = 1e-9
 
 
 def float_array(values, what: str) -> np.ndarray:
@@ -96,11 +96,14 @@ class Behavior(_BlockTable):
     """Conditional outcome distribution p(a, b | x, y) of a two-setting,
     two-outcome bipartite experiment.
 
-    Signaling tables are accepted but flagged via ``no_signaling``.
+    Signaling tables are accepted.  ``signaling`` is the largest gap
+    between two marginals that no-signaling makes equal (Alice's at x
+    across y, Bob's at y across x), and ``no_signaling_at`` is the one rule
+    that reads it.
     """
 
     p: np.ndarray
-    no_signaling: bool = field(init=False)
+    signaling: float = field(init=False)
 
     _SHAPE = (2, 2, 2, 2)
     _WHAT = "behavior"
@@ -111,11 +114,20 @@ class Behavior(_BlockTable):
 
         alice = arr.sum(axis=1)  # (a, x, y)
         bob = arr.sum(axis=0)  # (b, x, y)
-        ns = (
-            np.abs(alice[:, :, 0] - alice[:, :, 1]).max() <= NO_SIGNALING_SLACK
-            and np.abs(bob[:, 0, :] - bob[:, 1, :]).max() <= NO_SIGNALING_SLACK
-        )
-        object.__setattr__(self, "no_signaling", bool(ns))
+        gap = max(np.abs(alice[:, :, 0] - alice[:, :, 1]).max(), np.abs(bob[:, 0, :] - bob[:, 1, :]).max())
+        object.__setattr__(self, "signaling", float(gap))
+
+    def no_signaling_at(self, tol: float) -> bool:
+        """Is the behavior no-signaling at tolerance ``tol``: 4 ``signaling``
+        <= ``tol``?  A largest marginal gap g leaves the strategy LP a phase-1
+        optimum of 4g (the gaps of different marginals do not add), so this
+        is the LP's own test."""
+        return 4.0 * self.signaling <= tol
+
+    @property
+    def no_signaling(self) -> bool:
+        """``no_signaling_at`` the package tolerance ``TOL``."""
+        return self.no_signaling_at(TOL)
 
     @classmethod
     def uniform(cls) -> "Behavior":

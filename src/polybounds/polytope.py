@@ -1,12 +1,15 @@
 """The local-realist polytope and its coupling-side relatives.
 
 The polytope is the convex hull of the 16 deterministic strategies
-(4 sign bits: Alice's two answers and Bob's two answers).  Membership is
-decided by LP in behavior space (16-dimensional), so biased marginals are
-handled; non-membership of a no-signaling behavior is certified by the
-most-violated of the 8 CHSH facets.  Maxima of correlation functionals
-over the local and no-signaling polytopes are read off their vertex
-tables, with no solver.
+(4 sign bits: Alice's two answers and Bob's two answers).  A no-signaling
+behavior is a member exactly when the 8 CHSH facets hold (Fine, J. Math.
+Phys. 23, 1306, 1982), so membership is decided by the facets, and the
+mixing weights of a member come from Fine's explicit joint distribution of
+(A0, A1, B0, B1), with no solver; biased marginals are handled.
+Non-membership is certified by the most-violated facet.  The strategy LP
+stays as the independent check behind ``fine_check``.  Maxima of
+correlation functionals over the local and no-signaling polytopes are read
+off their vertex tables, with no solver.
 
 The same module houses the three-variable correlation checks (the
 two-sided inequality |E[AB] - E[AC]| <= 1 - E[BC] and the exact
@@ -123,17 +126,65 @@ class MembershipCertificate:
     facet_value: float | None
 
 
-def local_membership(b: Behavior, tol: float = TOL) -> MembershipCertificate:
-    """Decide membership in the local polytope by LP over the 16 strategies."""
-    # the rows of each setting pair (x, y) sum to the total weight and their
-    # targets to 1, so the weights' normalization needs no row of its own
-    target = b.p.reshape(16)
-    result = lp_solve(
-        LpProblem(c=np.zeros(16), A=_STRATEGY_MATRIX, b=target, sense="min"), tol
+def _fine_joint(p: np.ndarray) -> np.ndarray:
+    """Fine's joint distribution of (A0, A1, B0, B1) for the behavior table
+    ``p``, as weights over the 16 strategies (Fine 1982; Halliwell, Phys.
+    Lett. A 378, 2945, 2014).
+
+    P(a_x = a, b0, b1) is a 2x2 table with margins p(a, b0 | x, 0) and
+    p(a, b1 | x, 1), free in one corner P(a_x = a, b0 = 0, b1 = 0) within a
+    Frechet range.  For each x the two corners add up to t = P(b0 = 0,
+    b1 = 0), taken at the midpoint of the intersection [L, U] of their sums'
+    ranges, and the a = 0 corner at the midpoint of its range given t.
+    Glued on Bob's pair, w = P(a0, b0, b1) P(a1, b0, b1) / P(b0, b1) (0 where
+    P(b0, b1) = 0).  In the tolerance band L passes U by up to a quarter of
+    the CHSH excess: there the corners are clamped into their ranges and
+    negative weights clipped, and the rest renormalized.
+    """
+    q = p.tolist()  # q[a][b][x][y]
+    margins = []  # [x][a]: row sum, column sum, total, and the corner's range lo, hi
+    for x in (0, 1):
+        per_a = []
+        for a in (0, 1):
+            row, col = q[a][0][x][0], q[a][0][x][1]  # P(a_x = a, b0 = 0), P(a_x = a, b1 = 0)
+            total = 0.5 * (row + q[a][1][x][0] + col + q[a][1][x][1])  # P(a_x = a)
+            per_a.append((row, col, total, max(row + col - total, 0.0), min(row, col)))
+        margins.append(per_a)
+    t = 0.5 * (max(m0[3] + m1[3] for m0, m1 in margins) + min(m0[4] + m1[4] for m0, m1 in margins))
+    cells = []  # [x][a][2 b0 + b1] = P(a_x = a, b0, b1)
+    for (r0, c0, n0, lo0, hi0), (r1, c1, n1, lo1, hi1) in margins:
+        # the a = 0 corner s needs s in [lo0, hi0] and t - s in [lo1, hi1]
+        s = min(max(0.5 * (max(lo0, t - hi1) + min(hi0, t - lo1)), lo0), hi0)
+        cells.append([_table(s, r0, c0, n0), _table(t - s, r1, c1, n1)])
+    (a00, a01), (a10, a11) = cells
+    pair = [0.5 * (a00[k] + a01[k] + a10[k] + a11[k]) for k in range(4)]  # P(b0, b1), the two x averaged
+    w = np.array(
+        [a0[k] * a1[k] / pair[k] if pair[k] > 0.0 else 0.0 for a0 in cells[0] for a1 in cells[1] for k in range(4)]
     )
-    if result.status == "optimal":
-        w = np.clip(result.x, 0.0, None)
-        return MembershipCertificate(True, w / w.sum(), None, None, None)
+    if w.min() < 0.0:  # within the tolerance band
+        w = np.maximum(w, 0.0)
+        w /= w.sum()
+    return w
+
+
+def _table(corner: float, row: float, col: float, total: float) -> tuple:
+    """The 2x2 table of mass ``total``, first-row sum ``row``, first-column
+    sum ``col`` and top-left cell ``corner``, row-major."""
+    return corner, row - corner, col - corner, total - row - col + corner
+
+
+def local_membership(b: Behavior, tol: float = TOL) -> MembershipCertificate:
+    """Decide membership in the local polytope by Fine's theorem.
+
+    A behavior is a member when it is no-signaling (``no_signaling_at``)
+    and the 8 CHSH facets hold (``chsh_facets_hold``), both at ``tol``: the
+    two tests of the strategy LP's phase 1, without the simplex.  A member's
+    weights are Fine's joint distribution (``_fine_joint``); a non-member
+    (signaling ones included, since every strategy is no-signaling) gets
+    the most-violated CHSH facet.
+    """
+    if b.no_signaling_at(tol) and chsh_facets_hold(b, tol):
+        return MembershipCertificate(True, _fine_joint(b.p), None, None, None)
     variants = chsh_variant_values(behavior_to_correlations(b))
     k = int(np.argmax(variants))
     return MembershipCertificate(False, None, k, CHSH_VARIANTS[k].copy(), float(variants[k]))
@@ -157,14 +208,19 @@ def fine_check(b: Behavior, tol: float = TOL) -> FineCheckResult:
     """Joint-distribution existence versus the 8 CHSH inequalities.
 
     A joint of (A0, A1, B0, B1) is a distribution over the 16 strategies
-    that reproduces the behavior, so its existence is ``local_membership``;
-    the facet check is ``chsh_facets_hold``.  The two answers must agree
-    for every no-signaling behavior; signaling input is rejected because
-    the equivalence presupposes no-signaling.
+    that reproduces the behavior.  Its existence is decided here by the
+    strategy LP's phase 1 (``lp_solve``), independently of the facet check
+    ``chsh_facets_hold`` and of ``local_membership``, which both read the
+    facets.  The two answers must agree for every no-signaling behavior;
+    input that is signaling at ``tol`` is rejected, because the equivalence
+    presupposes no-signaling.
     """
-    if not b.no_signaling:
+    if not b.no_signaling_at(tol):
         raise SignalingError("joint-distribution equivalence requires a no-signaling behavior")
-    return FineCheckResult(local_membership(b, tol).member, chsh_facets_hold(b, tol))
+    # the rows of each setting pair (x, y) sum to the total weight and their
+    # targets to 1, so the weights' normalization needs no row of its own
+    problem = LpProblem(c=np.zeros(16), A=_STRATEGY_MATRIX, b=b.p.reshape(16), sense="min")
+    return FineCheckResult(lp_solve(problem, tol).status == "optimal", chsh_facets_hold(b, tol))
 
 
 class BooleBellResult(NamedTuple):

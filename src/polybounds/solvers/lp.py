@@ -23,7 +23,8 @@ from ..errors import DimensionMismatchError, IterationLimitError, ValidationErro
 
 #: The package's one decision tolerance: the phase-1 optimum above which an
 #: LP is infeasible.  Callers pass the same value on as the basis oracle's
-#: feasibility slack and the CHSH facet slack (``--tolerance`` in the CLI).
+#: feasibility slack, the CHSH facet slack and the no-signaling slack
+#: (``--tolerance`` in the CLI).
 TOL = 1e-9
 #: Smallest entry treated as nonzero in pivoting and reduced-cost tests.
 PIVOT_TOL = 1e-10

@@ -24,6 +24,11 @@ def random_local_behavior(rng) -> Behavior:
     return Behavior(np.tensordot(weights, STRATEGY_TABLES, axes=(0, 0)))
 
 
+def reconstruction_error(weights, b: Behavior) -> float:
+    """Largest gap between the strategy mixture with ``weights`` and ``b``."""
+    return float(np.abs(np.tensordot(weights, STRATEGY_TABLES, axes=(0, 0)) - b.p).max())
+
+
 def random_observable(rng) -> DichotomicObservable:
     return DichotomicObservable.from_bloch(rng.normal(size=3))
 

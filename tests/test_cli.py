@@ -11,7 +11,7 @@ import pytest
 import polybounds
 from polybounds import FloatRangeError
 from polybounds.cli import SchemaError, _classify, canonical_json, main, parse_request, serialize_request
-from conftest import tsirelson_closed_form
+from conftest import random_local_behavior, tsirelson_closed_form
 
 
 def write_doc(tmp_path, payload, options=None, name="doc.json"):
@@ -621,7 +621,7 @@ def test_tolerance_option_sets_the_facet_and_lp_slack(tmp_path, capsys):
         code, out = run_cli(capsys, "chsh", "--input", path)
         assert code == 0
         doc = json.loads(out)
-        assert doc["results"]["audit"]["facet_check_agrees"] is True
+        assert doc["results"]["audit"] == {"facet_check_agrees": True, "lp_agrees": True}
         assert doc["provenance"]["tolerances"]["facet"] == (tolerance or 1e-9)
         outcomes.append(doc["results"]["member_of_local_polytope"])
     assert outcomes == [False, True]
@@ -675,3 +675,81 @@ def test_every_distribution_field_shares_one_normalization_policy(tmp_path, caps
     code, out = run_cli(capsys, kind, "--input", write_doc(tmp_path, negative), "--renormalize")
     assert code == 2
     assert json.loads(out)["error"] == {"code": 2, "message": f"{what} has negative entries", "type": "SchemaError"}
+
+
+def _shifted_local_behavior(shift: float) -> np.ndarray:
+    """A local behavior with ``shift`` moved across Alice's outcomes at
+    (x, y) = (0, 1): a marginal gap of ``shift``."""
+    p = random_local_behavior(np.random.default_rng(3)).p.copy()
+    p[0, 0, 0, 1] -= shift
+    p[1, 0, 0, 1] += shift
+    return p
+
+
+def test_no_signaling_field_reads_the_lp_rule(tmp_path, capsys):
+    # a gap g leaves the strategy LP a phase-1 optimum of 4g: 5e-10 is
+    # signaling at the default tolerance 1e-9, not at 1e-8
+    behavior = _shifted_local_behavior(5e-10).tolist()
+    for tolerance, expected in ((None, False), (1e-8, True)):
+        options = {"audit": True, **({"tolerance": tolerance} if tolerance else {})}
+        path = write_doc(tmp_path, {"behavior": behavior}, options=options)
+        code, out = run_cli(capsys, "membership", "--input", path)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["no_signaling"] is expected
+        assert results["member"] is expected
+        if expected:
+            assert results["audit"] == {"facet_check_agrees": True, "lp_agrees": True}
+            assert results["reconstruction_error"] <= 1e-9
+        else:
+            assert "audit" not in results
+
+
+def test_audit_reports_a_wrong_membership_verdict(tmp_path, capsys, monkeypatch):
+    import polybounds.cli as cli
+
+    honest = cli.local_membership
+
+    def flipped(behavior, tol):
+        cert = honest(behavior, tol)
+        return cli.MembershipCertificate(not cert.member, np.full(16, 1 / 16), 0, None, 0.0)
+
+    monkeypatch.setattr(cli, "local_membership", flipped)
+    path = write_doc(tmp_path, {"suite": "membership", "samples": 6, "seed": 2})
+    code, out = run_cli(capsys, "audit", "--input", path)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["membership"] == {"disagreements": 6, "agrees": False}
+    assert results["all_agree"] is False
+    for kind, result_field in (("membership", "member"), ("chsh", "member_of_local_polytope")):
+        path = write_doc(tmp_path, {"behavior": np.full((2, 2, 2, 2), 0.25).tolist()}, options={"audit": True})
+        code, out = run_cli(capsys, kind, "--input", path)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results[result_field] is False
+        assert results["audit"] == {"facet_check_agrees": False, "lp_agrees": False}
+
+
+class _SimplexCalled(Exception):
+    pass
+
+
+def test_membership_and_chsh_run_no_simplex(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _SimplexCalled
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polybounds") and hasattr(module, "lp_solve"):
+            monkeypatch.setattr(module, "lp_solve", refuse)
+    local = _shifted_local_behavior(0.0).tolist()
+    payloads = {
+        "membership": [{"behavior": local}, {"behavior": _shifted_local_behavior(1e-3).tolist()}],
+        "chsh": [{"behavior": local}, {"correlations": [[1.0, 1.0], [1.0, -1.0]]}, {"correlations": [[0.5] * 2] * 2}],
+    }
+    for kind, documents in payloads.items():
+        for payload in documents:
+            code, _ = run_cli(capsys, kind, "--input", write_doc(tmp_path, payload))
+            assert code == 0
+    # the audit does solve the LP, so the patch is in place
+    with pytest.raises(_SimplexCalled):
+        run_cli(capsys, "membership", "--input", write_doc(tmp_path, {"behavior": local}, options={"audit": True}))

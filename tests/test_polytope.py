@@ -21,6 +21,8 @@ from polybounds import (
     frechet_bounds,
     local_max,
     local_membership,
+    lp_solve,
+    LpProblem,
     no_signaling_max,
     triple_feasibility,
 )
@@ -30,7 +32,7 @@ from polybounds.polytope import (
     STRATEGY_CORRELATIONS,
     STRATEGY_SIGNS,
 )
-from conftest import STRATEGY_TABLES, random_local_behavior, random_nosignaling_behavior
+from conftest import STRATEGY_TABLES, random_local_behavior, random_nosignaling_behavior, reconstruction_error
 
 
 def test_enumeration_count_and_order():
@@ -145,6 +147,53 @@ def test_fine_equivalence_near_the_facet():
         for tol in (1e-9, 1e-11):
             result = fine_check(behavior, tol)
             assert result.joint_exists == result.all_chsh_hold
+
+
+def _strategy_lp(b: Behavior, tol: float):
+    """The strategy LP's phase 1 on ``b``: the independent judge of membership."""
+    return lp_solve(LpProblem(c=np.zeros(16), A=_STRATEGY_MATRIX, b=b.p.reshape(16), sense="min"), tol)
+
+
+def test_signaling_band_is_the_lp_verdict():
+    # a marginal gap g leaves the strategy LP a phase-1 optimum of 4g, on
+    # Alice's side, on Bob's and on both; membership, fine_check and the
+    # no-signaling flag all read 4g <= tol
+    moves = (((0, 0, 0, 1), (1, 0, 0, 1)), ((0, 0, 0, 1), (0, 1, 0, 1)), ((0, 0, 0, 1), (1, 1, 0, 1)))
+    rng = np.random.default_rng(3)
+    verdicts = set()
+    for k in range(150):
+        p = random_local_behavior(rng).p.copy()
+        source, target = moves[k % 3]
+        shift = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -8)
+        p[source] -= shift
+        p[target] += shift
+        b = Behavior(p)
+        assert b.signaling == pytest.approx(abs(shift), rel=1e-4)
+        for tol in (1e-9, 1e-11):
+            if abs(4.0 * b.signaling - tol) <= 1e-4 * tol:
+                continue  # the LP's own rounding at the threshold
+            no_signaling = b.no_signaling_at(tol)
+            assert (_strategy_lp(b, tol).status == "optimal") == no_signaling
+            assert local_membership(b, tol).member == no_signaling
+            if no_signaling:
+                assert fine_check(b, tol) == (True, True)
+            else:
+                with pytest.raises(SignalingError):
+                    fine_check(b, tol)
+            verdicts.add(no_signaling)
+    assert verdicts == {True, False}
+
+
+def test_construction_reconstructs_no_worse_than_the_lp():
+    for seed in (2024, 41):
+        rng = np.random.default_rng(seed)
+        errors = []
+        for _ in range(300):
+            b = random_local_behavior(rng)
+            x = np.clip(_strategy_lp(b, 1e-9).x, 0.0, None)
+            errors.append([reconstruction_error(local_membership(b).weights, b), reconstruction_error(x / x.sum(), b)])
+        construction, lp = np.max(errors, axis=0)
+        assert construction <= lp
 
 
 def test_boole_bell_examples():
