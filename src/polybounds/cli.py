@@ -362,11 +362,12 @@ def _functional_from(payload: dict) -> np.ndarray:
 
 
 def _certificate(cert: MembershipCertificate) -> dict:
-    """Mixing weights of a member, or the most-violated facet of a non-member."""
+    """Mixing weights of a member, or the most-violated facet of a non-member
+    (null for a signaling behavior whose facets all hold)."""
     if cert.member:
         return {"weights": cert.weights}
     facet = {"index": cert.facet_index, "coefficients": cert.facet_coefficients, "value": cert.facet_value}
-    return {"violated_facet": facet}
+    return {"violated_facet": None if cert.facet_index is None else facet}
 
 
 def _membership_audit(behavior: Behavior, cert: MembershipCertificate, tol: float) -> dict:

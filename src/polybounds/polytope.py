@@ -117,7 +117,8 @@ for _table in (STRATEGY_SIGNS, STRATEGY_CORRELATIONS, STRATEGY_BEHAVIORS, _STRAT
 @dataclass(frozen=True, eq=False)
 class MembershipCertificate:
     """Either mixing weights reproducing the behavior, or the most-violated
-    CHSH facet (sign-variant index into ``model.CHSH_VARIANTS``)."""
+    CHSH facet (sign-variant index into ``model.CHSH_VARIANTS``), or neither
+    for a signaling behavior whose facets all hold."""
 
     member: bool
     weights: np.ndarray | None
@@ -178,21 +179,28 @@ def local_membership(b: Behavior, tol: float = TOL) -> MembershipCertificate:
 
     A behavior is a member when it is no-signaling (``no_signaling_at``)
     and the 8 CHSH facets hold (``chsh_facets_hold``), both at ``tol``: the
-    two tests of the strategy LP's phase 1, without the simplex.  A member's
-    weights are Fine's joint distribution (``_fine_joint``); a non-member
-    (signaling ones included, since every strategy is no-signaling) gets
-    the most-violated CHSH facet.
+    two tests of the strategy LP's phase 1, without the simplex, on CHSH
+    variants evaluated once.  A member's weights are Fine's joint
+    distribution (``_fine_joint``); a non-member gets the most-violated
+    CHSH facet, or none (every field but ``member`` None) when it is
+    signaling with every facet holding.
     """
-    if b.no_signaling_at(tol) and chsh_facets_hold(b, tol):
-        return MembershipCertificate(True, _fine_joint(b.p), None, None, None)
     variants = chsh_variant_values(behavior_to_correlations(b))
-    k = int(np.argmax(variants))
-    return MembershipCertificate(False, None, k, CHSH_VARIANTS[k].copy(), float(variants[k]))
+    if not _facets_hold(variants, tol):
+        k = int(np.argmax(variants))
+        return MembershipCertificate(False, None, k, CHSH_VARIANTS[k].copy(), float(variants[k]))
+    if b.no_signaling_at(tol):
+        return MembershipCertificate(True, _fine_joint(b.p), None, None, None)
+    return MembershipCertificate(False, None, None, None, None)
 
 
 class FineCheckResult(NamedTuple):
     joint_exists: bool
     all_chsh_hold: bool
+
+
+def _facets_hold(variants: np.ndarray, tol: float) -> bool:
+    return bool(2.0 * (variants.max() - 2.0) <= tol)
 
 
 def chsh_facets_hold(b: Behavior, tol: float = TOL) -> bool:
@@ -201,7 +209,7 @@ def chsh_facets_hold(b: Behavior, tol: float = TOL) -> bool:
     1306, 1982).  A CHSH excess e over 2 leaves the strategy LP a phase-1
     optimum of 2e, so the facets hold when 2 (max CHSH - 2) <= ``tol``:
     the LP's own test, so that both give one verdict."""
-    return bool(2.0 * (chsh_variant_values(behavior_to_correlations(b)).max() - 2.0) <= tol)
+    return _facets_hold(chsh_variant_values(behavior_to_correlations(b)), tol)
 
 
 def fine_check(b: Behavior, tol: float = TOL) -> FineCheckResult:

@@ -47,7 +47,7 @@ from .model import (
     CHSH_VARIANTS,
 )
 from .polytope import local_max, no_signaling_max
-from .solvers import TOL, SdpProblem, SdpResult, sdp_solve
+from .solvers import TOL, SdpProblem, SdpResult, sdp_solve, sdp_solve_stack
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -386,7 +386,8 @@ def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) ->
 
     The observed table fixes the moment family (``moment_program``); the
     effect is (<B_0> - <B_1>) / 2.  This is an outer relaxation, so the
-    interval contains the classical LP interval.
+    interval contains the classical LP interval.  The two endpoints, which
+    differ only in the sign of the objective, run in one stacked solve.
 
     When the data pin the effect, the two solved endpoints can cross by
     rounding.  A crossing no larger than the sum of the two certified
@@ -394,8 +395,7 @@ def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) ->
     still fails the ``Interval`` check.
     """
     problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
-    hi = sdp_solve(problem)
-    lo = sdp_solve(SdpProblem(C=-problem.C, constraints=problem.constraints))
+    hi, lo = sdp_solve_stack((problem, SdpProblem(C=-problem.C, constraints=problem.constraints)))
     diagnostics = {
         "level": level.value,
         "sdp_iterations": (lo.iterations, hi.iterations),

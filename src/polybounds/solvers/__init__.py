@@ -1,7 +1,7 @@
 """Self-contained optimization engines: dense simplex LP and interior-point SDP."""
 
 from .lp import TOL, LpProblem, LpResult, lp_solve
-from .sdp import SdpProblem, SdpResult, sdp_solve
+from .sdp import SdpProblem, SdpResult, sdp_solve, sdp_solve_stack
 
 __all__ = [
     "TOL",
@@ -11,4 +11,5 @@ __all__ = [
     "SdpProblem",
     "SdpResult",
     "sdp_solve",
+    "sdp_solve_stack",
 ]

@@ -7,6 +7,19 @@ linear algebra is dense eigendecomposition plus a Cholesky solve of the
 m x m Schur complement, regularized by 1e-14 of its largest diagonal entry
 and followed by one step of iterative refinement against the exact matrix.
 
+At this size an iteration costs numpy call overhead, not arithmetic, so the
+loop (``sdp_solve_stack``) runs a stack of problems of one size and one
+constraint count, such as the two endpoints of an interval.  X, Z and y
+carry a leading problem axis: one ``eigh`` gives the square roots of X and
+Z, one ``eigvalsh`` the step lengths and one the PD guard, and the Schur
+complement <A_k, W A_l W> comes from one batched product.  The direction is
+affine in the centering target, so the predictor and every corrector come
+from one solve with two right-hand sides.  Each problem keeps its own best
+iterate, stopping rules and acceptance test, and leaves the stack when it
+stops; ``sdp_solve`` is a stack of one.  M is never inverted: each solve is
+two triangular ``solve`` calls with the Cholesky factor, since an explicit
+inverse sends level-1ab instrumental endpoints to the iteration cap.
+
 The dual is  min b'y  subject to  Z = sum_k y_k A_k - C >= 0,  and the
 reported ``gap`` is |primal - dual| on the returned iterates, the quantity
 callers verify independently.
@@ -99,213 +112,240 @@ class SdpResult:
     termination: str  # "converged", "stalled" or "iteration_limit"
 
 
-def _psd_sqrt_pair(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S^1/2, S^-1/2, S^-1) via eigendecomposition with an eigenvalue floor."""
+def _sym(S: np.ndarray) -> np.ndarray:
+    return 0.5 * (S + S.swapaxes(-1, -2))
+
+
+def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """<U_p, V_p> for each pair of a stack."""
+    return np.einsum("pij,pij->p", U, V)
+
+
+def _sqrt_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S^1/2, S^-1/2, S^-1) of each matrix of a stack, from one
+    eigendecomposition with an eigenvalue floor."""
     w, Q = np.linalg.eigh(S)
-    floor = max(w.max(), 1.0) * 1e-15
-    w = np.maximum(w, floor)
+    w = np.maximum(w, np.maximum(w.max(axis=1, keepdims=True), 1.0) * 1e-15)[:, None, :]
     sq = np.sqrt(w)
-    half = (Q * sq) @ Q.T
-    inv_half = (Q / sq) @ Q.T
-    inv = (Q / w) @ Q.T
-    return half, inv_half, inv
+    Qt = Q.swapaxes(1, 2)
+    return (Q * sq) @ Qt, (Q / sq) @ Qt, (Q / w) @ Qt
 
 
-def _max_step(inv_half: np.ndarray, dS: np.ndarray) -> float:
-    """Largest alpha with S + alpha dS still PSD, given inv_half = S^-1/2 (S PD)."""
-    K = inv_half @ dS @ inv_half
-    lam = np.linalg.eigvalsh(0.5 * (K + K.T)).min()
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+def _step_lengths(inv_half: np.ndarray, dS: np.ndarray) -> np.ndarray:
+    """min(1, STEP_FRACTION alpha) for each S of a stack, alpha the largest
+    step with S + alpha dS still PSD, given inv_half = S^-1/2 (S PD)."""
+    lam = np.linalg.eigvalsh(_sym(inv_half @ dS @ inv_half)).min(axis=1)
+    return np.where(lam >= -1e-14, 1.0, np.minimum(1.0, STEP_FRACTION / -np.minimum(lam, -1e-14)))
 
 
 def sdp_solve(problem: SdpProblem) -> SdpResult:
-    """Solve a small dense SDP from the identity-based infeasible start;
-    raises ``SdpConvergenceError`` on stagnation."""
-    n = problem.dimension
-    m = len(problem.constraints)
+    """Solve one small dense SDP: a stack of one (``sdp_solve_stack``)."""
+    return sdp_solve_stack((problem,))[0]
+
+
+def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
+    """Solve SDPs of one size and one constraint count in one interior-point
+    loop, each from the identity-based infeasible start and each stopping on
+    its own rules.  The results come in stack order; if any problem fails,
+    the first that fails raises its ``SdpConvergenceError`` once every
+    problem has stopped."""
+    n = problems[0].dimension
+    m = len(problems[0].constraints)
+    if any(p.dimension != n or len(p.constraints) != m for p in problems):
+        raise DimensionMismatchError("stacked SDPs must share their matrix size and constraint count")
     if m == 0:
         raise ValidationError("SDP needs at least one equality constraint")
-    As2 = np.stack([Ak for Ak, _ in problem.constraints]).reshape(m, n * n)
-    b = np.array([bk for _, bk in problem.constraints])
-    C0 = -problem.C  # interior-point core minimizes
+    As2 = np.array([[Ak.ravel() for Ak, _ in p.constraints] for p in problems])  # (P, m, n*n)
+    b = np.array([[bk for _, bk in p.constraints] for p in problems])
+    C0 = -np.array([p.C for p in problems])  # interior-point core minimizes
     with np.errstate(over="ignore"):
-        norm_b = 1.0 + np.linalg.norm(b)
-        norm_c = 1.0 + np.linalg.norm(C0, "fro")
-    if not (np.isfinite(norm_b) and np.isfinite(norm_c)):
-        raise SdpConvergenceError("objective or right-hand side has a non-finite norm; rescale the problem")
+        norm_b = 1.0 + np.linalg.norm(b, axis=1)
+        norm_c = 1.0 + np.linalg.norm(C0, axis=(1, 2))
+    # the loop runs on the stack of active problems; a problem leaves it when
+    # it stops, and one with a non-finite norm never enters
+    act = np.flatnonzero(np.isfinite(norm_b) & np.isfinite(norm_c))
+    As2, b, C0, norm_b, norm_c = (v[act] for v in (As2, b, C0, norm_b, norm_c))
 
     def Aop(M: np.ndarray) -> np.ndarray:
-        return As2 @ M.ravel()
+        return (As2 @ M.reshape(-1, n * n, 1))[..., 0]
 
-    def Aadj(y: np.ndarray) -> np.ndarray:
-        return (y @ As2).reshape(n, n)
+    X = np.eye(n) * np.maximum(1.0, np.abs(b).max(axis=1))[:, None, None]
+    Z = np.eye(n) * np.maximum(1.0, np.linalg.norm(C0, axis=(1, 2)) / np.sqrt(n))[:, None, None]
+    y = np.zeros(b.shape)
+    mu0 = _dot(X, Z) / n
+    infeas0 = np.maximum(np.linalg.norm(b - Aop(X), axis=1) / norm_b, np.linalg.norm(C0 - Z, axis=(1, 2)) / norm_c)
+    infeas0 = np.maximum(infeas0, 1e-12)
 
-    X = np.eye(n) * max(1.0, float(np.abs(b).max()))
-    Z = np.eye(n) * max(1.0, np.linalg.norm(C0, "fro") / np.sqrt(n))
-    y = np.zeros(m)
-    tau = STEP_FRACTION
-
-    mu0 = float(np.vdot(X, Z)) / n
-    infeas0 = max(
-        np.linalg.norm(b - Aop(X)) / norm_b,
-        np.linalg.norm(C0 - Z - Aadj(y), "fro") / norm_c,
-        1e-12,
-    )
-
-    best: tuple[float, tuple] | None = None
-    best_at = 0
-    best_stalls = False  # the best iterate would be good enough to stop on a stall
-    termination = "iteration_limit"
-    iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        xz = float(np.vdot(X, Z))
+    # per problem: the best-merit iterate (merit, X, y, Z, pobj, dobj, gap,
+    # rp_rel, rd_rel), when it was found, whether it would be good enough to
+    # stop on a stall, and why and when the problem stopped
+    best = [None] * len(problems)
+    best_at = [0] * len(problems)
+    best_stalls = [False] * len(problems)
+    termination = ["iteration_limit"] * len(problems)
+    iterations = [MAX_ITERATIONS] * len(problems)
+    for it in range(1, MAX_ITERATIONS + 1):
+        if not act.size:
+            break
+        xz = _dot(X, Z)
         mu = xz / n
         rp = b - Aop(X)
-        Rd = C0 - Z - Aadj(y)
-        pobj = float(np.vdot(C0, X))
-        dobj = float(b @ y)
-        gap = abs(pobj - dobj)
-        rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
-        rp_rel = np.linalg.norm(rp) / norm_b
-        rd_rel = np.linalg.norm(Rd, "fro") / norm_c
+        Rd = C0 - Z - (y[:, None, :] @ As2).reshape(-1, n, n)
+        pobj = _dot(C0, X)
+        dobj = (b * y).sum(axis=1)
+        gap = np.abs(pobj - dobj)
+        rel_gap = gap / (1.0 + np.abs(pobj) + np.abs(dobj))
+        rp_rel = np.linalg.norm(rp, axis=1) / norm_b
+        rd_rel = np.linalg.norm(Rd, axis=(1, 2)) / norm_c
 
         merit = rel_gap + rp_rel + rd_rel
-        if best is None or merit < best[0]:
-            best = (merit, (X.copy(), y.copy(), Z.copy(), pobj, dobj, gap, rp_rel, rd_rel, iterations))
-            best_at = iterations
-            best_stalls = (
-                rel_gap <= GAP_TARGET and rp_rel <= _STALL_RESIDUAL and rd_rel <= _STALL_RESIDUAL
+        stop = np.zeros(act.size, dtype=bool)
+        for j, k in enumerate(act.tolist()):
+            if best[k] is None or merit[j] < best[k][0]:
+                best[k] = (merit[j], X[j], y[j], Z[j], pobj[j], dobj[j], gap[j], rp_rel[j], rd_rel[j])
+                best_at[k] = it
+                best_stalls[k] = (
+                    rel_gap[j] <= GAP_TARGET and rp_rel[j] <= _STALL_RESIDUAL and rd_rel[j] <= _STALL_RESIDUAL
+                )
+            if rp_rel[j] <= 1e-10 and ((rel_gap[j] <= GAP_TARGET and rd_rel[j] <= 1e-10) or mu[j] < 1e-16):
+                termination[k] = "converged"
+            elif best_stalls[k] and it - best_at[k] >= _STALL_WINDOW:
+                termination[k] = "stalled"
+            else:
+                continue
+            iterations[k] = it
+            stop[j] = True
+        if stop.any():
+            keep = ~stop
+            act, As2, b, C0, norm_b, norm_c, mu0, infeas0, X, Z, y, xz, mu, rp, Rd, rp_rel, rd_rel = (
+                v[keep]
+                for v in (act, As2, b, C0, norm_b, norm_c, mu0, infeas0, X, Z, y, xz, mu, rp, Rd, rp_rel, rd_rel)
             )
-        if rp_rel <= 1e-10 and ((rel_gap <= GAP_TARGET and rd_rel <= 1e-10) or mu < 1e-16):
-            termination = "converged"
-            break
-        if best_stalls and iterations - best_at >= _STALL_WINDOW:
-            termination = "stalled"
-            break
+            if not act.size:
+                break
+        size = act.size
 
-        # Nesterov-Todd scaling point W with W Z W = X
-        Zh, Zih, Zinv = _psd_sqrt_pair(Z)
-        T = Zh @ X @ Zh
-        Th, _, _ = _psd_sqrt_pair(0.5 * (T + T.T))
-        W = Zih @ Th @ Zih
-        W = 0.5 * (W + W.T)
-        _, Xih, _ = _psd_sqrt_pair(X)
+        # Nesterov-Todd scaling point W with W Z W = X; the square roots of
+        # X and Z come from one eigendecomposition of the stack [X; Z]
+        half, inv_half, inv = _sqrt_stack(np.concatenate([X, Z]))
+        Zh, Zih, Zinv = half[size:], inv_half[size:], inv[size:]
+        Th, _, _ = _sqrt_stack(_sym(Zh @ X @ Zh))
+        W = _sym(Zih @ Th @ Zih)
 
-        # Schur complement M_kl = <A_k, W A_l W>; kron(W, W) acts on the
-        # row-major flattening as M -> W M W
-        M = As2 @ (np.kron(W, W) @ As2.T)
-        M = 0.5 * (M + M.T)
+        # Schur complement M_kl = <A_k, W A_l W>, from one batched product
+        WAW = W[:, None] @ As2.reshape(size, m, n, n) @ W[:, None]
+        M = _sym(As2 @ WAW.reshape(size, m, n * n).swapaxes(1, 2))
         try:
-            L = np.linalg.cholesky(M + np.eye(m) * max(M.diagonal().max(), 1.0) * 1e-14)
+            reg = np.maximum(M.diagonal(0, 1, 2).max(axis=1), 1.0) * 1e-14
+            L = np.linalg.cholesky(M + np.eye(m) * reg[:, None, None])
+            Lt = L.swapaxes(1, 2)
 
             def msolve(v: np.ndarray) -> np.ndarray:
-                return np.linalg.solve(L.T, np.linalg.solve(L, v))
+                return np.linalg.solve(Lt, np.linalg.solve(L, v))
 
         except np.linalg.LinAlgError:
-            # dependent constraints make the Schur complement singular;
-            # solve in the row space via a spectral pseudo-inverse
+            # dependent constraints make a Schur complement singular; solve
+            # the stack in the row space via a spectral pseudo-inverse
             w_m, Q_m = np.linalg.eigh(M)
-            cutoff = max(w_m.max(), 1.0) * 1e-13
+            cutoff = np.maximum(w_m.max(axis=1, keepdims=True), 1.0) * 1e-13
             w_inv = np.where(w_m > cutoff, 1.0 / np.maximum(w_m, cutoff), 0.0)
 
             def msolve(v: np.ndarray) -> np.ndarray:
-                return (Q_m * w_inv) @ (Q_m.T @ v)
+                return Q_m @ (w_inv[:, :, None] * (Q_m.swapaxes(1, 2) @ v))
 
-        WRdW = W @ Rd @ W
+        # The Newton direction is affine in the centering target mu_t: with
+        # E = mu_t Z^-1 - X it is D0 + mu_t D1, D0 the affine-scaling part and
+        # D1 the centering part, both from one solve with two right-hand sides
+        E = np.stack([-X, Zinv], axis=1)  # (size, 2, n, n)
+        rhs = np.stack([rp + Aop(X + W @ Rd @ W), -Aop(Zinv)], axis=2)  # (size, m, 2)
+        Dy = msolve(rhs)
+        Dy = Dy + msolve(rhs - M @ Dy)  # one refinement step undoes the regularization's bias
+        DZ = _sym(np.stack([Rd, np.zeros_like(Rd)], axis=1) - (Dy.swapaxes(1, 2) @ As2).reshape(size, 2, n, n))
+        DX = _sym(E - W[:, None] @ DZ @ W[:, None])
 
-        def direction(mu_target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            E = mu_target * Zinv - X
-            rhs = rp - Aop(E - WRdW)
-            dy = msolve(rhs)
-            dy += msolve(rhs - M @ dy)  # one refinement step undoes the regularization's bias
-            dZ = Rd - Aadj(dy)
-            dX = E - W @ dZ @ W
-            return 0.5 * (dX + dX.T), dy, 0.5 * (dZ + dZ.T)
+        def direction(mu_target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            t = mu_target[:, None, None]
+            return DX[:, 0] + t * DX[:, 1], Dy[..., 0] + mu_target[:, None] * Dy[..., 1], DZ[:, 0] + t * DZ[:, 1]
+
+        def steps(dX: np.ndarray, dZ: np.ndarray) -> tuple[list, list]:
+            alpha = _step_lengths(inv_half, np.concatenate([dX, dZ])).tolist()
+            return alpha[:size], alpha[size:]
 
         def mu_after(dX: np.ndarray, dZ: np.ndarray):
-            """mu at (X + ap dX, Z + ad dZ) as a bilinear form in the step lengths."""
-            dxz, xdz, dxdz = float(np.vdot(dX, Z)), float(np.vdot(X, dZ)), float(np.vdot(dX, dZ))
-            return lambda ap, ad: (xz + ap * dxz + ad * xdz + ap * ad * dxdz) / n
+            """mu at (X + ap dX, Z + ad dZ) of problem j, as a bilinear form in the step lengths."""
+            terms = list(zip(xz.tolist(), _dot(dX, Z).tolist(), _dot(X, dZ).tolist(), _dot(dX, dZ).tolist()))
+            return lambda j, ap, ad: (terms[j][0] + ap * terms[j][1] + ad * terms[j][2] + ap * ad * terms[j][3]) / n
 
         # predictor to pick the centering weight
-        dXa, _, dZa = direction(0.0)
-        ap = min(1.0, tau * _max_step(Xih, dXa))
-        ad = min(1.0, tau * _max_step(Zih, dZa))
-        mu_aff = mu_after(dXa, dZa)(ap, ad)
-        sigma = min(0.999, max(1e-6, (max(mu_aff, 0.0) / mu) ** 3))
-        infeasible = max(rp_rel, rd_rel) > 1e-12
-        if infeasible:
-            sigma = max(sigma, 0.05)
+        dXa, _, dZa = direction(np.zeros(size))
+        ap, ad = steps(dXa, dZa)
+        mu_aff = mu_after(dXa, dZa)
+        mu_l, rp_l, rd_l, mu0_l, infeas0_l = (v.tolist() for v in (mu, rp_rel, rd_rel, mu0, infeas0))
+        sigma = [min(0.999, max(1e-6, (max(mu_aff(j, ap[j], ad[j]), 0.0) / mu_l[j]) ** 3)) for j in range(size)]
+        infeasible = [max(rp_l[j], rd_l[j]) > 1e-12 for j in range(size)]
+        sigma = [max(s, 0.05) if inf else s for s, inf in zip(sigma, infeasible)]
 
-        # Step selection.  The neighborhood guard keeps complementarity
-        # positive and synchronized with infeasibility (otherwise the
-        # iterate strands on the PSD boundary while still infeasible);
-        # backtracking restores it because alpha -> 0 reproduces the
-        # current in-neighborhood iterate.  If the guard forces the step
-        # to collapse, the direction itself is too aggressive: escalate
-        # the centering weight and recompute.
+        # Step selection, per problem.  The neighborhood guard keeps
+        # complementarity positive and synchronized with infeasibility
+        # (otherwise the iterate strands on the PSD boundary while still
+        # infeasible); backtracking restores it because alpha -> 0 reproduces
+        # the current in-neighborhood iterate.  If the guard forces the step
+        # to collapse, the direction itself is too aggressive: escalate the
+        # centering weight and recompute.
         beta = 100.0
-        best_step = None
+        chosen = [None] * size  # (min(ap, ad), ap, ad, mu target) of each problem's best step
+        pending = range(size)
         for _ in range(5):
-            dX, dy, dZ = direction(sigma * mu)
-            ap = min(1.0, tau * _max_step(Xih, dX))
-            ad = min(1.0, tau * _max_step(Zih, dZ))
+            target = np.array(sigma) * mu
+            dX, _, dZ = direction(target)
+            ap, ad = steps(dX, dZ)
             mu_step = mu_after(dX, dZ)
-            for _ in range(40):
-                mu_new = mu_step(ap, ad)
-                infeas_new = max((1.0 - ap) * rp_rel, (1.0 - ad) * rd_rel)
-                ok_mu = mu_new >= 0.02 * sigma * mu
-                ok_nbhd = (not infeasible) or infeas_new / infeas0 <= beta * max(mu_new, 0.0) / mu0
-                if ok_mu and ok_nbhd:
-                    break
-                ap *= 0.7
-                ad *= 0.7
-            candidate = (min(ap, ad), sigma, dX, dy, dZ, ap, ad)
-            if best_step is None or candidate[0] > best_step[0]:
-                best_step = candidate
-            if not infeasible or candidate[0] >= 0.05:
+            escalate = []
+            for j in pending:
+                a_p, a_d = ap[j], ad[j]
+                for _ in range(40):
+                    mu_new = mu_step(j, a_p, a_d)
+                    infeas_new = max((1.0 - a_p) * rp_l[j], (1.0 - a_d) * rd_l[j])
+                    ok_mu = mu_new >= 0.02 * sigma[j] * mu_l[j]
+                    ok_nbhd = not infeasible[j] or infeas_new / infeas0_l[j] <= beta * max(mu_new, 0.0) / mu0_l[j]
+                    if ok_mu and ok_nbhd:
+                        break
+                    a_p *= 0.7
+                    a_d *= 0.7
+                if chosen[j] is None or min(a_p, a_d) > chosen[j][0]:
+                    chosen[j] = (min(a_p, a_d), a_p, a_d, target[j])
+                if infeasible[j] and min(a_p, a_d) < 0.05:
+                    sigma[j] = min(0.95, max(3.0 * sigma[j], 0.3))
+                    escalate.append(j)
+            pending = escalate
+            if not pending:
                 break
-            sigma = min(0.95, max(3.0 * sigma, 0.3))
-        _, sigma, dX, dy, dZ, ap, ad = best_step
+        _, ap, ad, target = (np.array(v) for v in zip(*chosen))
+        dX, dy, dZ = direction(target)
 
         for _ in range(30):  # keep the iterates safely positive definite
-            Xn = X + ap * dX
-            if np.linalg.eigvalsh(Xn).min() > 0:
+            Xn = X + ap[:, None, None] * dX
+            Zn = Z + ad[:, None, None] * dZ
+            pd = np.linalg.eigvalsh(np.concatenate([Xn, Zn])).min(axis=1) > 0
+            if pd.all():
                 break
-            ap *= 0.5
-        for _ in range(30):
-            Zn = Z + ad * dZ
-            if np.linalg.eigvalsh(Zn).min() > 0:
-                break
-            ad *= 0.5
-        X = 0.5 * (Xn + Xn.T)
-        Z = 0.5 * (Zn + Zn.T)
-        y = y + ad * dy
+            ap = np.where(pd[:size], ap, 0.5 * ap)
+            ad = np.where(pd[size:], ad, 0.5 * ad)
+        X = _sym(Xn)
+        Z = _sym(Zn)
+        y = y + ad[:, None] * dy
 
-    _, (X, y, Z, pobj, dobj, gap, rp_rel, rd_rel, _) = best
-    accepted = (
-        gap / (1.0 + abs(pobj) + abs(dobj)) <= GAP_ACCEPT
-        and rp_rel <= FEASIBILITY_ACCEPT
-        and rd_rel <= FEASIBILITY_ACCEPT
-    )
-    if not accepted:
-        raise SdpConvergenceError(
-            f"no convergence in {iterations} iterations "
-            f"(gap {gap:.2e}, primal residual {rp_rel:.2e}, dual residual {rd_rel:.2e}); "
-            "the instance is ill-conditioned or lacks an interior point"
-        )
-    return SdpResult(
-        status="optimal",
-        value=-pobj,
-        X=X,
-        y=-y,
-        Z=Z,
-        dual_value=-dobj,
-        gap=gap,
-        primal_residual=rp_rel,
-        dual_residual=rd_rel,
-        iterations=iterations,
-        termination=termination,
-    )
+    results = []
+    for k, found in enumerate(best):
+        if found is None:
+            raise SdpConvergenceError("objective or right-hand side has a non-finite norm; rescale the problem")
+        _, X, y, Z, pobj, dobj, gap, rp_rel, rd_rel = (float(v) if np.ndim(v) == 0 else v for v in found)
+        rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
+        if not (rel_gap <= GAP_ACCEPT and rp_rel <= FEASIBILITY_ACCEPT and rd_rel <= FEASIBILITY_ACCEPT):
+            raise SdpConvergenceError(
+                f"no convergence in {iterations[k]} iterations "
+                f"(gap {gap:.2e}, primal residual {rp_rel:.2e}, dual residual {rd_rel:.2e}); "
+                "the instance is ill-conditioned or lacks an interior point"
+            )
+        results.append(SdpResult("optimal", -pobj, X, -y, Z, -dobj, gap, rp_rel, rd_rel, iterations[k], termination[k]))
+    return tuple(results)

@@ -63,6 +63,13 @@ def random_iv_table(rng):
     return iv_table_from_response_dist(rng.dirichlet(np.ones(16)))
 
 
+def one_sided_iv_table(rng):
+    """No treated units at z = 0: treatment responses 0 and 1 only."""
+    q = np.zeros(16)
+    q[:8] = rng.dirichlet(np.ones(8))
+    return iv_table_from_response_dist(q)
+
+
 def structural_iv_tables(rng, count: int) -> np.ndarray:
     """Forward-simulate the instrumental causal structure.
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import polybounds
-from polybounds import FloatRangeError
+from polybounds import Behavior, FloatRangeError
 from polybounds.cli import SchemaError, _classify, canonical_json, main, parse_request, serialize_request
 from conftest import random_local_behavior, tsirelson_closed_form
 
@@ -703,6 +703,47 @@ def test_no_signaling_field_reads_the_lp_rule(tmp_path, capsys):
             assert results["reconstruction_error"] <= 1e-9
         else:
             assert "audit" not in results
+
+
+def test_signaling_behavior_whose_facets_hold_reports_no_violated_facet(tmp_path, capsys):
+    path = write_doc(tmp_path, {"behavior": _shifted_local_behavior(5e-10).tolist()}, options={"audit": True})
+    for kind, member_field in (("membership", "member"), ("chsh", "member_of_local_polytope")):
+        code, out = run_cli(capsys, kind, "--input", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"][member_field] is False
+        assert doc["results"]["violated_facet"] is None
+        assert "audit" not in doc["results"]
+        assert any("signaling" in warning for warning in doc["warnings"])
+
+
+def test_chsh_evaluates_the_variants_twice(tmp_path, capsys, monkeypatch):
+    # once for the report, and once in local_membership for both the facet
+    # test and a non-member's certificate
+    original = polybounds.model.chsh_variant_values
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polybounds") and getattr(module, "chsh_variant_values", None) is original:
+            monkeypatch.setattr(module, "chsh_variant_values", counted)
+    payloads = (
+        {"correlations": [[1.0, 1.0], [1.0, -1.0]]},
+        {"behavior": _shifted_local_behavior(0.0).tolist()},
+        {"behavior": _shifted_local_behavior(5e-10).tolist()},
+        {"behavior": Behavior.pr_box().p.tolist()},
+    )
+    for payload in payloads:
+        calls.clear()
+        code, _ = run_cli(capsys, "chsh", "--input", write_doc(tmp_path, payload))
+        assert code == 0
+        assert len(calls) == 2
+    calls.clear()
+    code, _ = run_cli(capsys, "membership", "--input", write_doc(tmp_path, payloads[1]))
+    assert (code, len(calls)) == (0, 1)
 
 
 def test_audit_reports_a_wrong_membership_verdict(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,16 @@
 """Static hygiene of the package source, read with ``ast``: no module imports
 a name it never uses (the re-exports of ``__init__.py`` aside), and no
 private module-level name is left that nothing in the package references.
-Every function the benchmark's tracer wraps must still exist, and its
-rendering span must time each document once."""
+Every function the benchmark's tracer wraps must still exist, its
+rendering span must time each document once, and the SDP requests must
+complete under it."""
 
 import ast
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,3 +104,33 @@ def test_rendering_spans_do_not_nest(tmp_path, capsys):
     parents = [parent for _, _, parent, name, *_ in tracer.spans if name == "cli.canonical_json"]
     assert len(parents) == 1 + 3
     assert [names.get(parent) for parent in parents] == ["cli.main"] * 4
+
+
+def test_tracer_runs_the_sdp_requests(tmp_path, capsys):
+    # an IV gap request reaches the stacked solver, which the tracer does not
+    # wrap; an audited npa request reaches sdp_solve, whose observer reads
+    # the problem's dimension and the result's iterations
+    cli = importlib.import_module("polybounds.cli")
+    table = np.full((2, 2, 2), 0.25).tolist()
+    requests = (
+        ("gap", {"schema": 1, "kind": "gap", "payload": {"table": table}, "options": {"npa_level": "1"}}),
+        ("npa", {"schema": 1, "kind": "npa", "payload": {"functional": [[1, 1], [1, -1]]}, "options": {"audit": True}}),
+    )
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    main = tracer.root(cli.main)
+    tracer.install()
+    try:
+        for request, (kind, doc) in enumerate(requests):
+            tracer.request = request
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc))
+            assert main([kind, "--input", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    solves = [(request, info) for request, _, _, name, *_, info in tracer.spans if name == "sdp.sdp_solve"]
+    assert [request for request, _ in solves] == [1]
+    size, iterations, raised, _, _ = solves[0][1]
+    assert (size, raised) == (5, False) and iterations > 0
+    assert tracing.summarize(tracer.spans, {0: 1, 1: 1}, 2)["sdp.calls"] == 1

@@ -184,6 +184,26 @@ def test_signaling_band_is_the_lp_verdict():
     assert verdicts == {True, False}
 
 
+def test_signaling_behavior_whose_facets_hold_has_no_violated_facet():
+    # a local behavior made signaling by a 5e-10 shift keeps every CHSH facet,
+    # so no facet certifies its non-membership
+    p = random_local_behavior(np.random.default_rng(3)).p.copy()
+    p[0, 0, 0, 1] -= 5e-10
+    p[1, 0, 0, 1] += 5e-10
+    cert = local_membership(Behavior(p))
+    assert (cert.member, cert.weights, cert.facet_index, cert.facet_coefficients, cert.facet_value) == (
+        False, None, None, None, None,
+    )
+    # a signaling behavior that violates a facet keeps it as its certificate
+    p = Behavior.pr_box().p.copy()
+    p[0, 0, 0, 1] -= 1e-3
+    p[1, 0, 0, 1] += 1e-3
+    cert = local_membership(Behavior(p))
+    assert not cert.member
+    assert cert.facet_index == 3
+    assert cert.facet_value == pytest.approx(4.0 - 2e-3)
+
+
 def test_construction_reconstructs_no_worse_than_the_lp():
     for seed in (2024, 41):
         rng = np.random.default_rng(seed)

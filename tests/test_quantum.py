@@ -15,7 +15,6 @@ from polybounds import (
     chsh_operator,
     chsh_value,
     chsh_variant_values,
-    iv_table_from_response_dist,
     local_max,
     moment_program,
     no_signaling_max,
@@ -33,6 +32,7 @@ from polybounds.quantum import (
     _words,
 )
 from conftest import (
+    one_sided_iv_table,
     random_iv_table,
     random_observable,
     random_quantum_behavior,
@@ -356,17 +356,10 @@ def test_quantum_ace_full_compliance_table_gives_the_point_effect():
         assert interval.hi == pytest.approx(0.3, abs=1e-7)
 
 
-def _one_sided_table(rng) -> ObservedIVTable:
-    """No treated units at z = 0: treatment responses 0 and 1 only."""
-    q = np.zeros(16)
-    q[:8] = rng.dirichlet(np.ones(8))
-    return iv_table_from_response_dist(q)
-
-
 def test_quantum_ace_one_sided_tables_enclose_classical_and_shrink_with_level():
     rng = np.random.default_rng(3)
     for _ in range(6):
-        table = _one_sided_table(rng)
+        table = one_sided_iv_table(rng)
         assert not table.p[:, 1, 0].any()
         level1, _ = quantum_ace_bounds(table, NpaLevel.L1)
         level1ab, _ = quantum_ace_bounds(table, NpaLevel.L1AB)

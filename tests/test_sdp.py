@@ -3,15 +3,19 @@ import pytest
 
 from polybounds import (
     CHSH_COEFFS,
+    DimensionMismatchError,
     NpaLevel,
+    ObservedIVTable,
     SdpConvergenceError,
     SdpProblem,
     SolverError,
     ValidationError,
     moment_program,
     sdp_solve,
+    sdp_solve_stack,
 )
 from polybounds.solvers import sdp
+from conftest import one_sided_iv_table, random_iv_table, structural_iv_tables
 
 
 def _unit(n, i, j):
@@ -107,3 +111,72 @@ def test_infeasible_sdp_raises_convergence_error():
 def test_symmetry_validation():
     with pytest.raises(ValidationError):
         SdpProblem(C=np.array([[0.0, 1.0], [0.0, 0.0]]), constraints=((np.eye(2), 1.0),))
+
+
+def _endpoint_pair(table, level=NpaLevel.L1):
+    """The two quantum-IV endpoint programs of ``table``: the effect and its negation."""
+    problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
+    return problem, SdpProblem(C=-problem.C, constraints=problem.constraints)
+
+
+def _pinned_table() -> ObservedIVTable:
+    """Full compliance: both treatment arms deterministic, a 3x3 program."""
+    p = np.zeros((2, 2, 2))
+    p[1, 1, 1], p[0, 1, 1], p[1, 0, 0], p[0, 0, 0] = 0.7, 0.3, 0.4, 0.6
+    return ObservedIVTable(p)
+
+
+def test_stacked_endpoints_match_separate_solves():
+    rng = np.random.default_rng(13)
+    tables = [random_iv_table(rng) for _ in range(3)]
+    tables += [ObservedIVTable(t) for t in structural_iv_tables(rng, 3)]
+    tables += [one_sided_iv_table(rng) for _ in range(3)] + [_pinned_table()]
+    for table in tables:
+        for level in NpaLevel:
+            pair = _endpoint_pair(table, level)
+            stacked = sdp_solve_stack(pair)
+            for alone, together in zip(map(sdp_solve, pair), stacked):
+                assert abs(alone.value - together.value) <= alone.gap + together.gap
+                assert (alone.iterations, alone.termination) == (together.iterations, together.termination)
+                # an explicit inverse of the Schur complement in place of the
+                # two triangular solves runs level-1ab endpoints to the cap
+                assert together.iterations < 40
+            assert stacked[0].value >= -stacked[1].value - stacked[0].gap - stacked[1].gap
+
+
+def test_stack_raises_the_first_failure_after_every_problem_stops():
+    # X11 = -1 and X11 = -2 have no PSD solution; X11 = 1 does
+    infeasible = [SdpProblem(C=np.eye(2), constraints=((_unit(2, 0, 0), -v),)) for v in (1.0, 2.0)]
+    feasible = SdpProblem(C=-np.eye(2), constraints=((_unit(2, 0, 0), 1.0),))
+    assert sdp_solve(feasible).iterations < sdp.MAX_ITERATIONS
+    messages = []
+    for problem in infeasible:
+        with pytest.raises(SdpConvergenceError) as alone:
+            sdp_solve(problem)
+        messages.append(str(alone.value))
+    assert messages[0] != messages[1]
+    for stack, expected in (
+        ((feasible, infeasible[0]), messages[0]),
+        ((infeasible[1], feasible), messages[1]),
+        ((infeasible[1], infeasible[0]), messages[1]),
+    ):
+        with pytest.raises(SdpConvergenceError) as raised:
+            sdp_solve_stack(stack)
+        assert str(raised.value) == expected
+        assert str(raised.value).startswith(f"no convergence in {sdp.MAX_ITERATIONS} iterations")
+
+
+def test_stack_of_unequal_problems_is_a_dimension_mismatch():
+    two = SdpProblem(C=np.eye(2), constraints=((np.eye(2), 1.0),))
+    three = SdpProblem(C=np.eye(3), constraints=((np.eye(3), 1.0),))
+    two_rows = SdpProblem(C=np.eye(2), constraints=((np.eye(2), 1.0), (_unit(2, 0, 1), 0.0)))
+    for stack in ((two, three), (two, two_rows)):
+        with pytest.raises(DimensionMismatchError):
+            sdp_solve_stack(stack)
+
+
+def test_pinned_arms_converge_quickly():
+    for result in sdp_solve_stack(_endpoint_pair(_pinned_table())):
+        assert result.X.shape == (3, 3)
+        assert result.termination == "converged"
+        assert result.iterations < 30
