@@ -395,7 +395,7 @@ def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) ->
     still fails the ``Interval`` check.
     """
     problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
-    hi, lo = sdp_solve_stack((problem, SdpProblem(C=-problem.C, constraints=problem.constraints)))
+    hi, lo = sdp_solve_stack((problem, problem.negated()))
     diagnostics = {
         "level": level.value,
         "sdp_iterations": (lo.iterations, hi.iterations),

@@ -1,23 +1,36 @@
 """Primal-dual path-following solver for small dense semidefinite programs.
 
 Solves  max <C, X>  subject to  <A_k, X> = b_k,  X >= 0 (PSD)  with the
-infeasible-start Nesterov-Todd symmetrized Newton direction and Mehrotra
-predictor-corrector centering.  Matrices here never exceed ~32x32, so all
-linear algebra is dense eigendecomposition plus a Cholesky solve of the
-m x m Schur complement, regularized by 1e-14 of its largest diagonal entry
-and followed by one step of iterative refinement against the exact matrix.
+infeasible-start Nesterov-Todd symmetrized Newton direction and Mehrotra's
+predictor-corrector: the centering weight (mu_aff / mu)^3 and the
+second-order correction (Mehrotra, SIAM J. Optim. 2, 575, 1992; for the NT
+direction, Todd, Toh and Tutuncu, SIAM J. Optim. 8, 769, 1998).  Matrices
+here never exceed ~32x32, so all linear algebra is dense eigendecomposition
+plus a solve of the m x m Schur complement, regularized by 1e-14 of its
+largest diagonal entry and followed by one step of iterative refinement
+against the exact matrix.
 
 At this size an iteration costs numpy call overhead, not arithmetic, so the
 loop (``sdp_solve_stack``) runs a stack of problems of one size and one
 constraint count, such as the two endpoints of an interval.  X, Z and y
 carry a leading problem axis: one ``eigh`` gives the square roots of X and
-Z, one ``eigvalsh`` the step lengths and one the PD guard, and the Schur
-complement <A_k, W A_l W> comes from one batched product.  The direction is
-affine in the centering target, so the predictor and every corrector come
-from one solve with two right-hand sides.  Each problem keeps its own best
-iterate, stopping rules and acceptance test, and leaves the stack when it
-stops; ``sdp_solve`` is a stack of one.  M is never inverted: each solve is
-two triangular ``solve`` calls with the Cholesky factor, since an explicit
+Z, one the NT scaling point, one ``eigvalsh`` the step lengths of each
+trial direction and one the PD guard, and the Schur complement
+<A_k, W A_l W> comes from one batched product.  The direction is affine in
+the centering target mu_t, D0 + D2 + mu_t D1, so every corrector, escalated
+or not, costs no solve.  D0 (affine scaling) and D1 (centering) come from
+one solve with two right-hand sides; the predictor D0 gives the centering
+weight and the second-order column D2.  D2 answers the product of the
+predictor's directions, scaled by the NT point so that X and Z are both
+diag(d); there its Lyapunov equation is solved elementwise.  The column is
+weighted by the predictor's step lengths alpha_p alpha_d, since on a
+problem without an interior point the unweighted term overflows.  So an
+iteration takes two solves, each a regularized solve and its refinement
+step.  Each problem keeps its own best iterate, stopping rules and
+acceptance test, and leaves the stack when it stops; ``sdp_solve`` is a
+stack of one.  M is never inverted: each solve is one LU ``solve`` of the
+regularized M, and a Cholesky factorization only tests that M is positive
+definite, else the solve falls back to a pseudo-inverse.  An explicit
 inverse sends level-1ab instrumental endpoints to the iteration cap.
 
 The dual is  min b'y  subject to  Z = sum_k y_k A_k - C >= 0,  and the
@@ -96,6 +109,17 @@ class SdpProblem:
     def dimension(self) -> int:
         return self.C.shape[0]
 
+    def negated(self) -> SdpProblem:
+        """The problem with objective -C.  It shares this problem's frozen,
+        already validated constraint arrays rather than copying and checking
+        them again."""
+        C = -self.C
+        C.setflags(write=False)
+        twin = object.__new__(SdpProblem)
+        object.__setattr__(twin, "C", C)
+        object.__setattr__(twin, "constraints", self.constraints)
+        return twin
+
 
 @dataclass(frozen=True, eq=False)
 class SdpResult:
@@ -121,14 +145,11 @@ def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.einsum("pij,pij->p", U, V)
 
 
-def _sqrt_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S^1/2, S^-1/2, S^-1) of each matrix of a stack, from one
-    eigendecomposition with an eigenvalue floor."""
+def _eigh_floored(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, floored at 1e-15 of max(1, the largest), and eigenvectors
+    of each matrix of a stack; the eigenvalues carry a broadcast axis."""
     w, Q = np.linalg.eigh(S)
-    w = np.maximum(w, np.maximum(w.max(axis=1, keepdims=True), 1.0) * 1e-15)[:, None, :]
-    sq = np.sqrt(w)
-    Qt = Q.swapaxes(1, 2)
-    return (Q * sq) @ Qt, (Q / sq) @ Qt, (Q / w) @ Qt
+    return np.maximum(w, np.maximum(w.max(axis=1, keepdims=True), 1.0) * 1e-15)[:, None, :], Q
 
 
 def _step_lengths(inv_half: np.ndarray, dS: np.ndarray) -> np.ndarray:
@@ -225,23 +246,31 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
                 break
         size = act.size
 
-        # Nesterov-Todd scaling point W with W Z W = X; the square roots of
-        # X and Z come from one eigendecomposition of the stack [X; Z]
-        half, inv_half, inv = _sqrt_stack(np.concatenate([X, Z]))
-        Zh, Zih, Zinv = half[size:], inv_half[size:], inv[size:]
-        Th, _, _ = _sqrt_stack(_sym(Zh @ X @ Zh))
-        W = _sym(Zih @ Th @ Zih)
+        # Nesterov-Todd scaling point W = G G' with W Z W = X.  One
+        # eigendecomposition of the stack [X; Z] gives X^-1/2 and Z^-1/2 (for
+        # the step lengths), Z^1/2 and Z^-1; one of Z^1/2 X Z^1/2 = R diag(d)^2 R'
+        # gives G = Z^-1/2 R diag(d)^1/2, which scales both X and Z to diag(d)
+        w, Q = _eigh_floored(np.concatenate([X, Z]))
+        sq = np.sqrt(w)
+        inv_half = (Q / sq) @ Q.swapaxes(1, 2)
+        Qz, Qzt = Q[size:], Q[size:].swapaxes(1, 2)
+        Zh, Zih, Zinv = (Qz * sq[size:]) @ Qzt, inv_half[size:], (Qz / w[size:]) @ Qzt
+        w, R = _eigh_floored(_sym(Zh @ X @ Zh))
+        d = np.sqrt(w)
+        root_d = np.sqrt(d)
+        G = Zih @ (R * root_d)
+        W = _sym(G @ G.swapaxes(1, 2))
 
         # Schur complement M_kl = <A_k, W A_l W>, from one batched product
         WAW = W[:, None] @ As2.reshape(size, m, n, n) @ W[:, None]
         M = _sym(As2 @ WAW.reshape(size, m, n * n).swapaxes(1, 2))
         try:
             reg = np.maximum(M.diagonal(0, 1, 2).max(axis=1), 1.0) * 1e-14
-            L = np.linalg.cholesky(M + np.eye(m) * reg[:, None, None])
-            Lt = L.swapaxes(1, 2)
+            M_reg = M + np.eye(m) * reg[:, None, None]
+            np.linalg.cholesky(M_reg)  # raises unless M_reg is positive definite
 
             def msolve(v: np.ndarray) -> np.ndarray:
-                return np.linalg.solve(Lt, np.linalg.solve(L, v))
+                return np.linalg.solve(M_reg, v)
 
         except np.linalg.LinAlgError:
             # dependent constraints make a Schur complement singular; solve
@@ -253,13 +282,15 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
             def msolve(v: np.ndarray) -> np.ndarray:
                 return Q_m @ (w_inv[:, :, None] * (Q_m.swapaxes(1, 2) @ v))
 
+        def schur_solve(rhs: np.ndarray) -> np.ndarray:
+            dy = msolve(rhs)
+            return dy + msolve(rhs - M @ dy)  # one refinement step undoes the regularization's bias
+
         # The Newton direction is affine in the centering target mu_t: with
         # E = mu_t Z^-1 - X it is D0 + mu_t D1, D0 the affine-scaling part and
         # D1 the centering part, both from one solve with two right-hand sides
         E = np.stack([-X, Zinv], axis=1)  # (size, 2, n, n)
-        rhs = np.stack([rp + Aop(X + W @ Rd @ W), -Aop(Zinv)], axis=2)  # (size, m, 2)
-        Dy = msolve(rhs)
-        Dy = Dy + msolve(rhs - M @ Dy)  # one refinement step undoes the regularization's bias
+        Dy = schur_solve(np.stack([rp + Aop(X + W @ Rd @ W), -Aop(Zinv)], axis=2))  # (size, m, 2)
         DZ = _sym(np.stack([Rd, np.zeros_like(Rd)], axis=1) - (Dy.swapaxes(1, 2) @ As2).reshape(size, 2, n, n))
         DX = _sym(E - W[:, None] @ DZ @ W[:, None])
 
@@ -284,6 +315,22 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
         sigma = [min(0.999, max(1e-6, (max(mu_aff(j, ap[j], ad[j]), 0.0) / mu_l[j]) ** 3)) for j in range(size)]
         infeasible = [max(rp_l[j], rd_l[j]) > 1e-12 for j in range(size)]
         sigma = [max(s, 0.05) if inf else s for s, inf in zip(sigma, infeasible)]
+
+        # Mehrotra's second-order correction, folded into D0: the direction
+        # D2 for E2 = G U G', where U solves the scaled Lyapunov equation
+        # diag(d) U + U diag(d) = -2 sym(dXa~ dZa~) elementwise, with the
+        # scaled product dXa~ dZa~ = G^-1 dXa dZa G and G^-1 =
+        # diag(d)^-1/2 R' Z^1/2.  The term is weighted by the predictor's step
+        # lengths ap ad, so it fades where the predictor barely moves (an
+        # infeasible problem's term overflows otherwise).
+        P = (R / root_d).swapaxes(1, 2) @ Zh @ dXa @ dZa @ G
+        U = -(P + P.swapaxes(1, 2)) / (d + d.swapaxes(1, 2)) * (np.array(ap) * np.array(ad))[:, None, None]
+        E2 = G @ U @ G.swapaxes(1, 2)
+        Dy2 = schur_solve(-Aop(E2)[..., None])[..., 0]
+        DZ2 = _sym(-(Dy2[:, None] @ As2).reshape(size, n, n))
+        DX[:, 0] += _sym(E2 - W @ DZ2 @ W)
+        Dy[..., 0] += Dy2
+        DZ[:, 0] += DZ2
 
         # Step selection, per problem.  The neighborhood guard keeps
         # complementarity positive and synchronized with infeasibility
