@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -246,24 +247,45 @@ def _pinned_letters(table: ObservedIVTable) -> dict[int, float]:
     return {z: sign for z in range(2) for x, sign in ((1, 1.0), (0, -1.0)) if not table.p[:, x, z].any()}
 
 
-def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | None = None) -> SdpProblem:
-    """Assemble a moment-matrix SDP over one affine family.
+class _Family(NamedTuple):
+    """The table-independent part of a moment program at one level with one
+    set of pinned letters: everything but the right-hand sides and the
+    objective (see ``moment_program``)."""
 
-    The level's words index the matrix, and the entries holding one
-    canonical monomial share its moment, the diagonal the identity's 1.  The
-    rows of an IV ``table`` (``_iv_data_constraints``) are solved: their
-    least-squares solution gives the offset G0 and their null space the
-    free directions G_j, so Gamma = G0 + sum_j t_j G_j.  An Alice letter
-    the table pins (``_pinned_letters``) is substituted: the words holding
-    it leave the word list, each being +-1 times a word that stays, and
-    A_z -> +-1 in every monomial.  X is held in the family by <Q_k, X> =
-    <Q_k, G0>, with Q_k an orthonormal basis of the family's orthogonal
-    complement from one SVD.  ``objective`` maps monomials (pairs of letter
-    tuples, the empty one a constant) to coefficients; a monomial absent at
-    this level raises ``ValidationError``.
-    """
-    pins = {} if table is None else _pinned_letters(table)
-    words = tuple(w for w in _words(level) if not pins.keys() & set(w[0]))
+    pins: dict
+    index: dict  # canonical monomial -> coordinate, the identity first
+    iu: tuple  # upper-triangle indices of the moment matrix
+    scale: np.ndarray  # 1 on the diagonal, sqrt 2 off it
+    patterns: np.ndarray  # each monomial's 0/1 pattern in orthonormal coordinates
+    cells: tuple  # (y, x, z) index arrays of the table cells the data rows read
+    d0: np.ndarray  # the identity's coefficient in each data row
+    left: np.ndarray  # U' of the data rows' SVD, on its range
+    s: np.ndarray  # its singular values on the range
+    right: np.ndarray  # V of the data rows' SVD, on its range
+    complement: np.ndarray  # orthonormal basis of the family's orthogonal complement
+    template: SdpProblem  # the constraint matrices, validated once
+
+
+def _weights(coeffs: dict, level: NpaLevel, pins: dict, index: dict) -> np.ndarray:
+    """A linear form in the moments, ``coeffs`` mapping monomials to
+    coefficients, as a vector over the family's coordinates ``index``."""
+    w = np.zeros(len(index))
+    for mono, coeff in coeffs.items():
+        sign, key = _substitute(mono, pins)
+        if key not in index:
+            raise ValidationError(f"monomial {mono!r} does not appear at level {level.value}")
+        w[index[key]] += sign * float(coeff)
+    return w
+
+
+@functools.lru_cache(maxsize=None)
+def _family(level: NpaLevel, pins: tuple | None) -> _Family:
+    """The family of ``level`` held to an IV table's rows with these
+    (letter, sign) pins, or free of data rows when ``pins`` is None; there
+    are 20 in all."""
+    data = [] if pins is None else _iv_data_rows()
+    signs = dict(pins or ())
+    words = tuple(w for w in _words(level) if not signs.keys() & set(w[0]))
     iu = np.triu_indices(len(words))
     keys = [_canonical(_entry_monomial(words[i], words[j])) for i, j in zip(*iu)]
     index = {mono: k for k, mono in enumerate(dict.fromkeys(keys))}  # the identity comes first
@@ -271,29 +293,50 @@ def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | No
     # matrices: the upper triangle, off-diagonal entries times sqrt 2
     scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
     patterns = scale * (np.array([index[k] for k in keys]) == np.arange(len(index))[:, None])
-
-    def weights(coeffs: dict) -> np.ndarray:
-        w = np.zeros(len(index))
-        for mono, coeff in coeffs.items():
-            sign, key = _substitute(mono, pins)
-            if key not in index:
-                raise ValidationError(f"monomial {mono!r} does not appear at level {level.value}")
-            w[index[key]] += sign * float(coeff)
-        return w
-
-    data = [] if table is None else _iv_data_constraints(table)
-    D = np.array([weights(coeffs) for coeffs, _ in data]).reshape(len(data), len(index))
-    rhs = np.array([value for _, value in data]) - D[:, 0]
+    D = np.array([_weights(coeffs, level, signs, index) for _, coeffs in data]).reshape(len(data), len(index))
     U, s, Vt = np.linalg.svd(D[:, 1:])
     rank = int((s > 1e-10).sum())
-    offset = patterns[0] + Vt[:rank].T @ (U[:, :rank].T @ rhs / s[:rank]) @ patterns[1:]
-    _, s, Wt = np.linalg.svd(Vt[rank:] @ patterns[1:])
-    complement = Wt[int((s > 1e-10).sum()):]
+    _, sc, Wt = np.linalg.svd(Vt[rank:] @ patterns[1:])
+    complement = Wt[int((sc > 1e-10).sum()):]
+    mats = np.zeros((len(complement), len(words), len(words)))
+    mats[:, iu[0], iu[1]] = mats[:, iu[1], iu[0]] = complement / scale
+    template = SdpProblem(C=np.zeros((len(words), len(words))), constraints=tuple(zip(mats, np.zeros(len(mats)))))
+    cells = tuple(np.array([cell[k] for cell, _ in data], dtype=int) for k in range(3))
+    return _Family(
+        signs, index, iu, scale, patterns, cells, D[:, 0], U[:, :rank].T, s[:rank], Vt[:rank].T, complement, template
+    )
 
-    objective_coords = weights(objective) / (patterns**2).sum(axis=1) @ patterns
-    mats = np.zeros((1 + len(complement), len(words), len(words)))
-    mats[:, iu[0], iu[1]] = mats[:, iu[1], iu[0]] = np.vstack([objective_coords, complement]) / scale
-    return SdpProblem(C=mats[0], constraints=tuple(zip(mats[1:], complement @ offset)))
+
+def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | None = None) -> SdpProblem:
+    """Assemble a moment-matrix SDP over one affine family.
+
+    The level's words index the matrix, and the entries holding one
+    canonical monomial share its moment, the diagonal the identity's 1.  The
+    rows of an IV ``table`` (``_iv_data_rows``) are solved: their
+    least-squares solution gives the offset G0 and their null space the
+    free directions G_j, so Gamma = G0 + sum_j t_j G_j.  An Alice letter
+    the table pins (``_pinned_letters``) is substituted: the words holding
+    it leave the word list, each being +-1 times a word that stays, and
+    A_z -> +-1 in every monomial.  X is held in the family by <Q_k, X> =
+    <Q_k, G0>, with Q_k an orthonormal basis of the family's orthogonal
+    complement.  ``objective`` maps monomials (pairs of letter tuples, the
+    empty one a constant) to coefficients; a monomial absent at this level
+    raises ``ValidationError``.
+
+    All of this but G0, the right-hand sides and the objective depends only
+    on the level and the pinned letters, so it is built once per such
+    family (``_family``): the words and monomials, the data rows, both SVDs,
+    the complement and the validated constraint matrices, which every
+    problem of the family shares.  A call solves the table's rows for G0
+    with the cached SVD and projects it onto the complement.
+    """
+    family = _family(level, None if table is None else tuple(_pinned_letters(table).items()))
+    values = np.zeros(0) if table is None else table.p[family.cells]
+    offset = family.patterns[0] + family.right @ (family.left @ (values - family.d0) / family.s) @ family.patterns[1:]
+    coords = _weights(objective, level, family.pins, family.index) / (family.patterns**2).sum(axis=1) @ family.patterns
+    C = np.zeros_like(family.template.C)
+    C[family.iu[0], family.iu[1]] = C[family.iu[1], family.iu[0]] = coords / family.scale
+    return family.template.with_data(C, family.complement @ offset)
 
 
 def _in_range(name: str, value: float) -> float:
@@ -363,8 +406,8 @@ def npa_bound(level: NpaLevel, functional) -> SdpResult:
         )
 
 
-def _iv_data_constraints(table: ObservedIVTable) -> list:
-    """Moment rows reproducing the observed table.
+def _iv_data_rows() -> list:
+    """Moment rows reproducing an observed table, as ((y, x, z), coefficients).
 
     p(y, x | z) = [1 + (-1)^x <A_z> + (-1)^y <B_x> + (-1)^(x+y) <A_z B_x>] / 4
     with the treatment-side word A_z chosen by the instrument and the
@@ -377,7 +420,7 @@ def _iv_data_constraints(table: ObservedIVTable) -> list:
         if (x, y) != (1, 1):
             sx, sy = (-1.0) ** x, (-1.0) ** y
             coeffs = {((), ()): 0.25, ((z,), ()): 0.25 * sx, ((), (x,)): 0.25 * sy, ((z,), (x,)): 0.25 * sx * sy}
-            rows.append((coeffs, float(table.p[y, x, z])))
+            rows.append(((y, x, z), coeffs))
     return rows
 
 

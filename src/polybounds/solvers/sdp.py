@@ -13,20 +13,22 @@ against the exact matrix.
 At this size an iteration costs numpy call overhead, not arithmetic, so the
 loop (``sdp_solve_stack``) runs a stack of problems of one size and one
 constraint count, such as the two endpoints of an interval.  X, Z and y
-carry a leading problem axis: one ``eigh`` gives the square roots of X and
-Z, one the NT scaling point, one ``eigvalsh`` the step lengths of each
-trial direction and one the PD guard, and the Schur complement
-<A_k, W A_l W> comes from one batched product.  The direction is affine in
-the centering target mu_t, D0 + D2 + mu_t D1, so every corrector, escalated
-or not, costs no solve.  D0 (affine scaling) and D1 (centering) come from
-one solve with two right-hand sides; the predictor D0 gives the centering
-weight and the second-order column D2.  D2 answers the product of the
-predictor's directions, scaled by the NT point so that X and Z are both
-diag(d); there its Lyapunov equation is solved elementwise.  The column is
-weighted by the predictor's step lengths alpha_p alpha_d, since on a
-problem without an interior point the unweighted term overflows.  So an
-iteration takes two solves, each a regularized solve and its refinement
-step.  Each problem keeps its own best iterate, stopping rules and
+carry a leading problem axis.  One ``eigh`` of the stack [X; Z] is both
+the PD guard of a step and, at the next iteration, the source of the
+square roots of X and Z; one more ``eigh`` gives the NT scaling point, one
+``eigvalsh`` the step lengths of each trial direction, and the Schur
+complement <A_k, W A_l W> comes from one batched product.  The direction
+is affine in the centering target mu_t, D0 + D2 + mu_t D1, so every
+corrector, escalated or not, costs no solve, and an iteration where no
+problem escalates takes the first corrector it evaluated.  D0 (affine
+scaling) and D1 (centering) come from one solve with two right-hand sides;
+the predictor D0 gives the centering weight and the second-order column
+D2.  D2 answers the product of the predictor's directions, scaled by the
+NT point so that X and Z are both diag(d); there its Lyapunov equation is
+solved elementwise.  The column is weighted by the predictor's step
+lengths alpha_p alpha_d, since on a problem without an interior point the
+unweighted term overflows.  So an iteration takes two solves, each a
+regularized solve and its refinement step.  Each problem keeps its own best iterate, stopping rules and
 acceptance test, and leaves the stack when it stops; ``sdp_solve`` is a
 stack of one.  M is never inverted: each solve is one LU ``solve`` of the
 regularized M, and a Cholesky factorization only tests that M is positive
@@ -109,6 +111,19 @@ class SdpProblem:
     def dimension(self) -> int:
         return self.C.shape[0]
 
+    def with_data(self, C, b) -> SdpProblem:
+        """The problem over this problem's constraint matrices with objective
+        C and right-hand sides b.  C is checked as the constructor checks
+        it; the frozen, already validated matrices are shared."""
+        twin = SdpProblem(C, ())
+        if twin.C.shape != self.C.shape or len(b) != len(self.constraints):
+            raise DimensionMismatchError(
+                f"objective {twin.C.shape} and {len(b)} right-hand sides do not fit "
+                f"{self.C.shape} matrices and {len(self.constraints)} constraints"
+            )
+        object.__setattr__(twin, "constraints", tuple((Ak, float(bk)) for (Ak, _), bk in zip(self.constraints, b)))
+        return twin
+
     def negated(self) -> SdpProblem:
         """The problem with objective -C.  It shares this problem's frozen,
         already validated constraint arrays rather than copying and checking
@@ -145,11 +160,10 @@ def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.einsum("pij,pij->p", U, V)
 
 
-def _eigh_floored(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, floored at 1e-15 of max(1, the largest), and eigenvectors
-    of each matrix of a stack; the eigenvalues carry a broadcast axis."""
-    w, Q = np.linalg.eigh(S)
-    return np.maximum(w, np.maximum(w.max(axis=1, keepdims=True), 1.0) * 1e-15)[:, None, :], Q
+def _floored(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of a stack, floored at 1e-15 of max(1, the
+    largest), with a broadcast axis."""
+    return np.maximum(w, np.maximum(w.max(axis=1, keepdims=True), 1.0) * 1e-15)[:, None, :]
 
 
 def _step_lengths(inv_half: np.ndarray, dS: np.ndarray) -> np.ndarray:
@@ -157,6 +171,14 @@ def _step_lengths(inv_half: np.ndarray, dS: np.ndarray) -> np.ndarray:
     step with S + alpha dS still PSD, given inv_half = S^-1/2 (S PD)."""
     lam = np.linalg.eigvalsh(_sym(inv_half @ dS @ inv_half)).min(axis=1)
     return np.where(lam >= -1e-14, 1.0, np.minimum(1.0, STEP_FRACTION / -np.minimum(lam, -1e-14)))
+
+
+def _direction(D: tuple, mu_target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Newton direction (dX, dy, dZ) of each problem of a stack for the
+    centering target mu_target, from its affine parts D = (DX, Dy, DZ)."""
+    DX, Dy, DZ = D
+    t = mu_target[:, None, None]
+    return DX[:, 0] + t * DX[:, 1], Dy[..., 0] + mu_target[:, None] * Dy[..., 1], DZ[:, 0] + t * DZ[:, 1]
 
 
 def sdp_solve(problem: SdpProblem) -> SdpResult:
@@ -169,7 +191,9 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
     loop, each from the identity-based infeasible start and each stopping on
     its own rules.  The results come in stack order; if any problem fails,
     the first that fails raises its ``SdpConvergenceError`` once every
-    problem has stopped."""
+    problem has stopped.  An empty stack gives no results."""
+    if not len(problems):
+        return ()
     n = problems[0].dimension
     m = len(problems[0].constraints)
     if any(p.dimension != n or len(p.constraints) != m for p in problems):
@@ -196,6 +220,9 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
     mu0 = _dot(X, Z) / n
     infeas0 = np.maximum(np.linalg.norm(b - Aop(X), axis=1) / norm_b, np.linalg.norm(C0 - Z, axis=(1, 2)) / norm_c)
     infeas0 = np.maximum(infeas0, 1e-12)
+    # eigendecomposition of the stack [X; Z]; after the first iteration it is
+    # the PD guard's, of the iterate the guard accepted
+    w_xz, Q_xz = np.linalg.eigh(np.concatenate([X, Z]))
 
     # per problem: the best-merit iterate (merit, X, y, Z, pobj, dobj, gap,
     # rp_rel, rd_rel), when it was found, whether it would be good enough to
@@ -238,6 +265,7 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
             stop[j] = True
         if stop.any():
             keep = ~stop
+            w_xz, Q_xz = (v[np.concatenate([keep, keep])] for v in (w_xz, Q_xz))
             act, As2, b, C0, norm_b, norm_c, mu0, infeas0, X, Z, y, xz, mu, rp, Rd, rp_rel, rd_rel = (
                 v[keep]
                 for v in (act, As2, b, C0, norm_b, norm_c, mu0, infeas0, X, Z, y, xz, mu, rp, Rd, rp_rel, rd_rel)
@@ -246,17 +274,17 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
                 break
         size = act.size
 
-        # Nesterov-Todd scaling point W = G G' with W Z W = X.  One
+        # Nesterov-Todd scaling point W = G G' with W Z W = X.  The
         # eigendecomposition of the stack [X; Z] gives X^-1/2 and Z^-1/2 (for
         # the step lengths), Z^1/2 and Z^-1; one of Z^1/2 X Z^1/2 = R diag(d)^2 R'
         # gives G = Z^-1/2 R diag(d)^1/2, which scales both X and Z to diag(d)
-        w, Q = _eigh_floored(np.concatenate([X, Z]))
+        w = _floored(w_xz)
         sq = np.sqrt(w)
-        inv_half = (Q / sq) @ Q.swapaxes(1, 2)
-        Qz, Qzt = Q[size:], Q[size:].swapaxes(1, 2)
+        inv_half = (Q_xz / sq) @ Q_xz.swapaxes(1, 2)
+        Qz, Qzt = Q_xz[size:], Q_xz[size:].swapaxes(1, 2)
         Zh, Zih, Zinv = (Qz * sq[size:]) @ Qzt, inv_half[size:], (Qz / w[size:]) @ Qzt
-        w, R = _eigh_floored(_sym(Zh @ X @ Zh))
-        d = np.sqrt(w)
+        w_nt, R = np.linalg.eigh(_sym(Zh @ X @ Zh))
+        d = np.sqrt(_floored(w_nt))
         root_d = np.sqrt(d)
         G = Zih @ (R * root_d)
         W = _sym(G @ G.swapaxes(1, 2))
@@ -294,10 +322,6 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
         DZ = _sym(np.stack([Rd, np.zeros_like(Rd)], axis=1) - (Dy.swapaxes(1, 2) @ As2).reshape(size, 2, n, n))
         DX = _sym(E - W[:, None] @ DZ @ W[:, None])
 
-        def direction(mu_target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            t = mu_target[:, None, None]
-            return DX[:, 0] + t * DX[:, 1], Dy[..., 0] + mu_target[:, None] * Dy[..., 1], DZ[:, 0] + t * DZ[:, 1]
-
         def steps(dX: np.ndarray, dZ: np.ndarray) -> tuple[list, list]:
             alpha = _step_lengths(inv_half, np.concatenate([dX, dZ])).tolist()
             return alpha[:size], alpha[size:]
@@ -308,7 +332,7 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
             return lambda j, ap, ad: (terms[j][0] + ap * terms[j][1] + ad * terms[j][2] + ap * ad * terms[j][3]) / n
 
         # predictor to pick the centering weight
-        dXa, _, dZa = direction(np.zeros(size))
+        dXa, _, dZa = _direction((DX, Dy, DZ), np.zeros(size))
         ap, ad = steps(dXa, dZa)
         mu_aff = mu_after(dXa, dZa)
         mu_l, rp_l, rd_l, mu0_l, infeas0_l = (v.tolist() for v in (mu, rp_rel, rd_rel, mu0, infeas0))
@@ -342,9 +366,9 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
         beta = 100.0
         chosen = [None] * size  # (min(ap, ad), ap, ad, mu target) of each problem's best step
         pending = range(size)
-        for _ in range(5):
+        for trial in range(5):
             target = np.array(sigma) * mu
-            dX, _, dZ = direction(target)
+            dX, dy, dZ = _direction((DX, Dy, DZ), target)
             ap, ad = steps(dX, dZ)
             mu_step = mu_after(dX, dZ)
             escalate = []
@@ -368,18 +392,22 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
             if not pending:
                 break
         _, ap, ad, target = (np.array(v) for v in zip(*chosen))
-        dX, dy, dZ = direction(target)
+        if trial:  # with no escalation every chosen target is round one's
+            dX, dy, dZ = _direction((DX, Dy, DZ), target)
 
-        for _ in range(30):  # keep the iterates safely positive definite
-            Xn = X + ap[:, None, None] * dX
-            Zn = Z + ad[:, None, None] * dZ
-            pd = np.linalg.eigvalsh(np.concatenate([Xn, Zn])).min(axis=1) > 0
+        # Keep the iterates safely positive definite.  dX and dZ are exactly
+        # symmetric, so the new X and Z are too, and the guard's
+        # eigendecomposition is the next iteration's.
+        for _ in range(30):
+            X_new = X + ap[:, None, None] * dX
+            Z_new = Z + ad[:, None, None] * dZ
+            w_xz, Q_xz = np.linalg.eigh(np.concatenate([X_new, Z_new]))
+            pd = w_xz.min(axis=1) > 0
             if pd.all():
                 break
             ap = np.where(pd[:size], ap, 0.5 * ap)
             ad = np.where(pd[size:], ad, 0.5 * ad)
-        X = _sym(Xn)
-        Z = _sym(Zn)
+        X, Z = X_new, Z_new
         y = y + ad[:, None] * dy
 
     results = []

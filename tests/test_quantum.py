@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from polybounds.quantum import (
     PAULI_X,
     PAULI_Z,
     _entry_monomial,
+    _family,
     _words,
 )
 from conftest import (
@@ -259,6 +262,54 @@ def test_moment_matrix_dimensions_and_monomials():
     assert moment_program(NpaLevel.L1AB, length_two).C.any()
     with pytest.raises(ValidationError, match="does not appear at level 1"):
         moment_program(NpaLevel.L1, length_two)
+
+
+def _table_with_arms(rng, arms) -> ObservedIVTable:
+    """A random IV table whose arm z takes treatment arms[z] with
+    certainty, or both treatments when arms[z] is None."""
+    p = rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2).transpose(1, 2, 0)  # (y, x, z)
+    for z, x in enumerate(arms):
+        if x is not None:
+            p[:, 1 - x, z] = 0.0
+            p[:, x, z] = rng.dirichlet(np.ones(2))
+    return ObservedIVTable(p)
+
+
+def _bits(problem) -> tuple:
+    return (
+        problem.C.tobytes(),
+        tuple(A.tobytes() for A, _ in problem.constraints),
+        np.array([bk for _, bk in problem.constraints]).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("level", list(NpaLevel))
+@pytest.mark.parametrize("arms", list(itertools.product((None, 0, 1), repeat=2)))
+def test_tables_of_one_pin_pattern_share_one_family(level, arms):
+    rng = np.random.default_rng(67)
+    tables = [_table_with_arms(rng, arms) for _ in range(2)]
+    effect = {((), (0,)): 0.5, ((), (1,)): -0.5}
+    problems = [moment_program(level, effect, table) for table in tables]
+    # each pinned letter takes its word, and at level 1ab its two cross
+    # products, out of the matrix: 3x3 with both arms pinned
+    pinned = sum(x is not None for x in arms)
+    assert problems[0].dimension == (5 - pinned if level is NpaLevel.L1 else 9 - 3 * pinned)
+    first, second = (p.constraints for p in problems)
+    assert all(a is b for (a, _), (b, _) in zip(first, second))
+    assert not any(A.flags.writeable for A, _ in first) and not problems[0].C.flags.writeable
+    assert [bk for _, bk in first] != [bk for _, bk in second]
+    _family.cache_clear()
+    for table, problem in zip(tables, problems):
+        assert _bits(moment_program(level, effect, table)) == _bits(problem)
+
+
+@pytest.mark.parametrize("level", list(NpaLevel))
+def test_programs_without_a_table_share_one_family(level):
+    chsh = {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)}
+    problem, again = (moment_program(level, f) for f in (chsh, {((0,), (1,)): 1.0}))
+    assert all(a is b for (a, _), (b, _) in zip(problem.constraints, again.constraints))
+    _family.cache_clear()
+    assert _bits(moment_program(level, chsh)) == _bits(problem)
 
 
 def test_exact_quantum_moment_matrix_is_feasible_for_the_relaxation():

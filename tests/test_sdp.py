@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,57 @@ def test_pinned_arms_converge_quickly():
         assert result.X.shape == (3, 3)
         assert result.termination == "converged"
         assert result.iterations < 30
+
+
+def test_empty_stack_gives_no_results():
+    assert sdp_solve_stack(()) == ()
+    assert sdp_solve_stack([]) == ()
+
+
+def test_problem_with_new_data_shares_the_validated_constraints():
+    problem = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
+    b = np.arange(len(problem.constraints), dtype=float)
+    twin = problem.with_data(-problem.C, b)
+    assert all(a is c for (a, _), (c, _) in zip(twin.constraints, problem.constraints))
+    assert [bk for _, bk in twin.constraints] == b.tolist()
+    assert np.array_equal(twin.C, -problem.C) and not twin.C.flags.writeable
+    with pytest.raises(ValidationError):
+        problem.with_data(np.triu(np.ones((5, 5))), b)
+    with pytest.raises(DimensionMismatchError):
+        problem.with_data(np.eye(4), b)
+    with pytest.raises(DimensionMismatchError):
+        problem.with_data(problem.C, b[1:])
+
+
+def test_linear_algebra_calls_per_iteration(monkeypatch):
+    # Per iteration that steps: one eigh of the stack [X; Z], taken by the PD
+    # guard and reused by the next iteration, one eigh for the NT point, one
+    # eigvalsh per evaluated direction, one Cholesky test and two solves,
+    # each with its refinement step.  The CHSH program never escalates its
+    # centering weight nor halves a step in the guard, so it evaluates two
+    # directions (the predictor and the corrector it takes) per iteration.
+    problem = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
+    calls = Counter()
+
+    def counting(name, fn, operand):
+        def counted(*args):
+            calls[name, args[operand].shape] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh", "solve", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name), 0))
+    monkeypatch.setattr(sdp, "_direction", counting("direction", sdp._direction, 1))
+    result = sdp_solve(problem)
+    steps = result.iterations - 1  # the last iteration stops before it steps
+    m = len(problem.constraints)
+    assert steps > 0
+    assert dict(calls) == {
+        ("eigh", (2, 5, 5)): 1 + steps,  # the starting point's, then the guard's
+        ("eigh", (1, 5, 5)): steps,
+        ("eigvalsh", (2, 5, 5)): 2 * steps,
+        ("cholesky", (1, m, m)): steps,
+        ("solve", (1, m, m)): 4 * steps,
+        ("direction", (1,)): 2 * steps,
+    }
