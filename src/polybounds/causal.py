@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
     ZeroConditioningError,
 )
-from .model import INEQUALITY_SLACK, Interval, ObservedIVTable, ResponseTypeDist, probability_array
+from .model import INEQUALITY_SLACK, Interval, ObservedIVTable, ResponseTypeDist, check_probability, probability_array
 from .polytope import STRATEGY_BEHAVIORS
 from .solvers import TOL
 
@@ -133,8 +133,7 @@ def manski_bounds(e1: float, e0: float, px1: float) -> Interval:
     """No-assumption bounds on the average treatment effect for a bounded
     outcome: width exactly 1 and always containing zero."""
     for name, v in (("e1", e1), ("e0", e0), ("px1", px1)):
-        if not (np.isfinite(v) and 0.0 <= v <= 1.0):
-            raise ValidationError(f"{name} must lie in [0, 1], got {v}")
+        check_probability(v, name)
     px0 = 1.0 - px1
     lower = e1 * px1 - (e0 * px0 + px1)
     upper = e1 * px1 + px0 - e0 * px0
@@ -149,9 +148,8 @@ class ExperimentalData:
     p_do0: float
 
     def __post_init__(self):
-        for name, v in (("p_do1", self.p_do1), ("p_do0", self.p_do0)):
-            if not (np.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
+        check_probability(self.p_do1, "p_do1")
+        check_probability(self.p_do0, "p_do0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -533,26 +533,18 @@ def _handle_manski(req: AnalysisRequest, tol: float, warnings: list) -> tuple[di
     e1 = _scalar_field(req.payload, "e1")
     e0 = _scalar_field(req.payload, "e0")
     px1 = _scalar_field(req.payload, "px1")
-    try:
-        bounds = manski_bounds(e1, e0, px1)
-    except ValidationError as exc:
-        raise SchemaError(str(exc)) from exc
+    bounds = manski_bounds(e1, e0, px1)
     return {"ate_bounds": bounds, "contains_zero": bounds.contains(0.0)}, {}
 
 
 def _handle_frechet(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     u = _scalar_field(req.payload, "u")
     v = _scalar_field(req.payload, "v")
-    try:
-        bounds = frechet_bounds(u, v)
-        results = {
-            "joint_bounds": bounds,
-            "comonotone_joint": comonotone_coupling(u, v),
-            "countermonotone_joint": countermonotone_coupling(u, v),
-        }
-    except ValidationError as exc:
-        raise SchemaError(str(exc)) from exc
-    return results, {}
+    return {
+        "joint_bounds": frechet_bounds(u, v),
+        "comonotone_joint": comonotone_coupling(u, v),
+        "countermonotone_joint": countermonotone_coupling(u, v),
+    }, {}
 
 
 def _handle_entropic(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:

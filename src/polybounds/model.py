@@ -53,6 +53,13 @@ def float_array(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} is not a rectangular array of numbers") from None
 
 
+def check_probability(value: float, what: str) -> None:
+    """Reject a scalar probability that is not finite or lies outside
+    [0, 1], naming ``what``."""
+    if not (np.isfinite(value) and 0.0 <= value <= 1.0):
+        raise ValidationError(f"{what} must lie in [0, 1], got {value}")
+
+
 def probability_array(values, shape: tuple, axes, what: str) -> np.ndarray:
     """``values`` as a frozen probability table of ``shape``: entries finite,
     those down to -NORMALIZATION_SLACK set to 0 and lower ones rejected, and

@@ -36,6 +36,7 @@ from .model import (
     CorrelationTriple,
     Interval,
     behavior_to_correlations,
+    check_probability,
     chsh_variant_values,
     correlator_functional,
 )
@@ -258,9 +259,8 @@ def triple_feasibility(t: CorrelationTriple, tol: float = TOL) -> bool:
 def frechet_bounds(u: float, v: float) -> Interval:
     """Coupling bounds on P(A and B) given P(A) = u, P(B) = v:
     max(u + v - 1, 0) <= P(A and B) <= min(u, v)."""
-    for name, p in (("u", u), ("v", v)):
-        if not (np.isfinite(p) and 0.0 <= p <= 1.0):
-            raise ValidationError(f"{name} must be a probability in [0, 1], got {p}")
+    check_probability(u, "u")
+    check_probability(v, "v")
     return Interval(max(u + v - 1.0, 0.0), min(u, v))
 
 

@@ -21,7 +21,9 @@ an instrumental table are solved into G0 and the free directions, and a
 treatment arm that the table makes deterministic pins A_z = +-1: that
 letter is substituted out and its words leave the matrix (facial
 reduction with the kernel known in advance; Permenter and Parrilo, Math.
-Program. 2018).
+Program. 2018).  A table changes only the objective and the right-hand
+sides, so each (level, pins) family's constraint matrices are built once,
+and every program is a plain ``SdpProblem(C, A, b)`` over them.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class _Family(NamedTuple):
     s: np.ndarray  # its singular values on the range
     right: np.ndarray  # V of the data rows' SVD, on its range
     complement: np.ndarray  # orthonormal basis of the family's orthogonal complement
-    template: SdpProblem  # the constraint matrices, validated once
+    A: np.ndarray  # the constraint matrices, frozen
 
 
 def _weights(coeffs: dict, level: NpaLevel, pins: dict, index: dict) -> np.ndarray:
@@ -298,12 +300,12 @@ def _family(level: NpaLevel, pins: tuple | None) -> _Family:
     rank = int((s > 1e-10).sum())
     _, sc, Wt = np.linalg.svd(Vt[rank:] @ patterns[1:])
     complement = Wt[int((sc > 1e-10).sum()):]
-    mats = np.zeros((len(complement), len(words), len(words)))
-    mats[:, iu[0], iu[1]] = mats[:, iu[1], iu[0]] = complement / scale
-    template = SdpProblem(C=np.zeros((len(words), len(words))), constraints=tuple(zip(mats, np.zeros(len(mats)))))
+    A = np.zeros((len(complement), len(words), len(words)))
+    A[:, iu[0], iu[1]] = A[:, iu[1], iu[0]] = complement / scale
+    A.setflags(write=False)
     cells = tuple(np.array([cell[k] for cell, _ in data], dtype=int) for k in range(3))
     return _Family(
-        signs, index, iu, scale, patterns, cells, D[:, 0], U[:, :rank].T, s[:rank], Vt[:rank].T, complement, template
+        signs, index, iu, scale, patterns, cells, D[:, 0], U[:, :rank].T, s[:rank], Vt[:rank].T, complement, A
     )
 
 
@@ -326,17 +328,18 @@ def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | No
     All of this but G0, the right-hand sides and the objective depends only
     on the level and the pinned letters, so it is built once per such
     family (``_family``): the words and monomials, the data rows, both SVDs,
-    the complement and the validated constraint matrices, which every
-    problem of the family shares.  A call solves the table's rows for G0
-    with the cached SVD and projects it onto the complement.
+    the complement and the constraint matrices A.  A call solves the table's
+    rows for G0 with the cached SVD, projects it onto the complement for the
+    right-hand sides b, and returns ``SdpProblem(C, A, b)``, which checks
+    and copies A like any other problem.
     """
     family = _family(level, None if table is None else tuple(_pinned_letters(table).items()))
     values = np.zeros(0) if table is None else table.p[family.cells]
     offset = family.patterns[0] + family.right @ (family.left @ (values - family.d0) / family.s) @ family.patterns[1:]
     coords = _weights(objective, level, family.pins, family.index) / (family.patterns**2).sum(axis=1) @ family.patterns
-    C = np.zeros_like(family.template.C)
+    C = np.zeros(family.A.shape[1:])
     C[family.iu[0], family.iu[1]] = C[family.iu[1], family.iu[0]] = coords / family.scale
-    return family.template.with_data(C, family.complement @ offset)
+    return SdpProblem(C, family.A, family.complement @ offset)
 
 
 def _in_range(name: str, value: float) -> float:
@@ -438,7 +441,7 @@ def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) ->
     still fails the ``Interval`` check.
     """
     problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
-    hi, lo = sdp_solve_stack((problem, problem.negated()))
+    hi, lo = sdp_solve_stack((problem, SdpProblem(-problem.C, problem.A, problem.b)))
     diagnostics = {
         "level": level.value,
         "sdp_iterations": (lo.iterations, hi.iterations),

@@ -1,6 +1,9 @@
 """Primal-dual path-following solver for small dense semidefinite programs.
 
-Solves  max <C, X>  subject to  <A_k, X> = b_k,  X >= 0 (PSD)  with the
+A problem is three frozen arrays, ``SdpProblem(C, A, b)``: the n x n
+objective C, the (m, n, n) stack A of constraint matrices and the m
+right-hand sides b, as SDPT3 takes them.  The solver takes
+max <C, X>  subject to  <A_k, X> = b_k,  X >= 0 (PSD)  with the
 infeasible-start Nesterov-Todd symmetrized Newton direction and Mehrotra's
 predictor-corrector: the centering weight (mu_aff / mu)^3 and the
 second-order correction (Mehrotra, SIAM J. Optim. 2, 575, 1992; for the NT
@@ -80,65 +83,41 @@ _STALL_RESIDUAL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """max tr(C X) subject to tr(A_k X) = b_k, X PSD; all matrices symmetric n x n."""
+    """max tr(C X) subject to tr(A[k] X) = b[k] for k < m, X PSD.
+
+    C is a symmetric n x n objective, A a stack (m, n, n) of m >= 1
+    symmetric constraint matrices and b the m right-hand sides.  The
+    constructor copies all three, symmetrizes C and A and freezes them; a
+    shape that does not fit raises ``DimensionMismatchError``, and no
+    constraint or an asymmetric matrix raises ``ValidationError``."""
 
     C: np.ndarray
-    constraints: tuple
+    A: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        C = np.array(self.C, dtype=float)
+        C, A, b = (np.array(v, dtype=float) for v in (self.C, self.A, self.b))
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise DimensionMismatchError(f"objective must be square, got shape {C.shape}")
-        n = C.shape[0]
-        if np.abs(C - C.T).max() > 1e-10:
-            raise ValidationError("objective matrix must be symmetric")
-        C = 0.5 * (C + C.T)
-        C.setflags(write=False)
-        frozen = []
-        for k, (Ak, bk) in enumerate(self.constraints):
-            Ak = np.array(Ak, dtype=float)
-            if Ak.shape != (n, n):
-                raise DimensionMismatchError(f"constraint {k} has shape {Ak.shape}, expected {(n, n)}")
-            if np.abs(Ak - Ak.T).max() > 1e-10:
-                raise ValidationError(f"constraint matrix {k} must be symmetric")
-            Ak = 0.5 * (Ak + Ak.T)
-            Ak.setflags(write=False)
-            frozen.append((Ak, float(bk)))
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "constraints", tuple(frozen))
+        if b.ndim != 1 or A.shape != (b.size, *C.shape):
+            raise DimensionMismatchError(
+                f"constraint matrices {A.shape} and right-hand sides {b.shape} do not fit a {C.shape} objective"
+            )
+        if not b.size:
+            raise ValidationError("SDP needs at least one equality constraint")
+        if max(np.abs(C - C.T).max(), np.abs(A - A.swapaxes(1, 2)).max()) > 1e-10:
+            raise ValidationError("objective and constraint matrices must be symmetric")
+        for name, v in (("C", _sym(C)), ("A", _sym(A)), ("b", b)):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @property
     def dimension(self) -> int:
         return self.C.shape[0]
 
-    def with_data(self, C, b) -> SdpProblem:
-        """The problem over this problem's constraint matrices with objective
-        C and right-hand sides b.  C is checked as the constructor checks
-        it; the frozen, already validated matrices are shared."""
-        twin = SdpProblem(C, ())
-        if twin.C.shape != self.C.shape or len(b) != len(self.constraints):
-            raise DimensionMismatchError(
-                f"objective {twin.C.shape} and {len(b)} right-hand sides do not fit "
-                f"{self.C.shape} matrices and {len(self.constraints)} constraints"
-            )
-        object.__setattr__(twin, "constraints", tuple((Ak, float(bk)) for (Ak, _), bk in zip(self.constraints, b)))
-        return twin
-
-    def negated(self) -> SdpProblem:
-        """The problem with objective -C.  It shares this problem's frozen,
-        already validated constraint arrays rather than copying and checking
-        them again."""
-        C = -self.C
-        C.setflags(write=False)
-        twin = object.__new__(SdpProblem)
-        object.__setattr__(twin, "C", C)
-        object.__setattr__(twin, "constraints", self.constraints)
-        return twin
-
 
 @dataclass(frozen=True, eq=False)
 class SdpResult:
-    status: str
     value: float
     X: np.ndarray
     y: np.ndarray
@@ -195,13 +174,11 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
     if not len(problems):
         return ()
     n = problems[0].dimension
-    m = len(problems[0].constraints)
-    if any(p.dimension != n or len(p.constraints) != m for p in problems):
+    m = len(problems[0].b)
+    if any(p.A.shape != (m, n, n) for p in problems):
         raise DimensionMismatchError("stacked SDPs must share their matrix size and constraint count")
-    if m == 0:
-        raise ValidationError("SDP needs at least one equality constraint")
-    As2 = np.array([[Ak.ravel() for Ak, _ in p.constraints] for p in problems])  # (P, m, n*n)
-    b = np.array([[bk for _, bk in p.constraints] for p in problems])
+    As2 = np.array([p.A for p in problems]).reshape(-1, m, n * n)  # (P, m, n*n)
+    b = np.array([p.b for p in problems])
     C0 = -np.array([p.C for p in problems])  # interior-point core minimizes
     with np.errstate(over="ignore"):
         norm_b = 1.0 + np.linalg.norm(b, axis=1)
@@ -422,5 +399,5 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
                 f"(gap {gap:.2e}, primal residual {rp_rel:.2e}, dual residual {rd_rel:.2e}); "
                 "the instance is ill-conditioned or lacks an interior point"
             )
-        results.append(SdpResult("optimal", -pobj, X, -y, Z, -dobj, gap, rp_rel, rd_rel, iterations[k], termination[k]))
+        results.append(SdpResult(-pobj, X, -y, Z, -dobj, gap, rp_rel, rd_rel, iterations[k], termination[k]))
     return tuple(results)

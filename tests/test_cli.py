@@ -201,10 +201,21 @@ def test_missing_field_schema_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_domain_error_is_schema_error(tmp_path, capsys):
-    path = write_doc(tmp_path, {"u": 1.4, "v": 0.5})
-    code, out = run_cli(capsys, "frechet", "--input", path)
+@pytest.mark.parametrize(
+    "kind, payload, field",
+    [
+        ("pns", {"experimental": {"p_do1": 1.5, "p_do0": 0.5}, "observational": {"joint": [[0.25] * 2] * 2}}, "p_do1"),
+        ("manski", {"e1": 1.5, "e0": 0.4, "px1": 0.5}, "e1"),
+        ("frechet", {"u": 1.5, "v": 0.5}, "u"),
+    ],
+    ids=["pns", "manski", "frechet"],
+)
+def test_scalar_probability_out_of_range_is_one_validation_error(tmp_path, capsys, kind, payload, field):
+    path = write_doc(tmp_path, payload)
+    code, out = run_cli(capsys, kind, "--input", path)
     assert code == 2
+    message = f"{field} must lie in [0, 1], got 1.5"
+    assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
 
 
 def test_normalization_rejected_unless_renormalize(tmp_path, capsys):

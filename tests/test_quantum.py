@@ -276,11 +276,7 @@ def _table_with_arms(rng, arms) -> ObservedIVTable:
 
 
 def _bits(problem) -> tuple:
-    return (
-        problem.C.tobytes(),
-        tuple(A.tobytes() for A, _ in problem.constraints),
-        np.array([bk for _, bk in problem.constraints]).tobytes(),
-    )
+    return problem.C.tobytes(), problem.A.tobytes(), problem.b.tobytes()
 
 
 @pytest.mark.parametrize("level", list(NpaLevel))
@@ -289,15 +285,15 @@ def test_tables_of_one_pin_pattern_share_one_family(level, arms):
     rng = np.random.default_rng(67)
     tables = [_table_with_arms(rng, arms) for _ in range(2)]
     effect = {((), (0,)): 0.5, ((), (1,)): -0.5}
+    _family.cache_clear()
     problems = [moment_program(level, effect, table) for table in tables]
+    assert _family.cache_info()[:2] == (1, 1)  # hits, misses: the second table reused the family
     # each pinned letter takes its word, and at level 1ab its two cross
     # products, out of the matrix: 3x3 with both arms pinned
     pinned = sum(x is not None for x in arms)
     assert problems[0].dimension == (5 - pinned if level is NpaLevel.L1 else 9 - 3 * pinned)
-    first, second = (p.constraints for p in problems)
-    assert all(a is b for (a, _), (b, _) in zip(first, second))
-    assert not any(A.flags.writeable for A, _ in first) and not problems[0].C.flags.writeable
-    assert [bk for _, bk in first] != [bk for _, bk in second]
+    assert not any(v.flags.writeable for v in (problems[0].C, problems[0].A, problems[0].b))
+    assert not np.array_equal(problems[0].b, problems[1].b)
     _family.cache_clear()
     for table, problem in zip(tables, problems):
         assert _bits(moment_program(level, effect, table)) == _bits(problem)
@@ -306,8 +302,10 @@ def test_tables_of_one_pin_pattern_share_one_family(level, arms):
 @pytest.mark.parametrize("level", list(NpaLevel))
 def test_programs_without_a_table_share_one_family(level):
     chsh = {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)}
-    problem, again = (moment_program(level, f) for f in (chsh, {((0,), (1,)): 1.0}))
-    assert all(a is b for (a, _), (b, _) in zip(problem.constraints, again.constraints))
+    _family.cache_clear()
+    problem = moment_program(level, chsh)
+    moment_program(level, {((0,), (1,)): 1.0})
+    assert _family.cache_info()[:2] == (1, 1)  # hits, misses
     _family.cache_clear()
     assert _bits(moment_program(level, chsh)) == _bits(problem)
 
@@ -347,7 +345,7 @@ def test_exact_quantum_moment_matrix_is_feasible_for_the_relaxation():
         problem = moment_program(
             NpaLevel.L1AB, {((x,), (y,)): f[x, y] for x in range(2) for y in range(2)}
         )
-        for A, rhs in problem.constraints:
+        for A, rhs in zip(problem.A, problem.b):
             assert float(np.tensordot(A, re_gamma)) == pytest.approx(rhs, abs=1e-10)
         achieved = float(np.tensordot(problem.C, re_gamma))
         assert achieved <= npa_bound(NpaLevel.L1AB, f).value + 1e-6
