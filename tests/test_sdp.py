@@ -153,6 +153,30 @@ def _endpoint_pair(table, level=NpaLevel.L1):
     return problem, SdpProblem(-problem.C, problem.A, problem.b)
 
 
+def test_negated_problem_shares_the_validated_constraints():
+    problem, negated = _endpoint_pair(random_iv_table(np.random.default_rng(5)))
+    assert np.array_equal(negated.A, problem.A) and np.array_equal(negated.b, problem.b)
+    assert np.array_equal(negated.C, -problem.C)
+    assert not any(v.flags.writeable for v in (negated.C, negated.A, negated.b))
+    rebuilt = SdpProblem(-problem.C.copy(), problem.A.copy(), problem.b.copy())
+    for shared, checked in zip(sdp_solve_stack((problem, negated)), sdp_solve_stack((problem, rebuilt))):
+        assert (shared.value, shared.gap, shared.iterations) == (checked.value, checked.gap, checked.iterations)
+
+
+def test_problem_with_new_data_shares_the_validated_constraints():
+    problem = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
+    b = np.arange(problem.b.size, dtype=float)
+    twin = SdpProblem(-problem.C, problem.A, b)
+    assert np.array_equal(twin.A, problem.A) and twin.b.tolist() == b.tolist()
+    assert np.array_equal(twin.C, -problem.C) and not twin.C.flags.writeable
+    with pytest.raises(ValidationError):
+        SdpProblem(np.triu(np.ones((5, 5))), problem.A, b)
+    with pytest.raises(DimensionMismatchError):
+        SdpProblem(np.eye(4), problem.A, b)
+    with pytest.raises(DimensionMismatchError):
+        SdpProblem(problem.C, problem.A, b[1:])
+
+
 def _pinned_table() -> ObservedIVTable:
     """Full compliance: both treatment arms deterministic, a 3x3 program."""
     p = np.zeros((2, 2, 2))
