@@ -34,6 +34,16 @@ and the facet check (``fine_check``), and the ``audit`` kind's
 form ``tsirelson_bound`` (``provenance.solver.engine``); with ``--audit``
 they also solve the moment SDP at the requested level and report whether
 the two agree.
+
+``gap`` on an instrumental table answers level 1 from the closed-form
+chordal completion (``provenance.solver`` is ``{"engine": "closed-form",
+"level": "1"}``) and level 1ab from the moment SDP, whose iterations, stop
+reasons and duality gaps go to ``provenance.solver``.  With ``--audit``
+both endpoints are solved again by the stacked SDP at the requested level:
+``results.audit`` holds ``sdp_interval`` and ``agrees``, and the solves'
+run goes to ``provenance.solver``.  An audit SDP that raises leaves
+``agrees`` null with the error's type and message, and the request still
+answers.
 """
 
 from __future__ import annotations
@@ -97,7 +107,7 @@ from .polytope import (
     local_membership,
     no_signaling_max,
 )
-from .quantum import NpaLevel, npa_bound, quantum_gap_report, tsirelson_bound
+from .quantum import NpaLevel, npa_bound, quantum_ace_sdp, quantum_gap_report, tsirelson_bound
 from .solvers import TOL, LpProblem, lp_solve
 from .solvers.sdp import GAP_ACCEPT
 
@@ -439,6 +449,22 @@ def _sdp_audit(level: NpaLevel, functional, value: float, results: dict, prov: d
     prov.update({"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap})
 
 
+def _table_audit(table: ObservedIVTable, level: NpaLevel, quantum: Interval, results: dict, prov: dict) -> None:
+    """Re-solve both closed-form effect endpoints with the stacked moment SDP
+    at ``level``; the comparison goes to ``results`` and the solver's run to
+    ``prov``.  An SDP that raises leaves ``agrees`` null and names its error,
+    and the request still answers."""
+    try:
+        interval, diagnostics = quantum_ace_sdp(table, level)
+    except (PolyboundsError, np.linalg.LinAlgError) as exc:
+        results["audit"] = {"agrees": None, "error": {"type": type(exc).__name__, "message": str(exc)}}
+        return
+    pairs = ((interval.lo, quantum.lo), (interval.hi, quantum.hi))
+    agrees = all(abs(v - w) <= 1e-6 * max(1.0, abs(w)) for v, w in pairs)
+    results["audit"] = {"sdp_interval": interval, "agrees": bool(agrees)}
+    prov.update(diagnostics)
+
+
 def _handle_npa(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     functional = _functional_from(req.payload)
     level = NpaLevel.parse(req.options["npa_level"])
@@ -471,7 +497,9 @@ def _handle_gap(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict,
         "level": report.level.value,
     }
     prov = dict(report.diagnostics)
-    if req.options["audit"] and report.kind != "iv-table":
+    if req.options["audit"] and report.kind == "iv-table":
+        _table_audit(subject, level, report.quantum, results, prov)
+    elif req.options["audit"]:
         functional = CHSH_VARIANTS[prov["facet_index"]] if report.kind == "behavior" else subject
         _sdp_audit(level, functional, report.quantum, results, prov)
     return results, prov

@@ -8,7 +8,10 @@ The quantum value of a 2x2 correlator functional has a closed form
 (``tsirelson_bound``), which both relaxation levels attain; it answers
 the functional and behavior routes of ``quantum_gap_report`` with no
 solver.  The moment-matrix SDP (``npa_bound``) stays as its independent
-cross-check, and is the engine for instrumental tables.
+cross-check.  The level-1 effect bounds of an instrumental table are a
+chordal matrix completion with one free scalar, answered by a 1-D search
+with no solver (``quantum_ace_bounds``); the moment SDP
+(``quantum_ace_sdp``) is the engine at level 1ab and the level-1 audit.
 
 The relaxation side builds moment matrices over operator words in the
 +-1-observable formulation.  Level ``L1`` uses words {1, A0, A1, B0, B1}
@@ -39,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .causal import ace_bounds, manski_bounds
-from .errors import FloatRangeError, ValidationError
+from .errors import FloatRangeError, InfeasibleTableError, ValidationError
 from .model import (
     Behavior,
     Interval,
@@ -427,18 +430,18 @@ def _iv_data_rows() -> list:
     return rows
 
 
-def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) -> tuple[Interval, dict]:
-    """Treatment-effect bounds when the latent confounder may be quantum.
+def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, dict]:
+    """Treatment-effect bounds from the moment SDP at ``level``, with the
+    solver's iterations, stop reasons and duality gaps.
 
     The observed table fixes the moment family (``moment_program``); the
-    effect is (<B_0> - <B_1>) / 2.  This is an outer relaxation, so the
-    interval contains the classical LP interval.  The two endpoints, which
-    differ only in the sign of the objective, run in one stacked solve.
-
-    When the data pin the effect, the two solved endpoints can cross by
-    rounding.  A crossing no larger than the sum of the two certified
-    duality gaps returns the midpoint as a point interval; a larger one
-    still fails the ``Interval`` check.
+    effect is (<B_0> - <B_1>) / 2.  The two endpoints, which differ only in
+    the sign of the objective, run in one stacked solve.  When the data pin
+    the effect, the two solved endpoints can cross by rounding.  A crossing
+    no larger than the sum of the two certified duality gaps returns the
+    midpoint as a point interval; a larger one still fails the ``Interval``
+    check.  This is the engine of level 1ab and the audit of the level-1
+    closed form (``gap --audit`` on a table).
     """
     problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
     hi, lo = sdp_solve_stack((problem, SdpProblem(-problem.C, problem.A, problem.b)))
@@ -454,6 +457,206 @@ def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) ->
         # the effect, and each endpoint is only known to within its gap
         lo_value = hi_value = 0.5 * (lo_value + hi_value)
     return Interval(lo_value, hi_value), diagnostics
+
+
+#: Golden-section fraction of Brent's method.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+#: Relative and absolute resolution of the angle search in ``_level1_ace_bounds``.
+_ANGLE_RTOL = 1e-7
+_ANGLE_ATOL = 1e-12
+#: Squared distance past the unit ball at which a level-1 table is still taken
+#: to be inside the relaxation.
+_BALL_SLACK = 1e-9
+#: Smallest treatment mass of an unpinned arm that the level-1 closed form
+#: resolves: its chords then stay in the normal floating-point range.
+_MASS_FLOOR = 1e-250
+
+
+def _chord(line: tuple, cos: float, sin: float) -> tuple[float, float, float]:
+    """The chord of b_x that block x allows at the angle (cos, sin): its
+    centre and half-length, and the squared distance of its line from the
+    origin less 1, which is positive when the line misses the ball.
+
+    ``line`` is (p0, q0, root0, r p1, r q1, (p0 q1 - p1 q0) / root1), where
+    p_i = p(x | z_i), q_i = q_(z_i x) and root_i = sqrt(p(0 | z_i) p(1 | z_i))
+    for the block's two arms, and r = root0 / root1 (see
+    ``_level1_ace_bounds``).  The line is y0 + b y1 in the ball's frame, and
+    its squared distance from the origin is |y0 x y1|^2 / |y1|^2; scaled by
+    (root0 sin)^2, both are sums of squares of bounded terms (``num`` and
+    ``den`` below), so a small root divides nothing.
+    """
+    p0, q0, root, p1, q1, cross = line
+    k, g = p1 - cos * p0, q1 - cos * q0
+    den = sin * sin * (root * root + p0 * p0) + k * k
+    excess = (cross * cross + sin * sin * q0 * q0 + g * g) / den - 1.0  # num / den - 1
+    return (sin * sin * p0 * q0 + g * k) / den, root * sin * math.sqrt(max(-excess, 0.0) / den), excess
+
+
+def _unimodal_argmax(f, lo: float, hi: float) -> float:
+    """Where a unimodal ``f`` peaks on (lo, hi), by Brent's method (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5): a
+    parabola through the three best points gives the step when it lands
+    inside the bracket and shrinks, a golden-section step otherwise."""
+    x = w = v = lo + _GOLDEN * (hi - lo)
+    fx = fw = fv = f(x)
+    step = last = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        tol = _ANGLE_RTOL * abs(x) + _ANGLE_ATOL
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
+            return x
+        golden = abs(last) <= tol
+        if not golden:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            previous, last = last, step
+            golden = abs(p) >= abs(0.5 * q * previous) or p <= q * (lo - x) or p >= q * (hi - x)
+            if not golden:
+                step = p / q
+                if x + step - lo < 2.0 * tol or hi - x - step < 2.0 * tol:
+                    step = math.copysign(tol, mid - x)
+        if golden:
+            last = (lo if x >= mid else hi) - x
+            step = _GOLDEN * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _level1_ace_bounds(table: ObservedIVTable) -> Interval:
+    """Level-1 effect bounds as a chordal completion, with no solver.
+
+    The table fixes <A_z> = p(0 | z) - p(1 | z) and, for each (z, x),
+    <A_z B_x> = s_x (2 q_zx - b_x), with q_zx = p(0, x | z) - p(1, x | z),
+    b_x = <B_x> and s = (-1)^bit; b_0, b_1 and c = <A0 A1> stay free.  With
+    c fixed, the known entries of the moment matrix form a chordal pattern
+    with cliques {1, A0, A1, B_x}, so the matrix completes exactly when both
+    4x4 blocks are PSD (Grone, Johnson, Sa and Wolkowicz, Linear Algebra
+    Appl. 58, 109, 1984), and <B0 B1> drops out.
+
+    As Gram vectors, A_z psi = <A_z> psi + 2 root_z xi_z with
+    root_z = sqrt(p(0 | z) p(1 | z)) (1 - <A_z>^2 as a product, never by
+    subtraction) and xi_z a unit vector orthogonal to psi, so
+    c = <A0><A1> + 4 root_0 root_1 cos(theta) for the angle theta between
+    xi_0 and xi_1.  The {1, A0, A1} block is PD exactly for theta in
+    (0, pi), where (psi, xi_0, xi_1) spans an orthonormal frame; at the ends
+    the frame, like any test through the block's inverse, fails.  In that
+    frame block x holds exactly when (b, t_0, (t_1 - cos t_0) / sin) lies in
+    the unit ball, t_z = (q_zx - p(x | z) b) / root_z being <xi_z, B_x psi>,
+    so each b_x ranges over a chord (``_chord``).  The upper endpoint is half
+    the largest of (b_0 + h_0) - (b_1 - h_1) over theta, with b_x and h_x a
+    chord's centre and half-length, and the lower one half the least of
+    (b_0 - h_0) - (b_1 + h_1).  Both are concave in cos(theta) on the angles
+    where both chords exist, so each is a 1-D unimodal search
+    (``_unimodal_argmax``); an angle where a chord is missing scores below
+    every feasible one, by how far its line misses the ball.  Each endpoint
+    takes the better of the two angles found, and at one angle the upper
+    difference is never below the lower, so the endpoints cannot cross and
+    need no midpoint rule.
+
+    An arm pinned by exact zeros (``_pinned_letters``) drops its letter, as
+    in ``moment_program``.  It fixes b_x = q_zx for the treatment x it
+    always takes (two arms pinned to the same x fix the mean of theirs), and
+    there is then no angle: the 3x3 or 2x2 blocks give the intervals
+    directly.  A table outside the relaxation (a chord missing at every
+    angle, or a fixed b_x off its chord, by more than ``_BALL_SLACK``)
+    raises ``InfeasibleTableError``, and an unpinned arm with a treatment
+    mass below ``_MASS_FLOOR`` raises ``FloatRangeError``.
+    """
+    pins = _pinned_letters(table)
+    p = table.p.tolist()  # [y][x][z]
+    mass = [[p[0][x][z] + p[1][x][z] for z in range(2)] for x in range(2)]
+    q = [[p[0][x][z] - p[1][x][z] for z in range(2)] for x in range(2)]
+    roots = [math.sqrt(mass[0][z]) * math.sqrt(mass[1][z]) for z in range(2)]
+    # the free arms, the smaller root first; a missing arm reads p = q = 0
+    # with root 1, which leaves its coordinate out of the chord
+    arms = sorted((z for z in range(2) if z not in pins), key=roots.__getitem__) + [None, None]
+    for z in arms[:2]:
+        if z is not None and min(mass[0][z], mass[1][z]) < _MASS_FLOOR:
+            raise FloatRangeError(
+                f"arm z={z} has a treatment mass of {min(mass[0][z], mass[1][z]):.3g}, below the range of the "
+                "level-1 closed form; a mass of exactly 0 pins the arm"
+            )
+    lines = []
+    for x in range(2):
+        (p0, q0, r0), (p1, q1, r1) = (
+            (0.0, 0.0, 1.0) if z is None else (mass[x][z], q[x][z], roots[z]) for z in arms[:2]
+        )
+        lines.append((p0, q0, r0, p1 * (r0 / r1), q1 * (r0 / r1), (p0 * q1 - p1 * q0) / r1))
+    # a b_x that pinned arms fix is a chord of length 0, with how far it lies
+    # off the free arm's ball (at most one arm is free, in the first slot) or
+    # how far two pins disagree
+    fixed = {}
+    for x in range(2):
+        values = [q[x][z] for z, sign in pins.items() if (sign < 0.0) == x]
+        if values:
+            b = sum(values) / len(values)
+            p0, q0, r0 = lines[x][:3]
+            fixed[x] = (b, 0.0, max(b * b - 1.0 + ((q0 - p0 * b) / r0) ** 2, max(values) - min(values)))
+
+    def evaluate(cos: float, sin: float, sign: float) -> tuple[float, float]:
+        """sign (b_0 - b_1) + h_0 + h_1 over the two chords at this angle,
+        with h_x a chord's half-length, and how far the worse line misses
+        the ball."""
+        (c0, h0, e0), (c1, h1, e1) = (fixed[x] if x in fixed else _chord(line, cos, sin) for x, line in enumerate(lines))
+        return sign * (c0 - c1) + h0 + h1, max(e0, e1)
+
+    def rank(value: float, excess: float) -> float:
+        # a feasible value is at least -2, since |b_x| <= 1 on a chord
+        return value if excess <= 0.0 else -3.0 - excess
+
+    if arms[1] is None:
+        angles = [(0.0, 1.0)]  # no angle: the second coordinate reads 0
+    else:
+        found = (
+            _unimodal_argmax(lambda t: rank(*evaluate(math.cos(t), math.sin(t), sign)), 0.0, math.pi)
+            for sign in (1.0, -1.0)
+        )
+        angles = [(math.cos(t), math.sin(t)) for t in found]
+    ends = []
+    for sign in (-1.0, 1.0):
+        value, excess = max((evaluate(*angle, sign) for angle in angles), key=lambda pair: rank(*pair))
+        if excess > _BALL_SLACK:
+            raise InfeasibleTableError(
+                f"the table lies outside the level-1 quantum relaxation (by {excess:.3g} past the unit ball)"
+            )
+        ends.append(0.5 * sign * value)
+    return Interval(*ends)
+
+
+def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) -> tuple[Interval, dict]:
+    """Treatment-effect bounds when the latent confounder may be quantum.
+
+    The effect is (<B_0> - <B_1>) / 2 over the moment relaxation the table
+    fixes.  This is an outer relaxation, so the interval contains the
+    classical LP interval.  Level 1 is a chordal matrix completion answered
+    with no solver (``_level1_ace_bounds``), and its diagnostics are
+    ``{"engine": "closed-form", "level": "1"}``.  Level 1ab is the moment SDP
+    (``quantum_ace_sdp``), and its diagnostics hold the two endpoint solves'
+    iterations, stop reasons and duality gaps.
+    """
+    if level is NpaLevel.L1:
+        return _level1_ace_bounds(table), {"engine": "closed-form", "level": level.value}
+    return quantum_ace_sdp(table, level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,10 +689,11 @@ def quantum_gap_report(
     closed forms (``diagnostics["engine"]``), and ``level`` is only echoed:
     the two relaxation levels are equal on correlator functionals.  An
     entry past the float range raises ``FloatRangeError``.  An instrumental
-    table is bounded by the moment SDP at ``level`` (``quantum_ace_bounds``),
-    and its diagnostics hold the solver's iterations, stop reasons and
-    duality gaps.  ``tol`` is the LP feasibility threshold of a table's
-    classical interval.
+    table is bounded at ``level`` by ``quantum_ace_bounds``: at level 1 by a
+    closed-form completion (``diagnostics`` ``{"engine": "closed-form",
+    "level": "1"}``), at 1ab by the moment SDP, whose diagnostics hold the
+    solver's iterations, stop reasons and duality gaps.  ``tol`` is the LP
+    feasibility threshold of a table's classical interval.
     """
     notes: list[str] = []
     diagnostics: dict = {}

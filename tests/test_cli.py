@@ -11,7 +11,7 @@ import pytest
 import polybounds
 from polybounds import Behavior, FloatRangeError
 from polybounds.cli import SchemaError, _classify, canonical_json, main, parse_request, serialize_request
-from conftest import random_local_behavior, tsirelson_closed_form
+from conftest import one_sided_iv_table, random_iv_table, random_local_behavior, tsirelson_closed_form
 
 
 def write_doc(tmp_path, payload, options=None, name="doc.json"):
@@ -237,8 +237,13 @@ def test_solver_provenance_reports_termination(tmp_path, capsys):
     code, out = run_cli(capsys, "npa", "--input", path, "--npa-level", "1ab", "--audit")
     assert code == 0
     assert json.loads(out)["provenance"]["solver"]["sdp_termination"] in ("converged", "stalled")
+    # a level-1 table is answered in closed form; at 1ab the SDP reports
+    # both endpoint solves
     path = write_doc(tmp_path, {"table": np.full((2, 2, 2), 0.25).tolist()})
     code, out = run_cli(capsys, "gap", "--input", path)
+    assert code == 0
+    assert json.loads(out)["provenance"]["solver"] == {"engine": "closed-form", "level": "1"}
+    code, out = run_cli(capsys, "gap", "--input", path, "--npa-level", "1ab")
     assert code == 0
     solver = json.loads(out)["provenance"]["solver"]
     assert len(solver["sdp_termination"]) == len(solver["sdp_iterations"]) == 2
@@ -289,6 +294,58 @@ def test_gap_audit_resolves_functionals_and_behaviors_with_the_sdp(tmp_path, cap
             solver = doc["provenance"]["solver"]
             assert solver["engine"] == "closed-form"
             assert solver["sdp_termination"] in ("converged", "stalled")
+
+
+def test_gap_audit_resolves_a_table_with_the_stacked_sdp(tmp_path, capsys):
+    table = random_iv_table(np.random.default_rng(74))
+    path = write_doc(tmp_path, {"table": table.p.tolist()})
+    for level in ("1", "1ab"):
+        code, out = run_cli(capsys, "gap", "--input", path, "--npa-level", level)
+        assert code == 0
+        plain = json.loads(out)
+        code, out = run_cli(capsys, "gap", "--input", path, "--audit", "--npa-level", level)
+        assert code == 0
+        doc = json.loads(out)
+        audit = doc["results"].pop("audit")
+        assert doc["results"] == plain["results"]
+        assert audit["agrees"] is True
+        for end in ("lo", "hi"):
+            assert audit["sdp_interval"][end] == pytest.approx(doc["results"]["quantum"][end], abs=1e-8)
+        solver = doc["provenance"]["solver"]
+        assert solver["level"] == level
+        assert len(solver["sdp_iterations"]) == len(solver["sdp_termination"]) == len(solver["duality_gaps"]) == 2
+        assert set(solver["sdp_termination"]) <= {"converged", "stalled"}
+        assert solver.get("engine") == ("closed-form" if level == "1" else None)
+
+
+def test_a_table_audit_whose_sdp_raises_still_answers(tmp_path, capsys):
+    # an arm pinned but for 1e-9 of its mass: the closed form answers, and the
+    # audit SDP stops at its iteration cap
+    rng = np.random.default_rng(7)
+    table = (1.0 - 1e-9) * one_sided_iv_table(rng).p + 1e-9 * random_iv_table(rng).p
+    path = write_doc(tmp_path, {"table": table.tolist()})
+    code, out = run_cli(capsys, "gap", "--input", path, "--audit")
+    assert code == 0
+    doc = json.loads(out)
+    audit = doc["results"]["audit"]
+    assert audit["agrees"] is None and "sdp_interval" not in audit
+    assert audit["error"]["type"] == "SdpConvergenceError"
+    assert "no convergence in 200 iterations" in audit["error"]["message"]
+    assert doc["results"]["quantum"]["lo"] < doc["results"]["quantum"]["hi"]
+    assert doc["provenance"]["solver"] == {"engine": "closed-form", "level": "1"}
+
+
+def test_a_level1_table_needs_no_sdp(tmp_path, capsys, monkeypatch):
+    def refuse(problems):
+        raise AssertionError("the level-1 table route called the SDP")
+
+    monkeypatch.setattr("polybounds.quantum.sdp_solve_stack", refuse)
+    path = write_doc(tmp_path, {"table": random_iv_table(np.random.default_rng(75)).p.tolist()})
+    code, out = run_cli(capsys, "gap", "--input", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["quantum"]["lo"] <= doc["results"]["classical"]["lo"]
+    assert doc["provenance"]["solver"] == {"engine": "closed-form", "level": "1"}
 
 
 def test_non_finite_report_values_are_solver_errors():

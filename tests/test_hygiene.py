@@ -107,8 +107,8 @@ def test_rendering_spans_do_not_nest(tmp_path, capsys):
 
 
 def test_tracer_runs_the_sdp_requests(tmp_path, capsys):
-    # an IV gap request reaches the stacked solver, which the tracer does not
-    # wrap; an audited npa request reaches sdp_solve, whose observer reads
+    # a level-1 IV gap request is answered in closed form and reaches no
+    # solver; an audited npa request reaches sdp_solve, whose observer reads
     # the problem's dimension and the result's iterations
     cli = importlib.import_module("polybounds.cli")
     table = np.full((2, 2, 2), 0.25).tolist()

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polybounds import (
     Behavior,
     CHSH_COEFFS,
     DichotomicObservable,
     FloatRangeError,
+    InfeasibleTableError,
     NpaLevel,
     ObservedIVTable,
     TwoQubitState,
@@ -17,6 +19,7 @@ from polybounds import (
     chsh_operator,
     chsh_value,
     chsh_variant_values,
+    iv_table_from_response_dist,
     local_max,
     moment_program,
     no_signaling_max,
@@ -27,16 +30,20 @@ from polybounds import (
     quantum_gap_report,
     tsirelson_bound,
 )
+from polybounds.errors import SdpConvergenceError
 from polybounds.quantum import (
     PAULI_X,
     PAULI_Z,
     _entry_monomial,
     _family,
+    _pinned_letters,
     _words,
+    quantum_ace_sdp,
 )
 from conftest import (
     one_sided_iv_table,
     random_iv_table,
+    structural_iv_tables,
     random_observable,
     random_quantum_behavior,
     random_state,
@@ -433,6 +440,136 @@ def test_quantum_ace_interval_contains_the_models_own_effect():
         bob = [float(np.trace(rho.rho @ np.kron(np.eye(2), b.m)).real) for b in (b0, b1)]
         interval, _ = quantum_ace_bounds(table, NpaLevel.L1)
         assert interval.contains(0.5 * (bob[0] - bob[1]), tol=1e-6)
+
+
+def _types_with_arms(rng, arms) -> ObservedIVTable:
+    """The table of random response-type weights whose treatment responses
+    send arm z to treatment arms[z] with certainty, or to both treatments
+    when arms[z] is None (responses (f(0), f(1)): never-taker, complier,
+    defier, always-taker)."""
+    responses = [i for i, f in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)))
+                 if all(x is None or f[z] == x for z, x in enumerate(arms))]
+    weights = np.zeros(16)
+    for i in responses:
+        weights[4 * i : 4 * i + 4] = rng.dirichlet(np.ones(4))
+    return iv_table_from_response_dist(weights / weights.sum())
+
+
+@pytest.mark.parametrize("arms", list(itertools.product((None, 0, 1), repeat=2)))
+def test_level1_closed_form_matches_the_sdp_on_every_pin_pattern(arms):
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        table = _types_with_arms(rng, arms)
+        pins = _pinned_letters(table)
+        assert sorted(pins) == [z for z, x in enumerate(arms) if x is not None]
+        assert all(pins[z] == (1.0 if x == 0 else -1.0) for z, x in enumerate(arms) if x is not None)
+        closed, diagnostics = quantum_ace_bounds(table, NpaLevel.L1)
+        sdp, _ = quantum_ace_sdp(table, NpaLevel.L1)
+        assert diagnostics == {"engine": "closed-form", "level": "1"}
+        assert closed.lo == pytest.approx(sdp.lo, abs=1e-8)
+        assert closed.hi == pytest.approx(sdp.hi, abs=1e-8)
+        # the SDP reports a primal iterate, inside the exact interval
+        assert closed.encloses(sdp, tol=1e-11)
+
+
+def test_level1_closed_form_matches_the_sdp_on_random_and_structural_tables():
+    # the searched angle between the two arms' directions lands on both
+    # sides of pi / 2 in this pool
+    rng = np.random.default_rng(76)
+    tables = [random_iv_table(rng) for _ in range(12)] + [ObservedIVTable(t) for t in structural_iv_tables(rng, 12)]
+    for table in tables:
+        closed, _ = quantum_ace_bounds(table, NpaLevel.L1)
+        sdp, _ = quantum_ace_sdp(table, NpaLevel.L1)
+        assert closed.lo == pytest.approx(sdp.lo, abs=1e-8)
+        assert closed.hi == pytest.approx(sdp.hi, abs=1e-8)
+
+
+def test_level1_closed_form_matches_the_sdp_near_the_edge_of_the_relaxation():
+    """Mixtures of a model's table with a violating one, 1e-3 on either side
+    of the edge of the level-1 relaxation: inside, few angles admit both
+    chords, and the endpoints still match the SDP's, to the SDP's own 1e-7
+    feasibility acceptance since it ends at its iteration cap on two of
+    them; outside, the table is rejected."""
+    rng = np.random.default_rng(8)
+    crafted = np.zeros((2, 2, 2))
+    crafted[1, 1, 0] = crafted[0, 1, 1] = 1.0
+    for edge in (0.83995, 0.96768, 0.97722):  # the shares past which no moment matrix completes
+        inner, outside = random_iv_table(rng).p, 0.5 * crafted + 0.5 * random_iv_table(rng).p
+        table = ObservedIVTable((1.0 - edge + 1e-3) * inner + (edge - 1e-3) * outside)
+        closed, _ = quantum_ace_bounds(table, NpaLevel.L1)
+        sdp, _ = quantum_ace_sdp(table, NpaLevel.L1)
+        assert closed.lo == pytest.approx(sdp.lo, abs=1e-7)
+        assert closed.hi == pytest.approx(sdp.hi, abs=1e-7)
+        with pytest.raises(InfeasibleTableError):
+            quantum_ace_bounds(ObservedIVTable((1.0 - edge - 1e-3) * inner + (edge + 1e-3) * outside), NpaLevel.L1)
+
+
+def test_level1_closed_form_calls_no_solver(monkeypatch):
+    def refuse(problems):
+        raise AssertionError("the level-1 closed form called the SDP")
+
+    monkeypatch.setattr("polybounds.quantum.sdp_solve_stack", refuse)
+    rng = np.random.default_rng(72)
+    for arms in itertools.product((None, 0, 1), repeat=2):
+        table = _types_with_arms(rng, arms)
+        quantum, _ = quantum_ace_bounds(table, NpaLevel.L1)
+        assert quantum.encloses(ace_bounds(table), tol=1e-12)
+        assert quantum_gap_report(table).diagnostics == {"engine": "closed-form", "level": "1"}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0.01))
+def test_level1_interval_encloses_classical_and_level1ab(weights):
+    table = iv_table_from_response_dist(np.array(weights) / sum(weights))
+    try:
+        level1ab, _ = quantum_ace_bounds(table, NpaLevel.L1AB)
+    except SdpConvergenceError:
+        assume(False)  # the zero-cell tables that 1ab cannot solve yet
+    level1, _ = quantum_ace_bounds(table, NpaLevel.L1)
+    assert level1.encloses(ace_bounds(table), tol=1e-12)
+    assert -1.0 <= level1.lo <= level1.hi <= 1.0
+    assert level1.encloses(level1ab, tol=1e-7)
+
+
+def test_near_pinned_arms_approach_the_pinned_interval():
+    """(1 - eps) of a one-sided table, whose arm z = 0 is pinned, plus eps of
+    an interior one: every table answers, and from eps = 1e-9 on each
+    endpoint lies within 2 sqrt(eps) of the pinned table's."""
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        pinned, inner = one_sided_iv_table(rng), random_iv_table(rng)
+        assert _pinned_letters(pinned) == {0: 1.0}
+        at_pin, _ = quantum_ace_bounds(pinned, NpaLevel.L1)
+        for eps in (1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2):
+            table = ObservedIVTable((1.0 - eps) * pinned.p + eps * inner.p)
+            assert not _pinned_letters(table)
+            interval, _ = quantum_ace_bounds(table, NpaLevel.L1)
+            assert interval.encloses(ace_bounds(table), tol=1e-12)
+            if eps >= 1e-9:
+                assert abs(interval.lo - at_pin.lo) <= 2.0 * np.sqrt(eps)
+                assert abs(interval.hi - at_pin.hi) <= 2.0 * np.sqrt(eps)
+
+
+def test_level1_closed_form_rejects_tables_outside_the_relaxation():
+    # 80 % of a table whose instrumental-inequality value is 2: no moment
+    # matrix completes it
+    rng = np.random.default_rng(73)
+    crafted = np.zeros((2, 2, 2))
+    crafted[1, 1, 0] = crafted[0, 1, 1] = 1.0
+    violating = ObservedIVTable(0.8 * crafted + 0.2 * random_iv_table(rng).p)
+    with pytest.raises(InfeasibleTableError, match="outside the level-1 quantum relaxation"):
+        quantum_ace_bounds(violating, NpaLevel.L1)
+    # both arms always treat, with different outcome distributions: the one
+    # <B_1> cannot take both values
+    p = np.zeros((2, 2, 2))
+    p[:, 1, 0] = (0.3, 0.7)
+    p[:, 1, 1] = (0.6, 0.4)
+    with pytest.raises(InfeasibleTableError):
+        quantum_ace_bounds(ObservedIVTable(p), NpaLevel.L1)
+    # a treatment mass too small to resolve is a range error, not a pin
+    tiny = ObservedIVTable((1.0 - 1e-300) * one_sided_iv_table(rng).p + 1e-300 * random_iv_table(rng).p)
+    with pytest.raises(FloatRangeError, match="arm z=0"):
+        quantum_ace_bounds(tiny, NpaLevel.L1)
 
 
 def test_gap_report_behavior_route():
