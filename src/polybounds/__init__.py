@@ -40,7 +40,7 @@ from .model import (
     chsh_value,
     chsh_variant_values,
 )
-from .solvers import LpProblem, LpResult, SdpProblem, SdpResult, lp_solve, sdp_solve, sdp_solve_stack
+from .solvers import LpProblem, LpResult, SdpProblem, SdpResult, lp_solve, sdp_solve
 from .polytope import (
     DeterministicStrategy,
     MembershipCertificate,

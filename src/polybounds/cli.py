@@ -39,7 +39,7 @@ the two agree.
 chordal completion (``provenance.solver`` is ``{"engine": "closed-form",
 "level": "1"}``) and level 1ab from the moment SDP, whose iterations, stop
 reasons and duality gaps go to ``provenance.solver``.  With ``--audit``
-both endpoints are solved again by the stacked SDP at the requested level:
+both endpoints are solved again by the moment SDP at the requested level:
 ``results.audit`` holds ``sdp_interval`` and ``agrees``, and the solves'
 run goes to ``provenance.solver``.  An audit SDP that raises leaves
 ``agrees`` null with the error's type and message, and the request still
@@ -450,10 +450,10 @@ def _sdp_audit(level: NpaLevel, functional, value: float, results: dict, prov: d
 
 
 def _table_audit(table: ObservedIVTable, level: NpaLevel, quantum: Interval, results: dict, prov: dict) -> None:
-    """Re-solve both closed-form effect endpoints with the stacked moment SDP
-    at ``level``; the comparison goes to ``results`` and the solver's run to
-    ``prov``.  An SDP that raises leaves ``agrees`` null and names its error,
-    and the request still answers."""
+    """Re-solve both closed-form effect endpoints with the moment SDP at
+    ``level``, one solve each; the comparison goes to ``results`` and the
+    solvers' runs to ``prov``.  An SDP that raises leaves ``agrees`` null
+    and names its error, and the request still answers."""
     try:
         interval, diagnostics = quantum_ace_sdp(table, level)
     except (PolyboundsError, np.linalg.LinAlgError) as exc:

@@ -24,16 +24,14 @@ an instrumental table are solved into G0 and the free directions, and a
 treatment arm that the table makes deterministic pins A_z = +-1: that
 letter is substituted out and its words leave the matrix (facial
 reduction with the kernel known in advance; Permenter and Parrilo, Math.
-Program. 2018).  A table changes only the objective and the right-hand
-sides, so each (level, pins) family's constraint matrices are built once,
-and every program is a plain ``SdpProblem(C, A, b)`` over them.
+Program. 2018).  Every program is a plain ``SdpProblem(C, A, b)``, built
+afresh on each call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +51,7 @@ from .model import (
     CHSH_VARIANTS,
 )
 from .polytope import local_max, no_signaling_max
-from .solvers import TOL, SdpProblem, SdpResult, sdp_solve, sdp_solve_stack
+from .solvers import TOL, SdpProblem, SdpResult, sdp_solve
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -252,25 +250,6 @@ def _pinned_letters(table: ObservedIVTable) -> dict[int, float]:
     return {z: sign for z in range(2) for x, sign in ((1, 1.0), (0, -1.0)) if not table.p[:, x, z].any()}
 
 
-class _Family(NamedTuple):
-    """The table-independent part of a moment program at one level with one
-    set of pinned letters: everything but the right-hand sides and the
-    objective (see ``moment_program``)."""
-
-    pins: dict
-    index: dict  # canonical monomial -> coordinate, the identity first
-    iu: tuple  # upper-triangle indices of the moment matrix
-    scale: np.ndarray  # 1 on the diagonal, sqrt 2 off it
-    patterns: np.ndarray  # each monomial's 0/1 pattern in orthonormal coordinates
-    cells: tuple  # (y, x, z) index arrays of the table cells the data rows read
-    d0: np.ndarray  # the identity's coefficient in each data row
-    left: np.ndarray  # U' of the data rows' SVD, on its range
-    s: np.ndarray  # its singular values on the range
-    right: np.ndarray  # V of the data rows' SVD, on its range
-    complement: np.ndarray  # orthonormal basis of the family's orthogonal complement
-    A: np.ndarray  # the constraint matrices, frozen
-
-
 def _weights(coeffs: dict, level: NpaLevel, pins: dict, index: dict) -> np.ndarray:
     """A linear form in the moments, ``coeffs`` mapping monomials to
     coefficients, as a vector over the family's coordinates ``index``."""
@@ -283,33 +262,9 @@ def _weights(coeffs: dict, level: NpaLevel, pins: dict, index: dict) -> np.ndarr
     return w
 
 
-@functools.lru_cache(maxsize=None)
-def _family(level: NpaLevel, pins: tuple | None) -> _Family:
-    """The family of ``level`` held to an IV table's rows with these
-    (letter, sign) pins, or free of data rows when ``pins`` is None; there
-    are 20 in all."""
-    data = [] if pins is None else _iv_data_rows()
-    signs = dict(pins or ())
-    words = tuple(w for w in _words(level) if not signs.keys() & set(w[0]))
-    iu = np.triu_indices(len(words))
-    keys = [_canonical(_entry_monomial(words[i], words[j])) for i, j in zip(*iu)]
-    index = {mono: k for k, mono in enumerate(dict.fromkeys(keys))}  # the identity comes first
-    # each monomial's 0/1 pattern in orthonormal coordinates of the symmetric
-    # matrices: the upper triangle, off-diagonal entries times sqrt 2
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    patterns = scale * (np.array([index[k] for k in keys]) == np.arange(len(index))[:, None])
-    D = np.array([_weights(coeffs, level, signs, index) for _, coeffs in data]).reshape(len(data), len(index))
-    U, s, Vt = np.linalg.svd(D[:, 1:])
-    rank = int((s > 1e-10).sum())
-    _, sc, Wt = np.linalg.svd(Vt[rank:] @ patterns[1:])
-    complement = Wt[int((sc > 1e-10).sum()):]
-    A = np.zeros((len(complement), len(words), len(words)))
-    A[:, iu[0], iu[1]] = A[:, iu[1], iu[0]] = complement / scale
-    A.setflags(write=False)
-    cells = tuple(np.array([cell[k] for cell, _ in data], dtype=int) for k in range(3))
-    return _Family(
-        signs, index, iu, scale, patterns, cells, D[:, 0], U[:, :rank].T, s[:rank], Vt[:rank].T, complement, A
-    )
+#: Largest miss of an IV table's rows by their least-squares moments at
+#: which ``moment_program`` still takes the table to fit a moment matrix.
+_DATA_RESIDUAL = 1e-9
 
 
 def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | None = None) -> SdpProblem:
@@ -319,30 +274,47 @@ def moment_program(level: NpaLevel, objective: dict, table: ObservedIVTable | No
     canonical monomial share its moment, the diagonal the identity's 1.  The
     rows of an IV ``table`` (``_iv_data_rows``) are solved: their
     least-squares solution gives the offset G0 and their null space the
-    free directions G_j, so Gamma = G0 + sum_j t_j G_j.  An Alice letter
-    the table pins (``_pinned_letters``) is substituted: the words holding
-    it leave the word list, each being +-1 times a word that stays, and
-    A_z -> +-1 in every monomial.  X is held in the family by <Q_k, X> =
-    <Q_k, G0>, with Q_k an orthonormal basis of the family's orthogonal
-    complement.  ``objective`` maps monomials (pairs of letter tuples, the
-    empty one a constant) to coefficients; a monomial absent at this level
-    raises ``ValidationError``.
-
-    All of this but G0, the right-hand sides and the objective depends only
-    on the level and the pinned letters, so it is built once per such
-    family (``_family``): the words and monomials, the data rows, both SVDs,
-    the complement and the constraint matrices A.  A call solves the table's
-    rows for G0 with the cached SVD, projects it onto the complement for the
-    right-hand sides b, and returns ``SdpProblem(C, A, b)``, which checks
-    and copies A like any other problem.
+    free directions G_j, so Gamma = G0 + sum_j t_j G_j.  A table whose rows
+    that solution misses by more than ``_DATA_RESIDUAL`` (two arms pinned to
+    one treatment with different outcomes) fits no moment matrix and
+    raises ``InfeasibleTableError``.  An Alice letter the table pins
+    (``_pinned_letters``) is substituted: the words holding it leave the
+    word list, each being +-1 times a word that stays, and A_z -> +-1 in
+    every monomial.  X is held in the family by <Q_k, X> = <Q_k, G0>, with
+    Q_k an orthonormal basis of the family's orthogonal complement, and the
+    program is ``SdpProblem(C, A, b)`` with the Q_k as A.  ``objective``
+    maps monomials (pairs of letter tuples, the empty one a constant) to
+    coefficients; a monomial absent at this level raises
+    ``ValidationError``.
     """
-    family = _family(level, None if table is None else tuple(_pinned_letters(table).items()))
-    values = np.zeros(0) if table is None else table.p[family.cells]
-    offset = family.patterns[0] + family.right @ (family.left @ (values - family.d0) / family.s) @ family.patterns[1:]
-    coords = _weights(objective, level, family.pins, family.index) / (family.patterns**2).sum(axis=1) @ family.patterns
-    C = np.zeros(family.A.shape[1:])
-    C[family.iu[0], family.iu[1]] = C[family.iu[1], family.iu[0]] = coords / family.scale
-    return SdpProblem(C, family.A, family.complement @ offset)
+    pins = {} if table is None else _pinned_letters(table)
+    data = [] if table is None else _iv_data_rows()
+    words = tuple(w for w in _words(level) if not pins.keys() & set(w[0]))
+    iu = np.triu_indices(len(words))
+    keys = [_canonical(_entry_monomial(words[i], words[j])) for i, j in zip(*iu)]
+    index = {mono: k for k, mono in enumerate(dict.fromkeys(keys))}  # the identity comes first
+    # each monomial's 0/1 pattern in orthonormal coordinates of the symmetric
+    # matrices: the upper triangle, off-diagonal entries times sqrt 2
+    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    patterns = scale * (np.array([index[k] for k in keys]) == np.arange(len(index))[:, None])
+    D = np.array([_weights(coeffs, level, pins, index) for _, coeffs in data]).reshape(len(data), len(index))
+    values = np.array([table.p[cell] for cell, _ in data])
+    U, s, Vt = np.linalg.svd(D[:, 1:])
+    rank = int((s > 1e-10).sum())
+    moments = Vt[:rank].T @ (U[:, :rank].T @ (values - D[:, 0]) / s[:rank])
+    residual = float(np.abs(D[:, 1:] @ moments + D[:, 0] - values).max(initial=0.0))
+    if residual > _DATA_RESIDUAL:
+        raise InfeasibleTableError(
+            f"the table fits no moment matrix at level {level.value} (its rows miss by {residual:.3g})"
+        )
+    _, sc, Wt = np.linalg.svd(Vt[rank:] @ patterns[1:])
+    complement = Wt[int((sc > 1e-10).sum()):]
+    A = np.zeros((len(complement), len(words), len(words)))
+    A[:, iu[0], iu[1]] = A[:, iu[1], iu[0]] = complement / scale
+    coords = _weights(objective, level, pins, index) / (patterns**2).sum(axis=1) @ patterns
+    C = np.zeros(A.shape[1:])
+    C[iu[0], iu[1]] = C[iu[1], iu[0]] = coords / scale
+    return SdpProblem(C, A, complement @ (patterns[0] + moments @ patterns[1:]))
 
 
 def _in_range(name: str, value: float) -> float:
@@ -436,7 +408,8 @@ def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, 
 
     The observed table fixes the moment family (``moment_program``); the
     effect is (<B_0> - <B_1>) / 2.  The two endpoints, which differ only in
-    the sign of the objective, run in one stacked solve.  When the data pin
+    the sign of the objective, are one ``sdp_solve`` each.  A table that no
+    moment matrix fits raises ``InfeasibleTableError``.  When the data pin
     the effect, the two solved endpoints can cross by rounding.  A crossing
     no larger than the sum of the two certified duality gaps returns the
     midpoint as a point interval; a larger one still fails the ``Interval``
@@ -444,7 +417,7 @@ def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, 
     closed form (``gap --audit`` on a table).
     """
     problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
-    hi, lo = sdp_solve_stack((problem, SdpProblem(-problem.C, problem.A, problem.b)))
+    hi, lo = sdp_solve(problem), sdp_solve(SdpProblem(-problem.C, problem.A, problem.b))
     diagnostics = {
         "level": level.value,
         "sdp_iterations": (lo.iterations, hi.iterations),

@@ -1,7 +1,7 @@
 """Self-contained optimization engines: dense simplex LP and interior-point SDP."""
 
 from .lp import TOL, LpProblem, LpResult, lp_solve
-from .sdp import SdpProblem, SdpResult, sdp_solve, sdp_solve_stack
+from .sdp import SdpProblem, SdpResult, sdp_solve
 
 __all__ = [
     "TOL",
@@ -11,5 +11,4 @@ __all__ = [
     "SdpProblem",
     "SdpResult",
     "sdp_solve",
-    "sdp_solve_stack",
 ]

@@ -13,30 +13,26 @@ plus a solve of the m x m Schur complement, regularized by 1e-14 of its
 largest diagonal entry and followed by one step of iterative refinement
 against the exact matrix.
 
-At this size an iteration costs numpy call overhead, not arithmetic, so the
-loop (``sdp_solve_stack``) runs a stack of problems of one size and one
-constraint count, such as the two endpoints of an interval.  X, Z and y
-carry a leading problem axis.  One ``eigh`` of the stack [X; Z] is both
-the PD guard of a step and, at the next iteration, the source of the
-square roots of X and Z; one more ``eigh`` gives the NT scaling point, one
-``eigvalsh`` the step lengths of each trial direction, and the Schur
-complement <A_k, W A_l W> comes from one batched product.  The direction
-is affine in the centering target mu_t, D0 + D2 + mu_t D1, so every
-corrector, escalated or not, costs no solve, and an iteration where no
-problem escalates takes the first corrector it evaluated.  D0 (affine
-scaling) and D1 (centering) come from one solve with two right-hand sides;
-the predictor D0 gives the centering weight and the second-order column
-D2.  D2 answers the product of the predictor's directions, scaled by the
-NT point so that X and Z are both diag(d); there its Lyapunov equation is
-solved elementwise.  The column is weighted by the predictor's step
-lengths alpha_p alpha_d, since on a problem without an interior point the
-unweighted term overflows.  So an iteration takes two solves, each a
-regularized solve and its refinement step.  Each problem keeps its own best iterate, stopping rules and
-acceptance test, and leaves the stack when it stops; ``sdp_solve`` is a
-stack of one.  M is never inverted: each solve is one LU ``solve`` of the
-regularized M, and a Cholesky factorization only tests that M is positive
-definite, else the solve falls back to a pseudo-inverse.  An explicit
-inverse sends level-1ab instrumental endpoints to the iteration cap.
+One ``sdp_solve`` call runs one problem.  At this size an iteration costs
+numpy call overhead, not arithmetic, so each step shares what it can.  One
+``eigh`` of the pair [X; Z] is both the PD guard of a step and, at the
+next iteration, the source of the square roots of X and Z; one more
+``eigh`` gives the NT scaling point, one ``eigvalsh`` the step lengths of
+each trial direction, and the Schur complement <A_k, W A_l W> comes from
+one batched product.  The direction is affine in the centering target
+mu_t, D0 + D2 + mu_t D1, so every corrector, escalated or not, costs no
+solve.  D0 (affine scaling) and D1 (centering) come from one solve with
+two right-hand sides; the predictor D0 gives the centering weight and the
+second-order column D2.  D2 answers the product of the predictor's
+directions, scaled by the NT point so that X and Z are both diag(d); there
+its Lyapunov equation is solved elementwise.  The column is weighted by
+the predictor's step lengths alpha_p alpha_d, since on a problem without
+an interior point the unweighted term overflows.  So an iteration takes
+two solves, each a regularized solve and its refinement step.  M is never
+inverted: each solve is one LU ``solve`` of the regularized M, and a
+Cholesky factorization only tests that M is positive definite, else the
+solve falls back to a pseudo-inverse.  An explicit inverse sends
+level-1ab instrumental endpoints to the iteration cap.
 
 The dual is  min b'y  subject to  Z = sum_k y_k A_k - C >= 0,  and the
 reported ``gap`` is |primal - dual| on the returned iterates, the quantity
@@ -134,158 +130,118 @@ def _sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.swapaxes(-1, -2))
 
 
-def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """<U_p, V_p> for each pair of a stack."""
-    return np.einsum("pij,pij->p", U, V)
+def _dot(U: np.ndarray, V: np.ndarray) -> float:
+    """<U, V> for two n x n matrices."""
+    return float(np.einsum("ij,ij->", U, V))
 
 
 def _floored(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each matrix of a stack, floored at 1e-15 of max(1, the
-    largest), with a broadcast axis."""
-    return np.maximum(w, np.maximum(w.max(axis=1, keepdims=True), 1.0) * 1e-15)[:, None, :]
+    """Eigenvalues along the last axis, floored at 1e-15 of max(1, the
+    largest), with a broadcast axis before it."""
+    return np.maximum(w, np.maximum(w.max(axis=-1, keepdims=True), 1.0) * 1e-15)[..., None, :]
 
 
-def _step_lengths(inv_half: np.ndarray, dS: np.ndarray) -> np.ndarray:
-    """min(1, STEP_FRACTION alpha) for each S of a stack, alpha the largest
-    step with S + alpha dS still PSD, given inv_half = S^-1/2 (S PD)."""
+def _step_lengths(inv_half: np.ndarray, dS: np.ndarray) -> list:
+    """min(1, STEP_FRACTION alpha) for X and Z, alpha the largest step with
+    S + alpha dS still PSD, given the pair dS = [dX; dZ] and inv_half =
+    [X^-1/2; Z^-1/2] (X and Z PD)."""
     lam = np.linalg.eigvalsh(_sym(inv_half @ dS @ inv_half)).min(axis=1)
-    return np.where(lam >= -1e-14, 1.0, np.minimum(1.0, STEP_FRACTION / -np.minimum(lam, -1e-14)))
+    return np.where(lam >= -1e-14, 1.0, np.minimum(1.0, STEP_FRACTION / -np.minimum(lam, -1e-14))).tolist()
 
 
-def _direction(D: tuple, mu_target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Newton direction (dX, dy, dZ) of each problem of a stack for the
-    centering target mu_target, from its affine parts D = (DX, Dy, DZ)."""
+def _direction(D: tuple, mu_target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Newton direction (dX, dy, dZ) for the centering target
+    mu_target, from its affine parts D = (DX, Dy, DZ)."""
     DX, Dy, DZ = D
-    t = mu_target[:, None, None]
-    return DX[:, 0] + t * DX[:, 1], Dy[..., 0] + mu_target[:, None] * Dy[..., 1], DZ[:, 0] + t * DZ[:, 1]
+    return DX[0] + mu_target * DX[1], Dy[:, 0] + mu_target * Dy[:, 1], DZ[0] + mu_target * DZ[1]
 
 
 def sdp_solve(problem: SdpProblem) -> SdpResult:
-    """Solve one small dense SDP: a stack of one (``sdp_solve_stack``)."""
-    return sdp_solve_stack((problem,))[0]
-
-
-def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
-    """Solve SDPs of one size and one constraint count in one interior-point
-    loop, each from the identity-based infeasible start and each stopping on
-    its own rules.  The results come in stack order; if any problem fails,
-    the first that fails raises its ``SdpConvergenceError`` once every
-    problem has stopped.  An empty stack gives no results."""
-    if not len(problems):
-        return ()
-    n = problems[0].dimension
-    m = len(problems[0].b)
-    if any(p.A.shape != (m, n, n) for p in problems):
-        raise DimensionMismatchError("stacked SDPs must share their matrix size and constraint count")
-    As2 = np.array([p.A for p in problems]).reshape(-1, m, n * n)  # (P, m, n*n)
-    b = np.array([p.b for p in problems])
-    C0 = -np.array([p.C for p in problems])  # interior-point core minimizes
+    """Solve one small dense SDP from the identity-based infeasible start."""
+    n, m = problem.dimension, problem.b.size
+    A2 = problem.A.reshape(m, n * n)
+    b = problem.b
+    C0 = -problem.C  # interior-point core minimizes
     with np.errstate(over="ignore"):
-        norm_b = 1.0 + np.linalg.norm(b, axis=1)
-        norm_c = 1.0 + np.linalg.norm(C0, axis=(1, 2))
-    # the loop runs on the stack of active problems; a problem leaves it when
-    # it stops, and one with a non-finite norm never enters
-    act = np.flatnonzero(np.isfinite(norm_b) & np.isfinite(norm_c))
-    As2, b, C0, norm_b, norm_c = (v[act] for v in (As2, b, C0, norm_b, norm_c))
+        norm_b = 1.0 + float(np.linalg.norm(b))
+        norm_c = 1.0 + float(np.linalg.norm(C0))
+    if not (np.isfinite(norm_b) and np.isfinite(norm_c)):
+        raise SdpConvergenceError("objective or right-hand side has a non-finite norm; rescale the problem")
 
     def Aop(M: np.ndarray) -> np.ndarray:
-        return (As2 @ M.reshape(-1, n * n, 1))[..., 0]
+        return A2 @ M.reshape(n * n)
 
-    X = np.eye(n) * np.maximum(1.0, np.abs(b).max(axis=1))[:, None, None]
-    Z = np.eye(n) * np.maximum(1.0, np.linalg.norm(C0, axis=(1, 2)) / np.sqrt(n))[:, None, None]
-    y = np.zeros(b.shape)
+    X = np.eye(n) * max(1.0, float(np.abs(b).max()))
+    Z = np.eye(n) * max(1.0, float(np.linalg.norm(C0)) / np.sqrt(n))
+    y = np.zeros(m)
     mu0 = _dot(X, Z) / n
-    infeas0 = np.maximum(np.linalg.norm(b - Aop(X), axis=1) / norm_b, np.linalg.norm(C0 - Z, axis=(1, 2)) / norm_c)
-    infeas0 = np.maximum(infeas0, 1e-12)
-    # eigendecomposition of the stack [X; Z]; after the first iteration it is
+    infeas0 = max(float(np.linalg.norm(b - Aop(X))) / norm_b, float(np.linalg.norm(C0 - Z)) / norm_c, 1e-12)
+    # eigendecomposition of the pair [X; Z]; after the first iteration it is
     # the PD guard's, of the iterate the guard accepted
-    w_xz, Q_xz = np.linalg.eigh(np.concatenate([X, Z]))
+    w_xz, Q_xz = np.linalg.eigh(np.stack([X, Z]))
 
-    # per problem: the best-merit iterate (merit, X, y, Z, pobj, dobj, gap,
-    # rp_rel, rd_rel), when it was found, whether it would be good enough to
-    # stop on a stall, and why and when the problem stopped
-    best = [None] * len(problems)
-    best_at = [0] * len(problems)
-    best_stalls = [False] * len(problems)
-    termination = ["iteration_limit"] * len(problems)
-    iterations = [MAX_ITERATIONS] * len(problems)
+    # the best-merit iterate (merit, X, y, Z, pobj, dobj, gap, rp_rel,
+    # rd_rel), when it was found, and whether it would be good enough to stop
+    # on a stall
+    best, best_at, best_stalls = None, 0, False
+    termination, iterations = "iteration_limit", MAX_ITERATIONS
     for it in range(1, MAX_ITERATIONS + 1):
-        if not act.size:
-            break
         xz = _dot(X, Z)
         mu = xz / n
         rp = b - Aop(X)
-        Rd = C0 - Z - (y[:, None, :] @ As2).reshape(-1, n, n)
+        Rd = C0 - Z - (y @ A2).reshape(n, n)
         pobj = _dot(C0, X)
-        dobj = (b * y).sum(axis=1)
-        gap = np.abs(pobj - dobj)
-        rel_gap = gap / (1.0 + np.abs(pobj) + np.abs(dobj))
-        rp_rel = np.linalg.norm(rp, axis=1) / norm_b
-        rd_rel = np.linalg.norm(Rd, axis=(1, 2)) / norm_c
+        dobj = float((b * y).sum())
+        gap = abs(pobj - dobj)
+        rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
+        rp_rel = float(np.linalg.norm(rp)) / norm_b
+        rd_rel = float(np.linalg.norm(Rd)) / norm_c
 
         merit = rel_gap + rp_rel + rd_rel
-        stop = np.zeros(act.size, dtype=bool)
-        for j, k in enumerate(act.tolist()):
-            if best[k] is None or merit[j] < best[k][0]:
-                best[k] = (merit[j], X[j], y[j], Z[j], pobj[j], dobj[j], gap[j], rp_rel[j], rd_rel[j])
-                best_at[k] = it
-                best_stalls[k] = (
-                    rel_gap[j] <= GAP_TARGET and rp_rel[j] <= _STALL_RESIDUAL and rd_rel[j] <= _STALL_RESIDUAL
-                )
-            if rp_rel[j] <= 1e-10 and ((rel_gap[j] <= GAP_TARGET and rd_rel[j] <= 1e-10) or mu[j] < 1e-16):
-                termination[k] = "converged"
-            elif best_stalls[k] and it - best_at[k] >= _STALL_WINDOW:
-                termination[k] = "stalled"
-            else:
-                continue
-            iterations[k] = it
-            stop[j] = True
-        if stop.any():
-            keep = ~stop
-            w_xz, Q_xz = (v[np.concatenate([keep, keep])] for v in (w_xz, Q_xz))
-            act, As2, b, C0, norm_b, norm_c, mu0, infeas0, X, Z, y, xz, mu, rp, Rd, rp_rel, rd_rel = (
-                v[keep]
-                for v in (act, As2, b, C0, norm_b, norm_c, mu0, infeas0, X, Z, y, xz, mu, rp, Rd, rp_rel, rd_rel)
-            )
-            if not act.size:
-                break
-        size = act.size
+        if best is None or merit < best[0]:
+            best, best_at = (merit, X, y, Z, pobj, dobj, gap, rp_rel, rd_rel), it
+            best_stalls = rel_gap <= GAP_TARGET and rp_rel <= _STALL_RESIDUAL and rd_rel <= _STALL_RESIDUAL
+        if rp_rel <= 1e-10 and ((rel_gap <= GAP_TARGET and rd_rel <= 1e-10) or mu < 1e-16):
+            termination, iterations = "converged", it
+            break
+        if best_stalls and it - best_at >= _STALL_WINDOW:
+            termination, iterations = "stalled", it
+            break
 
         # Nesterov-Todd scaling point W = G G' with W Z W = X.  The
-        # eigendecomposition of the stack [X; Z] gives X^-1/2 and Z^-1/2 (for
-        # the step lengths), Z^1/2 and Z^-1; one of Z^1/2 X Z^1/2 = R diag(d)^2 R'
+        # eigendecomposition of [X; Z] gives X^-1/2 and Z^-1/2 (for the step
+        # lengths), Z^1/2 and Z^-1; one of Z^1/2 X Z^1/2 = R diag(d)^2 R'
         # gives G = Z^-1/2 R diag(d)^1/2, which scales both X and Z to diag(d)
         w = _floored(w_xz)
         sq = np.sqrt(w)
         inv_half = (Q_xz / sq) @ Q_xz.swapaxes(1, 2)
-        Qz, Qzt = Q_xz[size:], Q_xz[size:].swapaxes(1, 2)
-        Zh, Zih, Zinv = (Qz * sq[size:]) @ Qzt, inv_half[size:], (Qz / w[size:]) @ Qzt
+        Qz = Q_xz[1]
+        Zh, Zih, Zinv = (Qz * sq[1]) @ Qz.T, inv_half[1], (Qz / w[1]) @ Qz.T
         w_nt, R = np.linalg.eigh(_sym(Zh @ X @ Zh))
         d = np.sqrt(_floored(w_nt))
         root_d = np.sqrt(d)
         G = Zih @ (R * root_d)
-        W = _sym(G @ G.swapaxes(1, 2))
+        W = _sym(G @ G.T)
 
         # Schur complement M_kl = <A_k, W A_l W>, from one batched product
-        WAW = W[:, None] @ As2.reshape(size, m, n, n) @ W[:, None]
-        M = _sym(As2 @ WAW.reshape(size, m, n * n).swapaxes(1, 2))
+        WAW = W @ problem.A @ W
+        M = _sym(A2 @ WAW.reshape(m, n * n).T)
         try:
-            reg = np.maximum(M.diagonal(0, 1, 2).max(axis=1), 1.0) * 1e-14
-            M_reg = M + np.eye(m) * reg[:, None, None]
+            M_reg = M + np.eye(m) * (max(float(M.diagonal().max()), 1.0) * 1e-14)
             np.linalg.cholesky(M_reg)  # raises unless M_reg is positive definite
 
             def msolve(v: np.ndarray) -> np.ndarray:
                 return np.linalg.solve(M_reg, v)
 
         except np.linalg.LinAlgError:
-            # dependent constraints make a Schur complement singular; solve
-            # the stack in the row space via a spectral pseudo-inverse
+            # dependent constraints make the Schur complement singular; solve
+            # in the row space via a spectral pseudo-inverse
             w_m, Q_m = np.linalg.eigh(M)
-            cutoff = np.maximum(w_m.max(axis=1, keepdims=True), 1.0) * 1e-13
+            cutoff = max(float(w_m.max()), 1.0) * 1e-13
             w_inv = np.where(w_m > cutoff, 1.0 / np.maximum(w_m, cutoff), 0.0)
 
             def msolve(v: np.ndarray) -> np.ndarray:
-                return Q_m @ (w_inv[:, :, None] * (Q_m.swapaxes(1, 2) @ v))
+                return Q_m @ (w_inv[:, None] * (Q_m.T @ v))
 
         def schur_solve(rhs: np.ndarray) -> np.ndarray:
             dy = msolve(rhs)
@@ -294,28 +250,26 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
         # The Newton direction is affine in the centering target mu_t: with
         # E = mu_t Z^-1 - X it is D0 + mu_t D1, D0 the affine-scaling part and
         # D1 the centering part, both from one solve with two right-hand sides
-        E = np.stack([-X, Zinv], axis=1)  # (size, 2, n, n)
-        Dy = schur_solve(np.stack([rp + Aop(X + W @ Rd @ W), -Aop(Zinv)], axis=2))  # (size, m, 2)
-        DZ = _sym(np.stack([Rd, np.zeros_like(Rd)], axis=1) - (Dy.swapaxes(1, 2) @ As2).reshape(size, 2, n, n))
-        DX = _sym(E - W[:, None] @ DZ @ W[:, None])
+        E = np.stack([-X, Zinv])
+        Dy = schur_solve(np.stack([rp + Aop(X + W @ Rd @ W), -Aop(Zinv)], axis=1))  # (m, 2)
+        DZ = _sym(np.stack([Rd, np.zeros_like(Rd)]) - (Dy.T @ A2).reshape(2, n, n))
+        DX = _sym(E - W @ DZ @ W)
 
-        def steps(dX: np.ndarray, dZ: np.ndarray) -> tuple[list, list]:
-            alpha = _step_lengths(inv_half, np.concatenate([dX, dZ])).tolist()
-            return alpha[:size], alpha[size:]
+        def steps(dX: np.ndarray, dZ: np.ndarray) -> list:
+            return _step_lengths(inv_half, np.stack([dX, dZ]))
 
         def mu_after(dX: np.ndarray, dZ: np.ndarray):
-            """mu at (X + ap dX, Z + ad dZ) of problem j, as a bilinear form in the step lengths."""
-            terms = list(zip(xz.tolist(), _dot(dX, Z).tolist(), _dot(X, dZ).tolist(), _dot(dX, dZ).tolist()))
-            return lambda j, ap, ad: (terms[j][0] + ap * terms[j][1] + ad * terms[j][2] + ap * ad * terms[j][3]) / n
+            """mu at (X + ap dX, Z + ad dZ), as a bilinear form in the step lengths."""
+            terms = (xz, _dot(dX, Z), _dot(X, dZ), _dot(dX, dZ))
+            return lambda ap, ad: (terms[0] + ap * terms[1] + ad * terms[2] + ap * ad * terms[3]) / n
 
         # predictor to pick the centering weight
-        dXa, _, dZa = _direction((DX, Dy, DZ), np.zeros(size))
+        dXa, _, dZa = _direction((DX, Dy, DZ), 0.0)
         ap, ad = steps(dXa, dZa)
-        mu_aff = mu_after(dXa, dZa)
-        mu_l, rp_l, rd_l, mu0_l, infeas0_l = (v.tolist() for v in (mu, rp_rel, rd_rel, mu0, infeas0))
-        sigma = [min(0.999, max(1e-6, (max(mu_aff(j, ap[j], ad[j]), 0.0) / mu_l[j]) ** 3)) for j in range(size)]
-        infeasible = [max(rp_l[j], rd_l[j]) > 1e-12 for j in range(size)]
-        sigma = [max(s, 0.05) if inf else s for s, inf in zip(sigma, infeasible)]
+        sigma = min(0.999, max(1e-6, (max(mu_after(dXa, dZa)(ap, ad), 0.0) / mu) ** 3))
+        infeasible = max(rp_rel, rd_rel) > 1e-12
+        if infeasible:
+            sigma = max(sigma, 0.05)
 
         # Mehrotra's second-order correction, folded into D0: the direction
         # D2 for E2 = G U G', where U solves the scaled Lyapunov equation
@@ -324,80 +278,67 @@ def sdp_solve_stack(problems) -> tuple[SdpResult, ...]:
         # diag(d)^-1/2 R' Z^1/2.  The term is weighted by the predictor's step
         # lengths ap ad, so it fades where the predictor barely moves (an
         # infeasible problem's term overflows otherwise).
-        P = (R / root_d).swapaxes(1, 2) @ Zh @ dXa @ dZa @ G
-        U = -(P + P.swapaxes(1, 2)) / (d + d.swapaxes(1, 2)) * (np.array(ap) * np.array(ad))[:, None, None]
-        E2 = G @ U @ G.swapaxes(1, 2)
-        Dy2 = schur_solve(-Aop(E2)[..., None])[..., 0]
-        DZ2 = _sym(-(Dy2[:, None] @ As2).reshape(size, n, n))
-        DX[:, 0] += _sym(E2 - W @ DZ2 @ W)
-        Dy[..., 0] += Dy2
-        DZ[:, 0] += DZ2
+        P = (R / root_d).T @ Zh @ dXa @ dZa @ G
+        U = -(P + P.T) / (d + d.T) * (ap * ad)
+        E2 = G @ U @ G.T
+        Dy2 = schur_solve(-Aop(E2)[:, None])[:, 0]
+        DZ2 = _sym(-(Dy2 @ A2).reshape(n, n))
+        DX[0] += _sym(E2 - W @ DZ2 @ W)
+        Dy[:, 0] += Dy2
+        DZ[0] += DZ2
 
-        # Step selection, per problem.  The neighborhood guard keeps
-        # complementarity positive and synchronized with infeasibility
-        # (otherwise the iterate strands on the PSD boundary while still
-        # infeasible); backtracking restores it because alpha -> 0 reproduces
-        # the current in-neighborhood iterate.  If the guard forces the step
-        # to collapse, the direction itself is too aggressive: escalate the
-        # centering weight and recompute.
+        # Step selection.  The neighborhood guard keeps complementarity
+        # positive and synchronized with infeasibility (otherwise the iterate
+        # strands on the PSD boundary while still infeasible); backtracking
+        # restores it because alpha -> 0 reproduces the current
+        # in-neighborhood iterate.  If the guard forces the step to collapse,
+        # the direction itself is too aggressive: escalate the centering
+        # weight and recompute.
         beta = 100.0
-        chosen = [None] * size  # (min(ap, ad), ap, ad, mu target) of each problem's best step
-        pending = range(size)
-        for trial in range(5):
-            target = np.array(sigma) * mu
+        chosen = None  # (min(ap, ad), ap, ad, mu target) of the best step
+        for _ in range(5):
+            target = sigma * mu
             dX, dy, dZ = _direction((DX, Dy, DZ), target)
             ap, ad = steps(dX, dZ)
             mu_step = mu_after(dX, dZ)
-            escalate = []
-            for j in pending:
-                a_p, a_d = ap[j], ad[j]
-                for _ in range(40):
-                    mu_new = mu_step(j, a_p, a_d)
-                    infeas_new = max((1.0 - a_p) * rp_l[j], (1.0 - a_d) * rd_l[j])
-                    ok_mu = mu_new >= 0.02 * sigma[j] * mu_l[j]
-                    ok_nbhd = not infeasible[j] or infeas_new / infeas0_l[j] <= beta * max(mu_new, 0.0) / mu0_l[j]
-                    if ok_mu and ok_nbhd:
-                        break
-                    a_p *= 0.7
-                    a_d *= 0.7
-                if chosen[j] is None or min(a_p, a_d) > chosen[j][0]:
-                    chosen[j] = (min(a_p, a_d), a_p, a_d, target[j])
-                if infeasible[j] and min(a_p, a_d) < 0.05:
-                    sigma[j] = min(0.95, max(3.0 * sigma[j], 0.3))
-                    escalate.append(j)
-            pending = escalate
-            if not pending:
+            for _ in range(40):
+                mu_new = mu_step(ap, ad)
+                infeas_new = max((1.0 - ap) * rp_rel, (1.0 - ad) * rd_rel)
+                ok_mu = mu_new >= 0.02 * sigma * mu
+                ok_nbhd = not infeasible or infeas_new / infeas0 <= beta * max(mu_new, 0.0) / mu0
+                if ok_mu and ok_nbhd:
+                    break
+                ap *= 0.7
+                ad *= 0.7
+            if chosen is None or min(ap, ad) > chosen[0]:
+                chosen = (min(ap, ad), ap, ad, target)
+            if not (infeasible and min(ap, ad) < 0.05):
                 break
-        _, ap, ad, target = (np.array(v) for v in zip(*chosen))
-        if trial:  # with no escalation every chosen target is round one's
-            dX, dy, dZ = _direction((DX, Dy, DZ), target)
+            sigma = min(0.95, max(3.0 * sigma, 0.3))
+        _, ap, ad, best_target = chosen
+        if best_target != target:
+            dX, dy, dZ = _direction((DX, Dy, DZ), best_target)
 
         # Keep the iterates safely positive definite.  dX and dZ are exactly
         # symmetric, so the new X and Z are too, and the guard's
         # eigendecomposition is the next iteration's.
         for _ in range(30):
-            X_new = X + ap[:, None, None] * dX
-            Z_new = Z + ad[:, None, None] * dZ
-            w_xz, Q_xz = np.linalg.eigh(np.concatenate([X_new, Z_new]))
-            pd = w_xz.min(axis=1) > 0
-            if pd.all():
+            X_new = X + ap * dX
+            Z_new = Z + ad * dZ
+            w_xz, Q_xz = np.linalg.eigh(np.stack([X_new, Z_new]))
+            pd_x, pd_z = (w_xz.min(axis=1) > 0).tolist()
+            if pd_x and pd_z:
                 break
-            ap = np.where(pd[:size], ap, 0.5 * ap)
-            ad = np.where(pd[size:], ad, 0.5 * ad)
+            ap, ad = ap if pd_x else 0.5 * ap, ad if pd_z else 0.5 * ad
         X, Z = X_new, Z_new
-        y = y + ad[:, None] * dy
+        y = y + ad * dy
 
-    results = []
-    for k, found in enumerate(best):
-        if found is None:
-            raise SdpConvergenceError("objective or right-hand side has a non-finite norm; rescale the problem")
-        _, X, y, Z, pobj, dobj, gap, rp_rel, rd_rel = (float(v) if np.ndim(v) == 0 else v for v in found)
-        rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
-        if not (rel_gap <= GAP_ACCEPT and rp_rel <= FEASIBILITY_ACCEPT and rd_rel <= FEASIBILITY_ACCEPT):
-            raise SdpConvergenceError(
-                f"no convergence in {iterations[k]} iterations "
-                f"(gap {gap:.2e}, primal residual {rp_rel:.2e}, dual residual {rd_rel:.2e}); "
-                "the instance is ill-conditioned or lacks an interior point"
-            )
-        results.append(SdpResult(-pobj, X, -y, Z, -dobj, gap, rp_rel, rd_rel, iterations[k], termination[k]))
-    return tuple(results)
+    _, X, y, Z, pobj, dobj, gap, rp_rel, rd_rel = best
+    rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
+    if not (rel_gap <= GAP_ACCEPT and rp_rel <= FEASIBILITY_ACCEPT and rd_rel <= FEASIBILITY_ACCEPT):
+        raise SdpConvergenceError(
+            f"no convergence in {iterations} iterations "
+            f"(gap {gap:.2e}, primal residual {rp_rel:.2e}, dual residual {rd_rel:.2e}); "
+            "the instance is ill-conditioned or lacks an interior point"
+        )
+    return SdpResult(-pobj, X, -y, Z, -dobj, gap, rp_rel, rd_rel, iterations, termination)

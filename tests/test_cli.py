@@ -336,10 +336,11 @@ def test_a_table_audit_whose_sdp_raises_still_answers(tmp_path, capsys):
 
 
 def test_a_level1_table_needs_no_sdp(tmp_path, capsys, monkeypatch):
-    def refuse(problems):
+    def refuse(*args):
         raise AssertionError("the level-1 table route called the SDP")
 
-    monkeypatch.setattr("polybounds.quantum.sdp_solve_stack", refuse)
+    monkeypatch.setattr("polybounds.quantum.sdp_solve", refuse)
+    monkeypatch.setattr("polybounds.quantum.moment_program", refuse)
     path = write_doc(tmp_path, {"table": random_iv_table(np.random.default_rng(75)).p.tolist()})
     code, out = run_cli(capsys, "gap", "--input", path)
     assert code == 0

@@ -134,3 +134,26 @@ def test_tracer_runs_the_sdp_requests(tmp_path, capsys):
     size, iterations, raised, _, _ = solves[0][1]
     assert (size, raised) == (5, False) and iterations > 0
     assert tracing.summarize(tracer.spans, {0: 1, 1: 1}, 2)["sdp.calls"] == 1
+
+
+def test_tracer_sees_both_endpoint_solves_of_a_level1ab_table(tmp_path, capsys):
+    # each endpoint of a 1ab interval is one sdp_solve call, so the traced
+    # sdp.* metrics count IV endpoints like any other solve
+    cli = importlib.import_module("polybounds.cli")
+    doc = {"schema": 1, "kind": "gap", "payload": {"table": np.full((2, 2, 2), 0.25).tolist()}}
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({**doc, "options": {"npa_level": "1ab"}}))
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    main = tracer.root(cli.main)
+    tracer.install()
+    try:
+        tracer.request = 0
+        assert main(["gap", "--input", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    solves = [info for *_, name, _, _, _, _, info in tracer.spans if name == "sdp.sdp_solve"]
+    assert [(size, raised) for size, _, raised, _, _ in solves] == [(9, False)] * 2
+    assert all(iterations > 0 for _, iterations, _, _, _ in solves)
+    assert tracing.summarize(tracer.spans, {0: 1}, 1)["sdp.calls"] == 2

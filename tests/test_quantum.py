@@ -35,7 +35,6 @@ from polybounds.quantum import (
     PAULI_X,
     PAULI_Z,
     _entry_monomial,
-    _family,
     _pinned_letters,
     _words,
     quantum_ace_sdp,
@@ -273,12 +272,16 @@ def test_moment_matrix_dimensions_and_monomials():
 
 def _table_with_arms(rng, arms) -> ObservedIVTable:
     """A random IV table whose arm z takes treatment arms[z] with
-    certainty, or both treatments when arms[z] is None."""
+    certainty, or both treatments when arms[z] is None.  Two arms pinned to
+    one treatment share its outcome distribution, as in every table that a
+    moment matrix fits."""
     p = rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2).transpose(1, 2, 0)  # (y, x, z)
     for z, x in enumerate(arms):
         if x is not None:
             p[:, 1 - x, z] = 0.0
             p[:, x, z] = rng.dirichlet(np.ones(2))
+    if arms[0] is not None and arms[0] == arms[1]:
+        p[:, :, 1] = p[:, :, 0]
     return ObservedIVTable(p)
 
 
@@ -292,16 +295,14 @@ def test_tables_of_one_pin_pattern_share_one_family(level, arms):
     rng = np.random.default_rng(67)
     tables = [_table_with_arms(rng, arms) for _ in range(2)]
     effect = {((), (0,)): 0.5, ((), (1,)): -0.5}
-    _family.cache_clear()
     problems = [moment_program(level, effect, table) for table in tables]
-    assert _family.cache_info()[:2] == (1, 1)  # hits, misses: the second table reused the family
+    assert np.array_equal(problems[0].A, problems[1].A)  # the table moves only b
     # each pinned letter takes its word, and at level 1ab its two cross
     # products, out of the matrix: 3x3 with both arms pinned
     pinned = sum(x is not None for x in arms)
     assert problems[0].dimension == (5 - pinned if level is NpaLevel.L1 else 9 - 3 * pinned)
     assert not any(v.flags.writeable for v in (problems[0].C, problems[0].A, problems[0].b))
     assert not np.array_equal(problems[0].b, problems[1].b)
-    _family.cache_clear()
     for table, problem in zip(tables, problems):
         assert _bits(moment_program(level, effect, table)) == _bits(problem)
 
@@ -309,11 +310,9 @@ def test_tables_of_one_pin_pattern_share_one_family(level, arms):
 @pytest.mark.parametrize("level", list(NpaLevel))
 def test_programs_without_a_table_share_one_family(level):
     chsh = {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)}
-    _family.cache_clear()
     problem = moment_program(level, chsh)
-    moment_program(level, {((0,), (1,)): 1.0})
-    assert _family.cache_info()[:2] == (1, 1)  # hits, misses
-    _family.cache_clear()
+    other = moment_program(level, {((0,), (1,)): 1.0})
+    assert np.array_equal(other.A, problem.A) and np.array_equal(other.b, problem.b)
     assert _bits(moment_program(level, chsh)) == _bits(problem)
 
 
@@ -505,10 +504,11 @@ def test_level1_closed_form_matches_the_sdp_near_the_edge_of_the_relaxation():
 
 
 def test_level1_closed_form_calls_no_solver(monkeypatch):
-    def refuse(problems):
+    def refuse(*args):
         raise AssertionError("the level-1 closed form called the SDP")
 
-    monkeypatch.setattr("polybounds.quantum.sdp_solve_stack", refuse)
+    monkeypatch.setattr("polybounds.quantum.sdp_solve", refuse)
+    monkeypatch.setattr("polybounds.quantum.moment_program", refuse)
     rng = np.random.default_rng(72)
     for arms in itertools.product((None, 0, 1), repeat=2):
         table = _types_with_arms(rng, arms)
@@ -570,6 +570,28 @@ def test_level1_closed_form_rejects_tables_outside_the_relaxation():
     tiny = ObservedIVTable((1.0 - 1e-300) * one_sided_iv_table(rng).p + 1e-300 * random_iv_table(rng).p)
     with pytest.raises(FloatRangeError, match="arm z=0"):
         quantum_ace_bounds(tiny, NpaLevel.L1)
+
+
+def test_pinned_arms_that_disagree_fit_no_moment_matrix():
+    # both arms always take treatment 1, one with outcome 1 and one with
+    # outcome 0: a least-squares <B_1> = 0 misses both rows by 0.5
+    p = np.zeros((2, 2, 2))
+    p[1, 1, 0] = p[0, 1, 1] = 1.0
+    for level in NpaLevel:
+        with pytest.raises(InfeasibleTableError, match="fits no moment matrix"):
+            quantum_ace_sdp(ObservedIVTable(p), level)
+    with pytest.raises(InfeasibleTableError, match="fits no moment matrix"):
+        quantum_ace_bounds(ObservedIVTable(p), NpaLevel.L1AB)
+    # outcome distributions that differ less still miss; equal ones fit, and
+    # pin the effect's <B_1>
+    p[:, 1, 0], p[:, 1, 1] = (0.3, 0.7), (0.3 + 1e-8, 0.7 - 1e-8)
+    with pytest.raises(InfeasibleTableError, match="fits no moment matrix"):
+        moment_program(NpaLevel.L1, {((), (1,)): 1.0}, ObservedIVTable(p))
+    p[:, 1, 1] = (0.3, 0.7)
+    for level in NpaLevel:
+        interval, _ = quantum_ace_sdp(ObservedIVTable(p), level)
+        assert interval.lo == pytest.approx(-0.5 - 0.5 * (0.3 - 0.7), abs=1e-7)
+        assert interval.hi == pytest.approx(0.5 - 0.5 * (0.3 - 0.7), abs=1e-7)
 
 
 def test_gap_report_behavior_route():

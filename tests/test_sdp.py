@@ -14,8 +14,8 @@ from polybounds import (
     ValidationError,
     moment_program,
     sdp_solve,
-    sdp_solve_stack,
 )
+from polybounds.quantum import quantum_ace_sdp
 from polybounds.solvers import sdp
 from conftest import one_sided_iv_table, random_iv_table, structural_iv_tables
 
@@ -159,7 +159,7 @@ def test_negated_problem_shares_the_validated_constraints():
     assert np.array_equal(negated.C, -problem.C)
     assert not any(v.flags.writeable for v in (negated.C, negated.A, negated.b))
     rebuilt = SdpProblem(-problem.C.copy(), problem.A.copy(), problem.b.copy())
-    for shared, checked in zip(sdp_solve_stack((problem, negated)), sdp_solve_stack((problem, rebuilt))):
+    for shared, checked in zip(map(sdp_solve, (problem, negated)), map(sdp_solve, (problem, rebuilt))):
         assert (shared.value, shared.gap, shared.iterations) == (checked.value, checked.gap, checked.iterations)
 
 
@@ -184,22 +184,21 @@ def _pinned_table() -> ObservedIVTable:
     return ObservedIVTable(p)
 
 
-def test_stacked_endpoints_match_separate_solves():
+def test_sdp_endpoints_do_not_cross_and_stop_within_forty_iterations():
     rng = np.random.default_rng(13)
     tables = [random_iv_table(rng) for _ in range(3)]
     tables += [ObservedIVTable(t) for t in structural_iv_tables(rng, 3)]
     tables += [one_sided_iv_table(rng) for _ in range(3)] + [_pinned_table()]
     for table in tables:
         for level in NpaLevel:
-            pair = _endpoint_pair(table, level)
-            stacked = sdp_solve_stack(pair)
-            for alone, together in zip(map(sdp_solve, pair), stacked):
-                assert abs(alone.value - together.value) <= alone.gap + together.gap
-                assert (alone.iterations, alone.termination) == (together.iterations, together.termination)
-                # an explicit inverse of the Schur complement in place of the
-                # LU solve runs level-1ab endpoints to the cap
-                assert together.iterations < 40
-            assert stacked[0].value >= -stacked[1].value - stacked[0].gap - stacked[1].gap
+            interval, diagnostics = quantum_ace_sdp(table, level)
+            # an explicit inverse of the Schur complement in place of the
+            # LU solve runs level-1ab endpoints to the cap
+            assert max(diagnostics["sdp_iterations"]) < 40
+            hi, lo = map(sdp_solve, _endpoint_pair(table, level))
+            assert (lo.iterations, hi.iterations) == diagnostics["sdp_iterations"]
+            assert hi.value >= -lo.value - hi.gap - lo.gap
+            assert interval.lo <= interval.hi
 
 
 def test_iv_endpoints_converge_within_sixteen_iterations():
@@ -211,56 +210,35 @@ def test_iv_endpoints_converge_within_sixteen_iterations():
     tables += [one_sided_iv_table(rng) for _ in range(5)]
     for level in NpaLevel:
         for table in tables:
-            for result in sdp_solve_stack(_endpoint_pair(table, level)):
+            for result in map(sdp_solve, _endpoint_pair(table, level)):
                 assert result.termination == "converged"
                 assert result.iterations <= 16
 
 
-def test_stack_raises_the_first_failure_after_every_problem_stops():
+def test_infeasible_problems_raise_at_the_iteration_cap():
     # X11 = -1 and X11 = -2 have no PSD solution; X11 = 1 does
     infeasible = [SdpProblem(np.eye(2), [_unit(2, 0, 0)], [-v]) for v in (1.0, 2.0)]
     feasible = SdpProblem(-np.eye(2), [_unit(2, 0, 0)], [1.0])
     assert sdp_solve(feasible).iterations < sdp.MAX_ITERATIONS
     messages = []
     for problem in infeasible:
-        with pytest.raises(SdpConvergenceError) as alone:
-            sdp_solve(problem)
-        messages.append(str(alone.value))
-    assert messages[0] != messages[1]
-    for stack, expected in (
-        ((feasible, infeasible[0]), messages[0]),
-        ((infeasible[1], feasible), messages[1]),
-        ((infeasible[1], infeasible[0]), messages[1]),
-    ):
         with pytest.raises(SdpConvergenceError) as raised:
-            sdp_solve_stack(stack)
-        assert str(raised.value) == expected
-        assert str(raised.value).startswith(f"no convergence in {sdp.MAX_ITERATIONS} iterations")
-
-
-def test_stack_of_unequal_problems_is_a_dimension_mismatch():
-    two = SdpProblem(np.eye(2), [np.eye(2)], [1.0])
-    three = SdpProblem(np.eye(3), [np.eye(3)], [1.0])
-    two_rows = SdpProblem(np.eye(2), [np.eye(2), _unit(2, 0, 1)], [1.0, 0.0])
-    for stack in ((two, three), (two, two_rows)):
-        with pytest.raises(DimensionMismatchError):
-            sdp_solve_stack(stack)
+            sdp_solve(problem)
+        messages.append(str(raised.value))
+    assert messages[0] != messages[1]
+    for message in messages:
+        assert message.startswith(f"no convergence in {sdp.MAX_ITERATIONS} iterations")
 
 
 def test_pinned_arms_converge_quickly():
-    for result in sdp_solve_stack(_endpoint_pair(_pinned_table())):
+    for result in map(sdp_solve, _endpoint_pair(_pinned_table())):
         assert result.X.shape == (3, 3)
         assert result.termination == "converged"
         assert result.iterations < 30
 
 
-def test_empty_stack_gives_no_results():
-    assert sdp_solve_stack(()) == ()
-    assert sdp_solve_stack([]) == ()
-
-
 def test_linear_algebra_calls_per_iteration(monkeypatch):
-    # Per iteration that steps: one eigh of the stack [X; Z], taken by the PD
+    # Per iteration that steps: one eigh of the pair [X; Z], taken by the PD
     # guard and reused by the next iteration, one eigh for the NT point, one
     # eigvalsh per evaluated direction, one Cholesky test and two solves,
     # each with its refinement step.  The CHSH program never escalates its
@@ -271,7 +249,7 @@ def test_linear_algebra_calls_per_iteration(monkeypatch):
 
     def counting(name, fn, operand):
         def counted(*args):
-            calls[name, args[operand].shape] += 1
+            calls[name, np.shape(args[operand])] += 1
             return fn(*args)
 
         return counted
@@ -285,9 +263,9 @@ def test_linear_algebra_calls_per_iteration(monkeypatch):
     assert steps > 0
     assert dict(calls) == {
         ("eigh", (2, 5, 5)): 1 + steps,  # the starting point's, then the guard's
-        ("eigh", (1, 5, 5)): steps,
+        ("eigh", (5, 5)): steps,
         ("eigvalsh", (2, 5, 5)): 2 * steps,
-        ("cholesky", (1, m, m)): steps,
-        ("solve", (1, m, m)): 4 * steps,
-        ("direction", (1,)): 2 * steps,
+        ("cholesky", (m, m)): steps,
+        ("solve", (m, m)): 4 * steps,
+        ("direction", ()): 2 * steps,
     }
