@@ -132,8 +132,7 @@ def ace_bounds(t: ObservedIVTable, tol: float = TOL) -> Interval:
 def manski_bounds(e1: float, e0: float, px1: float) -> Interval:
     """No-assumption bounds on the average treatment effect for a bounded
     outcome: width exactly 1 and always containing zero."""
-    for name, v in (("e1", e1), ("e0", e0), ("px1", px1)):
-        check_probability(v, name)
+    e1, e0, px1 = (check_probability(v, name) for name, v in (("e1", e1), ("e0", e0), ("px1", px1)))
     px0 = 1.0 - px1
     lower = e1 * px1 - (e0 * px0 + px1)
     upper = e1 * px1 + px0 - e0 * px0
@@ -148,8 +147,8 @@ class ExperimentalData:
     p_do0: float
 
     def __post_init__(self):
-        check_probability(self.p_do1, "p_do1")
-        check_probability(self.p_do0, "p_do0")
+        for name in ("p_do1", "p_do0"):
+            object.__setattr__(self, name, check_probability(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)

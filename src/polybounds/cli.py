@@ -13,6 +13,17 @@ input, 4 solver failure or a result past the floating-point range (a report
 never holds a non-finite number).  If the reader closes stdout early, the
 rest of the output is dropped quietly and the exit code stays the same.
 
+This module reads only the document's layout: which fields are present,
+the ``{"values", "order"}`` form and its axis permutation, and the number
+of axes the permutation needs; those errors are ``SchemaError``.  Every
+value (shape, finiteness, sign, block mass, scalar range) is checked by
+the model types, and their ``ValidationError`` names it.  The one policy
+kept here is normalization: block masses within ``NORMALIZATION_ACCEPT``
+of 1 are rescaled silently, and larger deviations are an error unless
+``--renormalize`` turns them into a warning.  Both exit 2.  ``--batch``
+writes one JSON array, so it refuses ``--csv``, ``--format md`` and an
+entry whose own ``format`` is ``md``.
+
 One emitter, ``canonical_json``, writes every JSON report, error payload
 and ``--batch`` entry in one pass over the raw result tree; markdown
 reports read their numbers back from its text.  The argument parser is
@@ -75,6 +86,8 @@ from .model import (
     Interval,
     ObservedIVTable,
     behavior_to_correlations,
+    float_array,
+    rescale_blocks,
     chsh_value,
     chsh_variant_values,
     CHSH_COEFFS,
@@ -262,15 +275,6 @@ def serialize_request(request: AnalysisRequest) -> dict:
     return {"schema": 1, "kind": request.kind, "payload": request.payload, "options": request.options}
 
 
-def _as_float(v: int | float, name: str) -> float:
-    """A JSON number as a float; an integer past the float range is a
-    ``SchemaError`` naming the field."""
-    try:
-        return float(v)
-    except OverflowError as exc:
-        raise SchemaError(f'"{name}" is out of the floating-point range') from exc
-
-
 def _tolerance(options: dict) -> float:
     """The decision tolerance: LP feasibility, oracle feasibility and CHSH facet slack."""
     t = options.get("tolerance")
@@ -278,18 +282,22 @@ def _tolerance(options: dict) -> float:
         return TOL
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise SchemaError(f'"tolerance" must be a number, got {t!r}')
-    t = _as_float(t, "tolerance")
+    try:
+        t = float(t)
+    except OverflowError as exc:
+        raise SchemaError('"tolerance" is out of the floating-point range') from exc
     if not (0 < t < 1):
         raise SchemaError(f"tolerance must be in (0, 1), got {t}")
     return t
 
 
 # ---------------------------------------------------------------------------
-# payload decoding
+# payload decoding: the document's layout only; the model types check values
 
 
-def _array_field(payload: dict, name: str, axes: tuple[str, ...]):
-    """Nested array with an explicit axis order; reordered to ``axes``."""
+def _array_field(payload: dict, name: str, axes: tuple[str, ...], what: str):
+    """Nested array with an explicit axis order, as floats reordered to
+    ``axes``; its values are ``what``, named in conversion errors."""
     if name not in payload:
         raise SchemaError(f'payload is missing "{name}"')
     spec = payload[name]
@@ -301,45 +309,27 @@ def _array_field(payload: dict, name: str, axes: tuple[str, ...]):
         order = spec.get("order", list(axes))
     else:
         values = spec
-    try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f'"{name}" is not a numeric array: {exc}') from exc
+    arr = float_array(values, what)
     if not isinstance(order, list) or sorted(order, key=str) != sorted(axes):
         raise SchemaError(f'"{name}" order {order!r} must be a list permuting {list(axes)}')
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f'"{name}" has non-finite entries')
     if arr.ndim != len(axes):
         raise SchemaError(f'"{name}" must have {len(axes)} axes, got {arr.ndim}')
     # a contiguous copy, so every later sum runs in the same order whatever the axis order
     return np.ascontiguousarray(np.transpose(arr, [order.index(a) for a in axes]))
 
 
-def _scalar_field(payload: dict, name: str) -> float:
+def _scalar_field(payload: dict, name: str):
     if name not in payload:
         raise SchemaError(f'payload is missing "{name}"')
-    v = payload[name]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f'"{name}" must be a number')
-    return _as_float(v, name)
+    return payload[name]
 
 
 def _distribution_from(payload: dict, name: str, axes: str, what: str, renormalize: bool, warnings: list):
-    """A distribution field with one binary axis per letter of ``axes``, no
-    negative entry, and unit sums over its first two axes (one block per
-    setting of the other axes, or the whole table when there are two) within
-    ``NORMALIZATION_ACCEPT``; other sums are an error, or with
-    ``renormalize`` are rescaled with a warning."""
-    arr = _array_field(payload, name, tuple(axes))
-    if arr.shape != (2,) * len(axes):
-        raise SchemaError(f"{what} must be {'x'.join('2' * len(axes))}, got {arr.shape}")
-    if arr.min() < 0:
-        raise SchemaError(f"{what} has negative entries")
-    with np.errstate(over="ignore"):
-        sums = arr.sum(axis=(0, 1))
-    if not np.all(np.isfinite(sums)):
-        raise SchemaError(f"{what} has a total mass past the floating-point range")
-    dev = float(np.abs(sums - 1.0).max())
+    """A distribution field with one binary axis per letter of ``axes``, its
+    blocks rescaled to mass 1 by ``model.rescale_blocks``; a mass off 1 by more
+    than ``NORMALIZATION_ACCEPT`` is an error, or with ``renormalize`` a warning."""
+    arr, masses = rescale_blocks(_array_field(payload, name, tuple(axes), what), (2,) * len(axes), what)
+    dev = float(np.abs(masses - 1.0).max())
     if dev > NORMALIZATION_ACCEPT and not renormalize:
         raise SchemaError(
             f"{what} deviates from normalization by {dev:.3e} (> {NORMALIZATION_ACCEPT_TEXT}); "
@@ -347,9 +337,7 @@ def _distribution_from(payload: dict, name: str, axes: str, what: str, renormali
         )
     if dev > NORMALIZATION_ACCEPT:
         warnings.append(f"{what} renormalized (deviation {dev:.3e})")
-    if np.min(sums) <= 0:
-        raise SchemaError(f"{what} has a block with non-positive total mass")
-    return arr / np.expand_dims(sums, (0, 1))
+    return arr
 
 
 def _behavior_from(payload: dict, renormalize: bool, warnings: list) -> Behavior:
@@ -358,13 +346,6 @@ def _behavior_from(payload: dict, renormalize: bool, warnings: list) -> Behavior
 
 def _iv_table_from(payload: dict, renormalize: bool, warnings: list) -> ObservedIVTable:
     return ObservedIVTable(_distribution_from(payload, "table", "yxz", "IV table", renormalize, warnings))
-
-
-def _functional_from(payload: dict) -> np.ndarray:
-    arr = _array_field(payload, "functional", ("x", "y"))
-    if arr.shape != (2, 2):
-        raise SchemaError(f"functional must be 2x2, got {arr.shape}")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +382,8 @@ def _handle_chsh(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict
             warnings.append("behavior is signaling; membership is necessarily false")
         source = "behavior"
     elif "correlations" in req.payload:
-        e = _array_field(req.payload, "correlations", ("x", "y"))
-        if np.abs(e).max() > 1.0 + 1e-9:
+        e = _array_field(req.payload, "correlations", ("x", "y"), "correlation table")
+        if np.abs(e).max(initial=0.0) > 1.0 + 1e-9:
             raise SchemaError("correlators must lie in [-1, 1]")
         behavior = Behavior.from_correlations(np.clip(e, -1.0, 1.0))
         source = "correlations"
@@ -466,7 +447,7 @@ def _table_audit(table: ObservedIVTable, level: NpaLevel, quantum: Interval, res
 
 
 def _handle_npa(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
-    functional = _functional_from(req.payload)
+    functional = _array_field(req.payload, "functional", ("x", "y"), "functional")
     level = NpaLevel.parse(req.options["npa_level"])
     value = tsirelson_bound(functional)
     results = {"bound": value, "level": level.value, "functional": functional}
@@ -479,7 +460,7 @@ def _handle_npa(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict,
 def _handle_gap(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     level = NpaLevel.parse(req.options["npa_level"])
     if "functional" in req.payload:
-        subject = _functional_from(req.payload)
+        subject = _array_field(req.payload, "functional", ("x", "y"), "functional")
     elif "behavior" in req.payload:
         subject = _behavior_from(req.payload, req.options["renormalize"], warnings)
     elif "table" in req.payload:
@@ -819,6 +800,8 @@ def _respond(args) -> tuple[int, str]:
 
     if args.batch is not None:
         try:
+            if args.csv is not None or args.format == "md":
+                raise SchemaError("--batch writes one JSON array; --csv and --format md need a single --input")
             documents = _read_document(args.batch)
             if not isinstance(documents, list):
                 raise SchemaError("batch file must hold a JSON array of request documents")
@@ -831,6 +814,8 @@ def _respond(args) -> tuple[int, str]:
             # float range becomes that entry's error payload alone
             try:
                 request = parse_request(doc, kind=None, overrides=overrides)
+                if request.options["format"] == "md":
+                    raise SchemaError('a --batch entry is written as JSON; "format": "md" needs a single --input')
                 outputs.append(canonical_json(run(request).to_dict(), 1))
             except Exception as exc:  # noqa: BLE001
                 code = _classify(exc)

@@ -10,13 +10,17 @@ Conventions fixed here once and for all:
 * Every distribution type (behaviors, IV tables, response-type
   distributions, observational joints, entropy inputs, settings
   distributions) is checked by one rule, ``probability_array``: a
-  rectangular numeric array (``float_array``) of the right shape, finite
-  entries, none below -NORMALIZATION_SLACK (smaller dips are set to 0), and
-  block sums within NORMALIZATION_SLACK of 1.  Correlation functionals are
-  checked by ``correlator_functional`` and correlators by
-  ``CorrelationTable``, both through ``float_array`` too.  Invalid input
-  raises at construction, naming what it is; ``renormalize`` classmethods
-  exist for deliberately noisy input.
+  rectangular numeric array (``float_array``, which also refuses an
+  integer past the float range) of the right shape, finite entries, none
+  below -NORMALIZATION_SLACK (smaller dips are set to 0), and block sums
+  within NORMALIZATION_SLACK of 1.  ``rescale_blocks`` makes the same entry
+  checks and divides each block by its mass, which must be positive and
+  finite: it is the ``renormalize`` classmethods and the command line's
+  reading of every distribution.  Correlation functionals are checked by
+  ``correlator_functional`` and correlators by ``CorrelationTable``, both
+  through ``float_array`` too, and scalar probabilities by
+  ``check_probability``, which returns them as floats.  Invalid input
+  raises ``ValidationError`` at construction, naming what it is.
 
 All types are immutable values (backing arrays are frozen), so every
 operation in the package is a pure function and safe to call concurrently.
@@ -24,6 +28,7 @@ operation in the package is a pure function and safe to call concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,26 +50,33 @@ INEQUALITY_SLACK = 1e-12
 
 
 def float_array(values, what: str) -> np.ndarray:
-    """``values`` as a new float array; a ragged or non-numeric nesting
-    raises ``ValidationError`` naming ``what``."""
+    """``values`` as a new float array; a ragged or non-numeric nesting, or an
+    integer past the float range, raises ``ValidationError`` naming ``what``."""
     try:
         return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"{what} has an entry past the floating-point range") from None
     except (TypeError, ValueError):
         raise ValidationError(f"{what} is not a rectangular array of numbers") from None
 
 
-def check_probability(value: float, what: str) -> None:
-    """Reject a scalar probability that is not finite or lies outside
-    [0, 1], naming ``what``."""
-    if not (np.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ValidationError(f"{what} must lie in [0, 1], got {value}")
+def check_probability(value, what: str) -> float:
+    """``value`` as a float probability: a real number, not a boolean, in
+    [0, 1].  Anything else raises ``ValidationError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy's bool is no Real
+        raise ValidationError(f"{what} must be a number, got {type(value).__name__}")
+    try:
+        p = float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is past the floating-point range") from None
+    if not 0.0 <= p <= 1.0:  # a NaN fails too
+        raise ValidationError(f"{what} must lie in [0, 1], got {p}")
+    return p
 
 
-def probability_array(values, shape: tuple, axes, what: str) -> np.ndarray:
-    """``values`` as a frozen probability table of ``shape``: entries finite,
-    those down to -NORMALIZATION_SLACK set to 0 and lower ones rejected, and
-    the sums over ``axes`` (all axes for None) within NORMALIZATION_SLACK of
-    1.  Each error names ``what``."""
+def _entries(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a float array of ``shape`` with finite entries, those
+    down to -NORMALIZATION_SLACK set to 0 and lower ones rejected."""
     arr = float_array(values, what)
     if arr.shape != shape:
         raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
@@ -75,11 +87,33 @@ def probability_array(values, shape: tuple, axes, what: str) -> np.ndarray:
         raise ValidationError(f"{what} has a negative entry {low:.3e}")
     if low < 0.0:
         arr = np.where(arr < 0.0, 0.0, arr)
+    return arr
+
+
+def probability_array(values, shape: tuple, axes, what: str) -> np.ndarray:
+    """``values`` as a frozen probability table of ``shape``: entries finite,
+    those down to -NORMALIZATION_SLACK set to 0 and lower ones rejected, and
+    the sums over ``axes`` (all axes for None) within NORMALIZATION_SLACK of
+    1.  Each error names ``what``."""
+    arr = _entries(values, shape, what)
     deviation = float(np.abs(arr.sum(axis=axes) - 1.0).max())
     if deviation > NORMALIZATION_SLACK:
         raise NormalizationError(f"{what} must sum to 1 (worst deviation {deviation:.3e})")
     arr.setflags(write=False)
     return arr
+
+
+def rescale_blocks(values, shape: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``values``, entries checked as by ``probability_array``, with each block
+    over the first two axes divided by its mass; and the masses.  A mass that
+    is not positive and finite raises ``ValidationError`` naming ``what``."""
+    arr = _entries(values, shape, what)
+    with np.errstate(over="ignore"):
+        masses = arr.sum(axis=(0, 1), keepdims=True)
+    bad = masses[~(np.isfinite(masses) & (masses > 0.0))]
+    if bad.size:
+        raise ValidationError(f"{what} has a block of mass {bad[0]:.3e}, which cannot be rescaled to 1")
+    return arr / masses, masses
 
 
 class _BlockTable:
@@ -89,13 +123,7 @@ class _BlockTable:
     @classmethod
     def renormalize(cls, raw):
         """Each block divided by its mass: the explicit helper for noisy input."""
-        arr = float_array(raw, cls._WHAT)
-        if arr.shape != cls._SHAPE:
-            raise ValidationError(f"{cls._WHAT} must have shape {cls._SHAPE}, got {arr.shape}")
-        sums = arr.sum(axis=(0, 1))
-        if sums.min() <= 0:
-            raise ValidationError(f"cannot renormalize {cls._WHAT}: a block has non-positive mass")
-        return cls(arr / sums)
+        return cls(rescale_blocks(raw, cls._SHAPE, cls._WHAT)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -259,22 +259,21 @@ def triple_feasibility(t: CorrelationTriple, tol: float = TOL) -> bool:
 def frechet_bounds(u: float, v: float) -> Interval:
     """Coupling bounds on P(A and B) given P(A) = u, P(B) = v:
     max(u + v - 1, 0) <= P(A and B) <= min(u, v)."""
-    check_probability(u, "u")
-    check_probability(v, "v")
+    u, v = check_probability(u, "u"), check_probability(v, "v")
     return Interval(max(u + v - 1.0, 0.0), min(u, v))
 
 
 def comonotone_coupling(u: float, v: float) -> np.ndarray:
     """Joint table [i, j] = P(A=i, B=j) of the rank-preserving coupling;
     attains the upper coupling bound min(u, v)."""
-    frechet_bounds(u, v)  # domain check
+    u, v = check_probability(u, "u"), check_probability(v, "v")
     p11 = min(u, v)
     return np.array([[1.0 - u - v + p11, v - p11], [u - p11, p11]])
 
 
 def countermonotone_coupling(u: float, v: float) -> np.ndarray:
     """Rank-reversing coupling; attains the lower bound max(u + v - 1, 0)."""
-    frechet_bounds(u, v)
+    u, v = check_probability(u, "u"), check_probability(v, "v")
     p11 = max(u + v - 1.0, 0.0)
     return np.array([[1.0 - u - v + p11, v - p11], [u - p11, p11]])
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .causal import ace_bounds, manski_bounds
-from .errors import FloatRangeError, InfeasibleTableError, ValidationError
+from .errors import FloatRangeError, InfeasibleTableError, SdpConvergenceError, ValidationError
 from .model import (
     Behavior,
     Interval,
@@ -414,10 +414,23 @@ def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, 
     no larger than the sum of the two certified duality gaps returns the
     midpoint as a point interval; a larger one still fails the ``Interval``
     check.  This is the engine of level 1ab and the audit of the level-1
-    closed form (``gap --audit`` on a table).
+    closed form (``gap --audit`` on a table).  An endpoint that does not
+    converge raises ``SdpConvergenceError`` naming the unpinned arm with the
+    least treatment mass and that mass, since an arm close to pinned is the
+    usual cause.
     """
     problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
-    hi, lo = sdp_solve(problem), sdp_solve(SdpProblem(-problem.C, problem.A, problem.b))
+    try:
+        hi, lo = sdp_solve(problem), sdp_solve(SdpProblem(-problem.C, problem.A, problem.b))
+    except SdpConvergenceError as exc:
+        masses = table.p.sum(axis=0).min(axis=0)  # each arm's least treatment mass, 0 when pinned
+        free = [z for z in range(2) if masses[z] > 0.0]
+        if not free:
+            raise
+        z = min(free, key=masses.__getitem__)
+        raise SdpConvergenceError(
+            f"{exc} (arm z={z} has a treatment mass of {masses[z]:.3g}, the least of the unpinned arms)"
+        ) from exc
     diagnostics = {
         "level": level.value,
         "sdp_iterations": (lo.iterations, hi.iterations),

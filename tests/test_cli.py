@@ -141,6 +141,23 @@ def test_pns_data_no_model_fits_exit_three(tmp_path, capsys, audit):
     assert json.loads(out)["error"]["type"] == "InconsistentDataError"
 
 
+def test_a_transposed_pns_joint_is_read_in_its_order(tmp_path, capsys):
+    experimental = {"p_do1": 0.5, "p_do0": 0.4}
+    joint = [[0.1, 0.2], [0.3, 0.4]]
+    answers = []
+    for observational in (
+        {"joint": {"values": joint, "order": ["y", "x"]}},  # rows are y
+        {"joint": np.transpose(joint).tolist()},  # the same table in canonical [x, y] order
+        {"joint": joint, "order": ["y", "x"]},  # an "order" beside "joint" is not read
+    ):
+        path = write_doc(tmp_path, {"experimental": experimental, "observational": observational})
+        code, out = run_cli(capsys, "pns", "--input", path)
+        assert code == 0
+        bounds = json.loads(out)["results"]["pns_bounds"]
+        answers.append([bounds["lo"], bounds["hi"]])
+    assert answers == [[0.3, 0.5], [0.3, 0.5], [0.2, 0.5]]
+
+
 @pytest.mark.parametrize("tolerance, code", [(None, 0), (1e-6, 0), (1e-12, 3)])
 def test_pns_consistency_is_judged_at_the_tolerance(tmp_path, capsys, tolerance, code):
     # P(y_x') lies 1e-11 above P(x', y) + P(x) = 0.5: PNS, PN and PS take one verdict at T
@@ -215,6 +232,43 @@ def test_scalar_probability_out_of_range_is_one_validation_error(tmp_path, capsy
     code, out = run_cli(capsys, kind, "--input", path)
     assert code == 2
     message = f"{field} must lie in [0, 1], got 1.5"
+    assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
+
+
+def _leaves(tree):
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return [leaf for item in tree for leaf in _leaves(item)]
+    return [tree]
+
+
+@pytest.mark.parametrize(
+    "kind, payload, results",
+    [
+        ("frechet", {"u": 1, "v": 0}, {"joint_bounds": {"hi": 0.0, "lo": 0.0, "width": 0.0}}),
+        ("manski", {"e1": 1, "e0": 0, "px1": 1}, {"ate_bounds": {"hi": 1.0, "lo": 0.0, "width": 1.0}}),
+        ("pns", {"experimental": {"p_do1": 1, "p_do0": 0}, "observational": {"joint": [[1, 0], [0, 0]]}}, {}),
+    ],
+)
+def test_integer_probabilities_are_reported_as_floats(tmp_path, capsys, kind, payload, results):
+    code, out = run_cli(capsys, kind, "--input", write_doc(tmp_path, payload))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["request"]["payload"] == payload  # echoed as given
+    assert all(doc["results"][k] == v for k, v in results.items())
+    numbers = [v for v in _leaves(doc["results"]) if not isinstance(v, (bool, str))]
+    assert numbers and all(type(v) is float for v in numbers)
+
+
+@pytest.mark.parametrize("correlations", [[[], []], [[]]], ids=["2x0", "1x0"])
+def test_an_empty_correlation_table_is_a_validation_error(tmp_path, capsys, correlations):
+    # an empty array has no maximum: the correlator band must not let numpy's
+    # ValueError escape main before the model's shape check answers
+    code, out = run_cli(capsys, "chsh", "--input", write_doc(tmp_path, {"correlations": correlations}))
+    assert code == 2
+    shape = np.shape(correlations)
+    message = f"correlation table must have shape (2, 2), got {shape}"
     assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
 
 
@@ -330,7 +384,11 @@ def test_a_table_audit_whose_sdp_raises_still_answers(tmp_path, capsys):
     audit = doc["results"]["audit"]
     assert audit["agrees"] is None and "sdp_interval" not in audit
     assert audit["error"]["type"] == "SdpConvergenceError"
-    assert "no convergence in 200 iterations" in audit["error"]["message"]
+    assert audit["error"]["message"].startswith("no convergence in 200 iterations")
+    mass = table[:, 1, 0].sum()
+    assert audit["error"]["message"].endswith(
+        f"(arm z=0 has a treatment mass of {mass:.3g}, the least of the unpinned arms)"
+    )
     assert doc["results"]["quantum"]["lo"] < doc["results"]["quantum"]["hi"]
     assert doc["provenance"]["solver"] == {"engine": "closed-form", "level": "1"}
 
@@ -435,6 +493,27 @@ def test_batch_mode(tmp_path, capsys):
     assert docs[0]["results"]["ate_bounds"]["width"] == 1.0
     assert docs[1]["results"]["joint_bounds"]["lo"] == 0.5
     assert docs[2]["error"]["code"] == 2
+
+
+def test_batch_refuses_the_output_options_it_cannot_honour(tmp_path, capsys):
+    frechet = {"schema": 1, "kind": "frechet", "payload": {"u": 0.8, "v": 0.7}}
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([frechet]))
+    csv = tmp_path / "samples.csv"
+    message = "--batch writes one JSON array; --csv and --format md need a single --input"
+    for flags in (("--csv", str(csv)), ("--format", "md")):
+        code, out = run_cli(capsys, "gap", "--batch", str(path), *flags)
+        assert code == 2
+        assert json.loads(out) == {"schema": 1, "error": {"code": 2, "message": message, "type": "SchemaError"}}
+    assert not csv.exists()
+    # a document's own "format": "md" fails only its entry
+    path.write_text(json.dumps([{**frechet, "options": {"format": "md"}}, frechet]))
+    code, out = run_cli(capsys, "gap", "--batch", str(path))
+    assert code == 2
+    docs = json.loads(out)
+    message = 'a --batch entry is written as JSON; "format": "md" needs a single --input'
+    assert docs[0]["error"] == {"code": 2, "message": message, "type": "SchemaError"}
+    assert docs[1]["results"]["joint_bounds"]["lo"] == 0.5
 
 
 def test_in_process_calls_share_the_parser_but_no_state(tmp_path, capsys):
@@ -583,43 +662,84 @@ def test_booleans_and_integers_are_not_interchangeable(tmp_path, capsys, kind, p
 UNIFORM_BEHAVIOR = np.full((2, 2, 2, 2), 0.25).tolist()
 
 
+#: The payload of a JSON non-finite constant, which the reader rejects.
+NAN_IN_JSON = ("SchemaError", "request holds the non-finite number NaN, which JSON does not allow")
+
+# A "schema error" in a test name is exit code 2.  The document's layout is
+# checked by the CLI (``SchemaError``); its values by the model types
+# (``ValidationError``), with their messages.
+
+
 @pytest.mark.parametrize(
-    "kind, payload",
+    "kind, payload, error",
     [
-        ("entropic", {"behavior": UNIFORM_BEHAVIOR, "settings": [[0.5, 0.5], [0.0, float("nan")]]}),
-        ("entropic", {"behavior": UNIFORM_BEHAVIOR, "settings": [[0.0, 0.0], [0.0, 0.0]]}),
-        ("pns", {"experimental": {"p_do1": 0.5, "p_do0": 0.5}, "observational": {"joint": [[0, 0], [0, 0]]}}),
-        ("npa", {"functional": [[float("nan"), 1.0], [1.0, -1.0]]}),
+        pytest.param(
+            "entropic", {"behavior": UNIFORM_BEHAVIOR, "settings": [[0.5, 0.5], [0.0, float("nan")]]}, NAN_IN_JSON,
+            id="entropic-payload0",
+        ),
+        pytest.param(
+            "entropic", {"behavior": UNIFORM_BEHAVIOR, "settings": [[0.0, 0.0], [0.0, 0.0]]},
+            ("ValidationError", "settings distribution has a block of mass 0.000e+00, which cannot be rescaled to 1"),
+            id="entropic-payload1",
+        ),
+        pytest.param(
+            "pns", {"experimental": {"p_do1": 0.5, "p_do0": 0.5}, "observational": {"joint": [[0, 0], [0, 0]]}},
+            ("ValidationError", "observational joint has a block of mass 0.000e+00, which cannot be rescaled to 1"),
+            id="pns-payload2",
+        ),
+        pytest.param("npa", {"functional": [[float("nan"), 1.0], [1.0, -1.0]]}, NAN_IN_JSON, id="npa-payload3"),
     ],
 )
-def test_non_finite_and_zero_mass_arrays_are_schema_errors(tmp_path, capsys, kind, payload):
+def test_non_finite_and_zero_mass_arrays_are_schema_errors(tmp_path, capsys, kind, payload, error):
     path = write_doc(tmp_path, payload)
     code, out = run_cli(capsys, kind, "--input", path, "--renormalize")
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "SchemaError"
+    assert json.loads(out)["error"] == {"code": 2, "type": error[0], "message": error[1]}
 
 
 BIG = 10**400  # a JSON integer past the float range
 
 
 @pytest.mark.parametrize(
-    "kind, payload, options, field",
+    "kind, payload, options, error",
     [
-        ("iv-bounds", {"table": [[[BIG, 0], [0, 0]], [[0, 0], [0, 0]]]}, None, "table"),
-        ("npa", {"functional": [[BIG, 1], [1, -1]]}, None, "functional"),
-        ("manski", {"e1": BIG, "e0": 0.4, "px1": 0.5}, None, "e1"),
-        ("frechet", {"u": 0.5, "v": BIG}, None, "v"),
-        ("pns", {"experimental": {"p_do1": BIG, "p_do0": 0.5}, "observational": {"joint": [[0.25] * 2] * 2}}, None, "p_do1"),
-        ("frechet", {"u": 0.5, "v": 0.5}, {"tolerance": BIG}, "tolerance"),
+        pytest.param(
+            "iv-bounds", {"table": [[[BIG, 0], [0, 0]], [[0, 0], [0, 0]]]}, None,
+            ("ValidationError", "IV table has an entry past the floating-point range"),
+            id="iv-bounds-payload0-None-table",
+        ),
+        pytest.param(
+            "npa", {"functional": [[BIG, 1], [1, -1]]}, None,
+            ("ValidationError", "functional has an entry past the floating-point range"),
+            id="npa-payload1-None-functional",
+        ),
+        pytest.param(
+            "manski", {"e1": BIG, "e0": 0.4, "px1": 0.5}, None,
+            ("ValidationError", "e1 is past the floating-point range"),
+            id="manski-payload2-None-e1",
+        ),
+        pytest.param(
+            "frechet", {"u": 0.5, "v": BIG}, None,
+            ("ValidationError", "v is past the floating-point range"),
+            id="frechet-payload3-None-v",
+        ),
+        pytest.param(
+            "pns", {"experimental": {"p_do1": BIG, "p_do0": 0.5}, "observational": {"joint": [[0.25] * 2] * 2}}, None,
+            ("ValidationError", "p_do1 is past the floating-point range"),
+            id="pns-payload4-None-p_do1",
+        ),
+        pytest.param(
+            "frechet", {"u": 0.5, "v": 0.5}, {"tolerance": BIG},
+            ("SchemaError", '"tolerance" is out of the floating-point range'),
+            id="frechet-payload5-options5-tolerance",
+        ),
     ],
 )
-def test_integers_past_the_float_range_are_schema_errors(tmp_path, capsys, kind, payload, options, field):
+def test_integers_past_the_float_range_are_schema_errors(tmp_path, capsys, kind, payload, options, error):
     path = write_doc(tmp_path, payload, options=options)
     code, out = run_cli(capsys, kind, "--input", path)
     assert code == 2
-    error = json.loads(out)["error"]
-    assert error["type"] == "SchemaError"
-    assert field in error["message"]
+    assert json.loads(out)["error"] == {"code": 2, "type": error[0], "message": error[1]}
 
 
 def test_integer_past_the_float_range_fails_only_its_batch_entry(tmp_path, capsys):
@@ -632,7 +752,8 @@ def test_integer_past_the_float_range_fails_only_its_batch_entry(tmp_path, capsy
     code, out = run_cli(capsys, "manski", "--batch", str(path))
     assert code == 2
     docs = json.loads(out)
-    assert [d.get("error", {}).get("type") for d in docs] == ["SchemaError", None]
+    assert docs[0]["error"] == {"code": 2, "type": "ValidationError", "message": "e1 is past the floating-point range"}
+    assert "error" not in docs[1]
     assert docs[1]["results"]["joint_bounds"]["lo"] == 0.5
 
 
@@ -672,12 +793,13 @@ def test_unreadable_json_is_schema_error(tmp_path, capsys, text):
     ],
 )
 def test_total_mass_past_the_float_range_is_schema_error(tmp_path, capsys, kind, payload):
+    names = {"membership": "behavior", "iv-bounds": "IV table", "entropic": "settings distribution"}
+    what = names.get(kind, "observational joint")
     path = write_doc(tmp_path, payload)
     code, out = run_cli(capsys, kind, "--input", path, "--renormalize")
     assert code == 2
-    error = json.loads(out)["error"]
-    assert error["type"] == "SchemaError"
-    assert "total mass" in error["message"]
+    message = f"{what} has a block of mass inf, which cannot be rescaled to 1"
+    assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
 
 
 def test_tolerance_option_sets_the_facet_and_lp_slack(tmp_path, capsys):
@@ -743,7 +865,8 @@ def test_every_distribution_field_shares_one_normalization_policy(tmp_path, caps
     negative = json.loads(json.dumps(payload).replace("0.225, 0.225]", "0.225, -0.225]", 1))
     code, out = run_cli(capsys, kind, "--input", write_doc(tmp_path, negative), "--renormalize")
     assert code == 2
-    assert json.loads(out)["error"] == {"code": 2, "message": f"{what} has negative entries", "type": "SchemaError"}
+    message = f"{what} has a negative entry -2.250e-01"
+    assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
 
 
 def _shifted_local_behavior(shift: float) -> np.ndarray:

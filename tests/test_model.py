@@ -5,6 +5,7 @@ from polybounds import (
     CHSH_COEFFS,
     Behavior,
     CorrelationTable,
+    ExperimentalData,
     Interval,
     NormalizationError,
     NpaLevel,
@@ -16,14 +17,18 @@ from polybounds import (
     chsh_value,
     chsh_variant_values,
     entropic_chsh,
+    comonotone_coupling,
     entropy,
+    frechet_bounds,
     local_max,
+    manski_bounds,
     mutual_information,
     no_signaling_max,
     npa_bound,
     quantum_gap_report,
     tsirelson_bound,
 )
+from polybounds.model import check_probability
 from conftest import random_local_behavior, random_nosignaling_behavior
 
 
@@ -168,13 +173,13 @@ PROBABILITY_INPUTS = {
 }
 
 
-def _ragged(p):
-    """``p`` as nested lists whose first entry is wrapped one level deeper."""
+def _nested(p, first):
+    """``p`` as nested lists with ``first`` in place of its first entry."""
     rows = p.tolist()
     inner = rows
     while isinstance(inner[0], list):
         inner = inner[0]
-    inner[0] = [inner[0]]
+    inner[0] = first
     return rows
 
 
@@ -194,7 +199,14 @@ def test_every_probability_input_is_checked_by_one_rule(name):
     build(p)
     off = p.copy()
     off.flat[0] += 1e-11
-    bad = (_with_first_cell(p, np.nan), _with_first_cell(p, np.inf), _with_first_cell(p, -2e-12), off, _ragged(p))
+    bad = (
+        _with_first_cell(p, np.nan),
+        _with_first_cell(p, np.inf),
+        _with_first_cell(p, -2e-12),
+        off,
+        _nested(p, [p.flat[0]]),  # ragged
+        _nested(p, 10**400),  # an integer past the float range
+    )
     for values in bad:
         with pytest.raises(ValidationError, match=what):
             build(values)
@@ -216,7 +228,9 @@ def test_every_probability_input_is_checked_by_one_rule(name):
     ids=["local_max", "no_signaling_max", "tsirelson_bound", "npa_bound", "quantum_gap_report"],
 )
 @pytest.mark.parametrize(
-    "functional", [[[np.nan, 1.0], [1.0, -1.0]], np.ones((3, 2)), [[1, 2], [3]]], ids=["nan", "3x2", "ragged"]
+    "functional",
+    [[[np.nan, 1.0], [1.0, -1.0]], np.ones((3, 2)), [[1, 2], [3]], [[10**400, 1], [1, -1]]],
+    ids=["nan", "3x2", "ragged", "huge"],
 )
 def test_every_functional_input_is_checked_by_one_rule(bound, functional):
     with pytest.raises(ValidationError, match="functional"):
@@ -226,8 +240,8 @@ def test_every_functional_input_is_checked_by_one_rule(bound, functional):
 @pytest.mark.parametrize("build", [CorrelationTable, Behavior.from_correlations], ids=["table", "behavior"])
 @pytest.mark.parametrize(
     "correlations",
-    [[[np.nan, 0.0], [0.0, 0.0]], [[1.5, 0.0], [0.0, 0.0]], np.zeros((3, 2)), [[1, 0], [0]]],
-    ids=["nan", "out-of-range", "3x2", "ragged"],
+    [[[np.nan, 0.0], [0.0, 0.0]], [[1.5, 0.0], [0.0, 0.0]], np.zeros((3, 2)), [[1, 0], [0]], [[10**400, 0], [0, 0]]],
+    ids=["nan", "out-of-range", "3x2", "ragged", "huge"],
 )
 def test_every_correlation_input_is_checked_by_one_rule(build, correlations):
     with pytest.raises(ValidationError, match="correlat"):
@@ -238,6 +252,49 @@ def test_every_correlation_input_is_checked_by_one_rule(build, correlations):
 def test_renormalize_rejects_a_ragged_table(table):
     with pytest.raises(ValidationError, match=table._WHAT):
         table.renormalize([[1, 0], [0]])
+
+
+@pytest.mark.parametrize("table", [Behavior, ObservedIVTable])
+@pytest.mark.parametrize("value, mass", [(0.0, "0.000e+00"), (1e308, "inf")], ids=["zero", "past-float-range"])
+def test_renormalize_rejects_a_block_without_a_positive_finite_mass(table, value, mass):
+    # pytest turns an overflow warning into an error, so none may be raised
+    message = f"{table._WHAT} has a block of mass {mass}, which cannot be rescaled to 1"
+    with pytest.raises(ValidationError) as raised:
+        table.renormalize(np.full(table._SHAPE, value))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda v: frechet_bounds(v, 0.5), lambda v: manski_bounds(0.5, 0.5, v), lambda v: ExperimentalData(0.5, v)],
+    ids=["frechet", "manski", "experimental-data"],
+)
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "must be a number, got bool"),
+        ("0.5", "must be a number, got str"),
+        (None, "must be a number, got NoneType"),
+        ([0.5], "must be a number, got list"),
+        (10**400, "is past the floating-point range"),
+        (float("inf"), "must lie in [0, 1], got inf"),
+        (float("nan"), "must lie in [0, 1], got nan"),
+        (2, "must lie in [0, 1], got 2.0"),
+        (-1e-300, "must lie in [0, 1], got -1e-300"),
+    ],
+    ids=["true", "string", "none", "list", "huge-int", "inf", "nan", "int", "negative"],
+)
+def test_every_scalar_probability_is_checked_by_one_rule(check, value, message):
+    with pytest.raises(ValidationError) as raised:
+        check(value)
+    assert str(raised.value).endswith(message)
+
+
+def test_a_scalar_probability_is_returned_as_a_float():
+    assert [type(v) for v in (check_probability(1, "u"), check_probability(np.float32(0.5), "u"))] == [float, float]
+    data = ExperimentalData(1, 0)
+    assert (data.p_do1, data.p_do0) == (1.0, 0.0) and type(data.p_do0) is float
+    assert [type(v) for v in (frechet_bounds(1, 0).hi, comonotone_coupling(1, 0)[0, 1])] == [float, np.float64]
 
 
 def test_functionals_may_be_correlation_tables():

@@ -550,6 +550,20 @@ def test_near_pinned_arms_approach_the_pinned_interval():
                 assert abs(interval.hi - at_pin.hi) <= 2.0 * np.sqrt(eps)
 
 
+def test_an_sdp_that_stops_at_its_cap_names_the_least_treated_arm():
+    """An arm pinned but for 1e-9 of its mass stops the level-1 SDP at its
+    iteration cap; the error names that arm and its treatment mass, so the
+    case reads apart from a solver fault."""
+    rng = np.random.default_rng(7)
+    table = ObservedIVTable((1.0 - 1e-9) * one_sided_iv_table(rng).p + 1e-9 * random_iv_table(rng).p)
+    mass = table.p[:, 1, 0].sum()
+    with pytest.raises(SdpConvergenceError) as raised:
+        quantum_ace_sdp(table, NpaLevel.L1)
+    message = str(raised.value)
+    assert message.startswith("no convergence in 200 iterations")
+    assert message.endswith(f"(arm z=0 has a treatment mass of {mass:.3g}, the least of the unpinned arms)")
+
+
 def test_level1_closed_form_rejects_tables_outside_the_relaxation():
     # 80 % of a table whose instrumental-inequality value is 2: no moment
     # matrix completes it

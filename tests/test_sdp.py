@@ -237,6 +237,27 @@ def test_pinned_arms_converge_quickly():
         assert result.iterations < 30
 
 
+def test_a_schur_complement_that_fails_the_cholesky_test_is_solved_spectrally(monkeypatch):
+    # the 1e-14 regularization lets even duplicated constraint rows pass the
+    # Cholesky test, so only a patched test reaches the spectral fallback
+    chsh = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
+    problems = [chsh, *_endpoint_pair(random_iv_table(np.random.default_rng(5)), NpaLevel.L1AB)]
+    unpatched = [sdp_solve(problem) for problem in problems]
+    refusals = []
+
+    def refuse(M):
+        refusals.append(M.shape)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(sdp.np.linalg, "cholesky", refuse)
+    for problem, expected in zip(problems, unpatched):
+        refusals.clear()
+        result = sdp_solve(problem)
+        assert refusals == [(problem.b.size,) * 2] * (result.iterations - 1)
+        assert result.termination in ("converged", "stalled")
+        assert abs(result.value - expected.value) <= result.gap + expected.gap
+
+
 def test_linear_algebra_calls_per_iteration(monkeypatch):
     # Per iteration that steps: one eigh of the pair [X; Z], taken by the PD
     # guard and reused by the next iteration, one eigh for the NT point, one
