@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
     ZeroConditioningError,
 )
-from .model import INEQUALITY_SLACK, Interval, ObservedIVTable, ResponseTypeDist, check_probability, probability_array
+from .model import Interval, ObservedIVTable, ResponseTypeDist, check_probability, probability_array
 from .polytope import STRATEGY_BEHAVIORS
 from .solvers import TOL
 
@@ -87,7 +87,7 @@ class InstrumentalCheck(NamedTuple):
     variant: str
 
 
-def instrumental_inequality(t: ObservedIVTable, variant: str = "standard") -> InstrumentalCheck:
+def instrumental_inequality(t: ObservedIVTable, variant: str = "standard", tol: float = TOL) -> InstrumentalCheck:
     """Testable implication of the IV model on the observed table.
 
     ``standard`` evaluates max over treatment arms of
@@ -95,6 +95,8 @@ def instrumental_inequality(t: ObservedIVTable, variant: str = "standard") -> In
     max_z sum_y max_x p(y, x | z), which is algebraically vacuous
     (bounded by each arm's normalization) and is kept only so the
     discrepancy with the standard form can be surfaced, not resolved.
+    Either holds when 2 (value - 1) <= ``tol``: on the standard form, the
+    simplex's phase-1 test on the type polytope, which ``ace_bounds`` reads.
     """
     p = t.p  # indexed [y, x, z]
     if variant == "standard":
@@ -103,25 +105,22 @@ def instrumental_inequality(t: ObservedIVTable, variant: str = "standard") -> In
         value = float(p.max(axis=1).sum(axis=0).max())
     else:
         raise ValidationError(f"unknown variant {variant!r}")
-    holds = value <= 1.0 + INEQUALITY_SLACK
-    return InstrumentalCheck(holds, value, variant)
+    return InstrumentalCheck(2.0 * (value - 1.0) <= tol, value, variant)
 
 
 def ace_bounds(t: ObservedIVTable, tol: float = TOL) -> Interval:
     """Sharp bounds on the average causal effect, in closed form: each
     endpoint is the best of the 8 Balke-Pearl dual-vertex expressions.
 
-    Raises ``InfeasibleTableError`` when twice the instrumental inequality's
-    excess is above ``tol``; for binary Z, X and Y the inequality is exactly
-    the polytope's boundary (Bonet, UAI 2001).  Endpoints that cross within
-    that tolerance collapse to the upper one.
+    Raises ``InfeasibleTableError`` when the instrumental inequality fails at
+    ``tol``; for binary Z, X and Y the inequality is exactly the polytope's
+    boundary (Bonet, UAI 2001).  Endpoints that cross within that tolerance
+    collapse to the upper one.
     """
-    excess = instrumental_inequality(t).value - 1.0
-    if 2.0 * excess > tol:
-        # the simplex's verdict and figure: its phase-1 artificial mass on
-        # this system equals exactly 2 * excess
+    check = instrumental_inequality(t, tol=tol)
+    if not check.holds:
         raise InfeasibleTableError(
-            f"observed table is not IV-compatible (phase-1 infeasibility {2.0 * excess:.3e})"
+            f"observed table is not IV-compatible (phase-1 infeasibility {2.0 * (check.value - 1.0):.3e})"
         )
     cells = np.append(t.flat(), 1.0)
     lo = float((BALKE_PEARL_LO @ cells).max())

@@ -18,9 +18,11 @@ the ``{"values", "order"}`` form and its axis permutation, and the number
 of axes the permutation needs; those errors are ``SchemaError``.  Every
 value (shape, finiteness, sign, block mass, scalar range) is checked by
 the model types, and their ``ValidationError`` names it.  The one policy
-kept here is normalization: block masses within ``NORMALIZATION_ACCEPT``
-of 1 are rescaled silently, and larger deviations are an error unless
-``--renormalize`` turns them into a warning.  Both exit 2.  ``--batch``
+kept here is the band ``NORMALIZATION_ACCEPT``: block masses within it of
+1 are rescaled silently, and larger deviations are an error unless
+``--renormalize`` turns them into a warning; ``chsh`` correlators within
+it of [-1, 1] are clipped onto it, and others reach ``CorrelationTable``,
+which refuses them.  All exit 2.  ``--batch``
 writes one JSON array, so it refuses ``--csv``, ``--format md`` and an
 entry whose own ``format`` is ``md``.
 
@@ -137,7 +139,8 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
 #: Largest deviation of a request's block sums from 1 accepted without
-#: --renormalize; kept as text too, because error reports quote it.
+#: --renormalize, and of a correlator from [-1, 1] clipped onto it; kept as
+#: text too, because error reports quote it.
 NORMALIZATION_ACCEPT_TEXT = "1e-9"
 NORMALIZATION_ACCEPT = float(NORMALIZATION_ACCEPT_TEXT)
 
@@ -383,9 +386,8 @@ def _handle_chsh(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict
         source = "behavior"
     elif "correlations" in req.payload:
         e = _array_field(req.payload, "correlations", ("x", "y"), "correlation table")
-        if np.abs(e).max(initial=0.0) > 1.0 + 1e-9:
-            raise SchemaError("correlators must lie in [-1, 1]")
-        behavior = Behavior.from_correlations(np.clip(e, -1.0, 1.0))
+        near = np.abs(e) <= 1.0 + NORMALIZATION_ACCEPT  # clipped onto [-1, 1]; CorrelationTable refuses the rest
+        behavior = Behavior.from_correlations(np.where(near, np.clip(e, -1.0, 1.0), e))
         source = "correlations"
     else:
         raise SchemaError('chsh payload needs "correlations" or "behavior"')
@@ -489,10 +491,8 @@ def _handle_gap(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict,
 def _handle_iv_bounds(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
     table = _iv_table_from(req.payload, req.options["renormalize"], warnings)
     variant = req.options["variant"].replace("-", "_")
-    check = instrumental_inequality(table, variant)
-    other = instrumental_inequality(
-        table, "paper_literal" if variant == "standard" else "standard"
-    )
+    check = instrumental_inequality(table, variant, tol)
+    other = instrumental_inequality(table, "paper_literal" if variant == "standard" else "standard", tol)
     if variant == "paper_literal":
         warnings.append(
             "paper-literal inequality is algebraically vacuous (always <= 1); "

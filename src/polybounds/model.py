@@ -10,15 +10,16 @@ Conventions fixed here once and for all:
 * Every distribution type (behaviors, IV tables, response-type
   distributions, observational joints, entropy inputs, settings
   distributions) is checked by one rule, ``probability_array``: a
-  rectangular numeric array (``float_array``, which also refuses an
-  integer past the float range) of the right shape, finite entries, none
-  below -NORMALIZATION_SLACK (smaller dips are set to 0), and block sums
-  within NORMALIZATION_SLACK of 1.  ``rescale_blocks`` makes the same entry
-  checks and divides each block by its mass, which must be positive and
-  finite: it is the ``renormalize`` classmethods and the command line's
-  reading of every distribution.  Correlation functionals are checked by
-  ``correlator_functional`` and correlators by ``CorrelationTable``, both
-  through ``float_array`` too, and scalar probabilities by
+  rectangular numeric array (``float_array``, which also refuses string
+  and boolean entries and an integer past the float range) of the right
+  shape, finite entries, none below -NORMALIZATION_SLACK (smaller dips
+  are set to 0), and block sums within NORMALIZATION_SLACK of 1.
+  ``rescale_blocks`` makes the same entry checks and divides each block
+  by its mass, which must be positive and finite: it is the
+  ``renormalize`` classmethods and the command line's reading of every
+  distribution.  Correlation functionals are checked by
+  ``correlator_functional`` and correlators by ``CorrelationTable``,
+  both through ``float_array`` too, and scalar probabilities by
   ``check_probability``, which returns them as floats.  Invalid input
   raises ``ValidationError`` at construction, naming what it is.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -48,16 +50,31 @@ NORMALIZATION_SLACK = 1e-12
 INTERVAL_SLACK = 1e-12
 INEQUALITY_SLACK = 1e-12
 
+#: Entry types that numpy turns into floats but that are not numbers (numpy's
+#: str_ and bytes_ are str and bytes).
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
 
 def float_array(values, what: str) -> np.ndarray:
-    """``values`` as a new float array; a ragged or non-numeric nesting, or an
-    integer past the float range, raises ``ValidationError`` naming ``what``."""
+    """``values`` as a new float array; a ragged or non-numeric nesting, a
+    string or boolean entry (which numpy would convert), or an integer past
+    the float range raises ``ValidationError`` naming ``what``."""
     try:
-        return np.array(values, dtype=float)
+        arr = np.array(values, dtype=float)
     except OverflowError:
         raise ValidationError(f"{what} has an entry past the floating-point range") from None
     except (TypeError, ValueError):
         raise ValidationError(f"{what} is not a rectangular array of numbers") from None
+    # the entries' own types, which the float array has lost (True is 1.0
+    # there); a numeric array's entries are numbers
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        leaves = [values]
+        for _ in range(arr.ndim):
+            leaves = list(chain.from_iterable(leaves))
+        for kind in dict.fromkeys(map(type, leaves)):  # in the order of first occurrence
+            if issubclass(kind, _NOT_NUMBERS):
+                raise ValidationError(f"{what} has an entry of type {kind.__name__}, not a number")
+    return arr
 
 
 def check_probability(value, what: str) -> float:

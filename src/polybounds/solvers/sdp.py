@@ -28,11 +28,10 @@ directions, scaled by the NT point so that X and Z are both diag(d); there
 its Lyapunov equation is solved elementwise.  The column is weighted by
 the predictor's step lengths alpha_p alpha_d, since on a problem without
 an interior point the unweighted term overflows.  So an iteration takes
-two solves, each a regularized solve and its refinement step.  M is never
-inverted: each solve is one LU ``solve`` of the regularized M, and a
-Cholesky factorization only tests that M is positive definite, else the
-solve falls back to a pseudo-inverse.  An explicit inverse sends
-level-1ab instrumental endpoints to the iteration cap.
+two solves, each an LU ``solve`` of the regularized M, which dependent
+constraint rows leave nonsingular, and its refinement step.  M is never
+inverted: an explicit inverse sends level-1ab instrumental endpoints to
+the iteration cap.
 
 The dual is  min b'y  subject to  Z = sum_k y_k A_k - C >= 0,  and the
 reported ``gap`` is |primal - dual| on the returned iterates, the quantity
@@ -226,26 +225,11 @@ def sdp_solve(problem: SdpProblem) -> SdpResult:
         # Schur complement M_kl = <A_k, W A_l W>, from one batched product
         WAW = W @ problem.A @ W
         M = _sym(A2 @ WAW.reshape(m, n * n).T)
-        try:
-            M_reg = M + np.eye(m) * (max(float(M.diagonal().max()), 1.0) * 1e-14)
-            np.linalg.cholesky(M_reg)  # raises unless M_reg is positive definite
-
-            def msolve(v: np.ndarray) -> np.ndarray:
-                return np.linalg.solve(M_reg, v)
-
-        except np.linalg.LinAlgError:
-            # dependent constraints make the Schur complement singular; solve
-            # in the row space via a spectral pseudo-inverse
-            w_m, Q_m = np.linalg.eigh(M)
-            cutoff = max(float(w_m.max()), 1.0) * 1e-13
-            w_inv = np.where(w_m > cutoff, 1.0 / np.maximum(w_m, cutoff), 0.0)
-
-            def msolve(v: np.ndarray) -> np.ndarray:
-                return Q_m @ (w_inv[:, None] * (Q_m.T @ v))
+        M_reg = M + np.eye(m) * (max(float(M.diagonal().max()), 1.0) * 1e-14)
 
         def schur_solve(rhs: np.ndarray) -> np.ndarray:
-            dy = msolve(rhs)
-            return dy + msolve(rhs - M @ dy)  # one refinement step undoes the regularization's bias
+            dy = np.linalg.solve(M_reg, rhs)
+            return dy + np.linalg.solve(M_reg, rhs - M @ dy)  # one refinement step undoes the regularization's bias
 
         # The Newton direction is affine in the centering target mu_t: with
         # E = mu_t Z^-1 - X it is D0 + mu_t D1, D0 the affine-scaling part and

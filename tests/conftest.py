@@ -11,7 +11,9 @@ from polybounds import (
     ExperimentalData,
     ObservationalData,
     TwoQubitState,
+    ObservedIVTable,
     enumerate_strategies,
+    instrumental_inequality,
     iv_table_from_response_dist,
     quantum_behavior,
 )
@@ -61,6 +63,20 @@ def random_nosignaling_behavior(rng) -> Behavior:
 
 def random_iv_table(rng):
     return iv_table_from_response_dist(rng.dirichlet(np.ones(16)))
+
+
+def near_edge_iv_table(rng, excess: float) -> ObservedIVTable:
+    """``random_iv_table(rng)`` mixed toward a table of instrumental value 2
+    until its value is 1 + ``excess``, reached by bisection from below."""
+    base = random_iv_table(rng).p
+    crafted = np.zeros((2, 2, 2))
+    crafted[1, 1, 0] = crafted[0, 1, 1] = 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        value = instrumental_inequality(ObservedIVTable((1 - mid) * base + mid * crafted)).value
+        lo, hi = (mid, hi) if value <= 1.0 + excess else (lo, mid)
+    return ObservedIVTable((1 - lo) * base + lo * crafted)
 
 
 def one_sided_iv_table(rng):

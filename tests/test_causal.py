@@ -23,7 +23,7 @@ from polybounds import (
 )
 from polybounds.causal import counterfactual_atom_system, pns_objective
 from polybounds.solvers import TOL, LpProblem, lp_solve
-from conftest import random_counterfactual_instance, random_iv_table, structural_iv_tables
+from conftest import near_edge_iv_table, random_counterfactual_instance, random_iv_table, structural_iv_tables
 
 
 def perfect_compliance_table(p1=0.7, p0=0.4) -> ObservedIVTable:
@@ -96,6 +96,20 @@ def test_instrumental_inequality_on_forward_simulated_tables():
     rng = np.random.default_rng(52)
     for raw in structural_iv_tables(rng, 300):
         assert instrumental_inequality(ObservedIVTable(raw)).holds
+
+
+def test_the_inequality_holds_exactly_when_the_effect_bounds_answer():
+    # both read 2 (value - 1) <= tol, the simplex's phase-1 test
+    table = near_edge_iv_table(np.random.default_rng(0), 1e-10)
+    value = instrumental_inequality(table).value
+    assert 1.0 + 1e-12 < value <= 1.0 + 1e-10
+    for variant in ("standard", "paper_literal"):
+        assert instrumental_inequality(table, variant).holds
+    assert ace_bounds(table).lo == pytest.approx(-0.00997, abs=1e-5)
+    assert ace_bounds(table).hi == pytest.approx(0.389, abs=1e-3)
+    assert not instrumental_inequality(table, tol=1e-10).holds
+    with pytest.raises(InfeasibleTableError):
+        ace_bounds(table, 1e-10)
 
 
 def test_ace_bounds_perfect_compliance_point_identified():

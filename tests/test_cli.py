@@ -11,7 +11,7 @@ import pytest
 import polybounds
 from polybounds import Behavior, FloatRangeError
 from polybounds.cli import SchemaError, _classify, canonical_json, main, parse_request, serialize_request
-from conftest import one_sided_iv_table, random_iv_table, random_local_behavior, tsirelson_closed_form
+from conftest import near_edge_iv_table, one_sided_iv_table, random_iv_table, random_local_behavior, tsirelson_closed_form
 
 
 def write_doc(tmp_path, payload, options=None, name="doc.json"):
@@ -218,6 +218,81 @@ def test_missing_field_schema_error(tmp_path, capsys):
     assert code == 2
 
 
+FRECHET = {"schema": 1, "kind": "frechet", "payload": {"u": 0.8, "v": 0.7}}
+JOINT = {"joint": [[0.25] * 2] * 2}
+
+
+def _with(**fields):
+    return {**FRECHET, **fields}
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        pytest.param(("frechet", "--input", "DOC"), [FRECHET], "request document must be a JSON object", id="not-an-object"),
+        pytest.param(
+            ("frechet", "--input", "DOC"), {"schema": 1}, 'request document must carry a "payload" object', id="no-payload"
+        ),
+        pytest.param(
+            ("frechet", "--input", "DOC"), _with(options={"format": "xml"}),
+            "format must be 'json' or 'md', got 'xml'", id="format",
+        ),
+        pytest.param(
+            ("frechet", "--input", "DOC"), _with(options={"npa_level": "2"}),
+            "unknown relaxation level '2'; use '1' or '1ab'", id="npa-level",
+        ),
+        pytest.param(
+            ("frechet", "--input", "DOC"), _with(options={"tolerance": 2}), "tolerance must be in (0, 1), got 2.0",
+            id="tolerance",
+        ),
+        pytest.param(
+            ("frechet", "--input", "DOC"), _with(payload={"u": 0.8}), 'payload is missing "v"', id="missing-field"
+        ),
+        pytest.param(
+            ("iv-bounds", "--input", "DOC"), {"schema": 1, "payload": {"table": {"order": ["y", "x", "z"]}}},
+            '"table" object needs a "values" array', id="no-values",
+        ),
+        pytest.param(
+            ("gap", "--input", "DOC"), {"schema": 1, "payload": {"bound": 2}},
+            'gap payload needs "functional", "behavior", or "table"', id="gap-subject",
+        ),
+        pytest.param(
+            ("pns", "--input", "DOC"), {"schema": 1, "payload": {"observational": JOINT}},
+            'pns payload needs "experimental" and "observational"', id="pns-field",
+        ),
+        pytest.param(
+            ("pns", "--input", "DOC"), {"schema": 1, "payload": {"experimental": [0.5, 0.5], "observational": JOINT}},
+            '"experimental" must be an object', id="pns-experimental",
+        ),
+        pytest.param(
+            ("pns", "--input", "DOC"),
+            {"schema": 1, "payload": {"experimental": {"p_do1": 0.5, "p_do0": 0.5}, "observational": [[0.25] * 2] * 2}},
+            '"observational" must be an object', id="pns-observational",
+        ),
+        pytest.param(
+            ("audit", "--input", "DOC"), {"schema": 1, "payload": {"suite": "sdp"}},
+            'audit suite must be one of "all", "lp", "pns", "membership"', id="audit-suite",
+        ),
+        pytest.param(
+            ("frechet", "--batch", "DOC"), FRECHET, "batch file must hold a JSON array of request documents",
+            id="batch-not-an-array",
+        ),
+        pytest.param(("frechet",), FRECHET, "--input is required (or --batch)", id="no-input"),
+        pytest.param(
+            ("frechet", "--input", "DOC", "--csv", "CSV"), FRECHET, "--csv is only meaningful for the gap analysis",
+            id="csv-off-gap",
+        ),
+    ],
+)
+def test_each_layout_error_is_a_schema_error_that_names_it(tmp_path, capsys, argv, document, message):
+    paths = {"DOC": tmp_path / "doc.json", "CSV": tmp_path / "samples.csv"}
+    paths["DOC"].write_text(json.dumps(document))
+    code, out = run_cli(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert code == 2
+    assert json.loads(out) == {"schema": 1, "error": {"code": 2, "message": message, "type": "SchemaError"}}
+    assert not paths["CSV"].exists()
+
+
 @pytest.mark.parametrize(
     "kind, payload, field",
     [
@@ -270,6 +345,59 @@ def test_an_empty_correlation_table_is_a_validation_error(tmp_path, capsys, corr
     shape = np.shape(correlations)
     message = f"correlation table must have shape (2, 2), got {shape}"
     assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
+
+
+@pytest.mark.parametrize(
+    "text, largest",
+    [("[[1.5, 0], [0, 0]]", "1.5"), ("[[1e400, 0], [0, 0]]", "inf"), ("[[0, -1.000000002], [0, 0]]", "1.000000002")],
+    ids=["1.5", "past-float-range", "just-past-the-band"],
+)
+def test_correlators_past_the_band_are_refused_by_the_model(tmp_path, capsys, text, largest):
+    path = tmp_path / "doc.json"
+    path.write_text('{"schema": 1, "payload": {"correlations": %s}}' % text)
+    code, out = run_cli(capsys, "chsh", "--input", str(path))
+    assert code == 2
+    message = f"correlators must lie in [-1, 1], got max |e| = {largest}"
+    assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
+
+
+def test_correlators_within_the_band_are_clipped(tmp_path, capsys):
+    path = write_doc(tmp_path, {"correlations": [[1 + 5e-10, 1.0], [1.0, -1 - 5e-10]]})
+    code, out = run_cli(capsys, "chsh", "--input", path)
+    assert code == 0
+    assert json.loads(out)["results"]["correlations"] == [[1.0, 1.0], [1.0, -1.0]]
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("iv-bounds", {"table": [[["0.25", 0.25], [0.25, 0.25]]] * 2}, "IV table has an entry of type str, not a number"),
+        ("membership", {"behavior": [[[[True, 0.25]] * 2] * 2] * 2}, "behavior has an entry of type bool, not a number"),
+        ("npa", {"functional": [[1, 1], [1, "-1"]]}, "functional has an entry of type str, not a number"),
+        ("chsh", {"correlations": [[True, 0], [0, 0]]}, "correlation table has an entry of type bool, not a number"),
+    ],
+    ids=["table-string", "behavior-bool", "functional-string", "correlations-bool"],
+)
+def test_string_and_boolean_array_entries_are_validation_errors(tmp_path, capsys, kind, payload, message):
+    code, out = run_cli(capsys, kind, "--input", write_doc(tmp_path, payload))
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
+
+
+def test_the_inequality_verdict_reads_the_tolerance(tmp_path, capsys):
+    # instrumental value 1 + 1e-10: it holds at the default 1e-9, as
+    # ace_bounds does, and fails at 1e-10, where the table is refused
+    table = near_edge_iv_table(np.random.default_rng(0), 1e-10).p.tolist()
+    code, out = run_cli(capsys, "iv-bounds", "--input", write_doc(tmp_path, {"table": table}))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["instrumental_inequality"]["value"] > 1.0 + 1e-12
+    assert results["instrumental_inequality"]["holds"] is True
+    assert results["instrumental_inequality"]["other_variant"]["holds"] is True
+    assert results["ace_bounds"]["lo"] == pytest.approx(-0.00997, abs=1e-5)
+    code, out = run_cli(capsys, "iv-bounds", "--input", write_doc(tmp_path, {"table": table}, {"tolerance": 1e-10}))
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "InfeasibleTableError"
 
 
 def test_normalization_rejected_unless_renormalize(tmp_path, capsys):
@@ -475,6 +603,22 @@ def test_markdown_format(tmp_path, capsys):
     assert code == 0
     assert out.startswith("# polybounds report: gap")
     assert "| classical | 2.0 |" in out
+
+
+def test_markdown_gap_on_a_table_writes_interval_rows_and_warnings(tmp_path, capsys):
+    path = write_doc(tmp_path, {"table": random_iv_table(np.random.default_rng(0)).p.tolist()})
+    code, out = run_cli(capsys, "gap", "--input", path)
+    assert code == 0
+    report = json.loads(out)
+    code, out = run_cli(capsys, "gap", "--input", path, "--format", "md")
+    assert code == 0
+    lines = out.splitlines()
+    for key in ("classical", "quantum", "nosignaling"):
+        interval = report["results"][key]
+        assert f"| {key} | [{interval['lo']}, {interval['hi']}] |" in lines
+    assert report["warnings"]
+    start = lines.index("## Warnings")
+    assert lines[start + 1 : start + 1 + len(report["warnings"])] == [f"- {w}" for w in report["warnings"]]
 
 
 def test_batch_mode(tmp_path, capsys):

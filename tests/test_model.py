@@ -222,6 +222,43 @@ def test_every_probability_input_is_checked_by_one_rule(name):
         assert table.flat[0] == 0.0 and not table.flags.writeable
 
 
+# (builder, a valid input, what its errors name) of every array input
+ARRAY_INPUTS = {
+    **{name: spec[:3] for name, spec in PROBABILITY_INPUTS.items()},
+    "functional": (local_max, np.array([[1.0, 1.0], [1.0, -1.0]]), "functional"),
+    "correlation-table": (CorrelationTable, np.full((2, 2), 0.5), "correlation table"),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_INPUTS)
+@pytest.mark.parametrize(
+    "entry, kind",
+    [(str, "str"), (lambda v: True, "bool"), (lambda v: np.True_, "bool"), (np.str_, "str_"), (lambda v: b"1", "bytes")],
+    ids=["string", "bool", "numpy-bool", "numpy-string", "bytes"],
+)
+def test_every_array_input_refuses_string_and_boolean_entries(name, entry, kind):
+    # numpy would read "0.25" as 0.25 and True as 1.0
+    build, p, what = ARRAY_INPUTS[name]
+    with pytest.raises(ValidationError) as raised:
+        build(_nested(p, entry(p.flat[0])))
+    assert str(raised.value) == f"{what} has an entry of type {kind}, not a number"
+
+
+@pytest.mark.parametrize(
+    "values, kind",
+    [
+        (np.full((2, 2, 2), True), "bool"),
+        (np.full((2, 2, 2), "0.25"), "str_"),
+        ([[["0.25", True], ["0.25", 0.0]], [["0.25", 0.0], ["0.25", False]]], "str"),  # the first one is named
+    ],
+    ids=["bool-array", "string-array", "mixed-list"],
+)
+def test_an_iv_table_of_booleans_or_strings_is_refused(values, kind):
+    with pytest.raises(ValidationError) as raised:
+        ObservedIVTable(values)
+    assert str(raised.value) == f"IV table has an entry of type {kind}, not a number"
+
+
 @pytest.mark.parametrize(
     "bound",
     [local_max, no_signaling_max, tsirelson_bound, lambda f: npa_bound(NpaLevel.L1, f), quantum_gap_report],

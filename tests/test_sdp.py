@@ -237,34 +237,29 @@ def test_pinned_arms_converge_quickly():
         assert result.iterations < 30
 
 
-def test_a_schur_complement_that_fails_the_cholesky_test_is_solved_spectrally(monkeypatch):
-    # the 1e-14 regularization lets even duplicated constraint rows pass the
-    # Cholesky test, so only a patched test reaches the spectral fallback
+def test_duplicated_constraint_rows_solve_like_the_original():
+    # a repeated row makes the Schur complement singular; the regularized LU
+    # solve takes the same steps as on the program without the repeat
     chsh = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
-    problems = [chsh, *_endpoint_pair(random_iv_table(np.random.default_rng(5)), NpaLevel.L1AB)]
-    unpatched = [sdp_solve(problem) for problem in problems]
-    refusals = []
-
-    def refuse(M):
-        refusals.append(M.shape)
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-    monkeypatch.setattr(sdp.np.linalg, "cholesky", refuse)
-    for problem, expected in zip(problems, unpatched):
-        refusals.clear()
-        result = sdp_solve(problem)
-        assert refusals == [(problem.b.size,) * 2] * (result.iterations - 1)
-        assert result.termination in ("converged", "stalled")
-        assert abs(result.value - expected.value) <= result.gap + expected.gap
+    table = random_iv_table(np.random.default_rng(5))
+    problems = [chsh, *_endpoint_pair(table, NpaLevel.L1), *_endpoint_pair(table, NpaLevel.L1AB)]
+    for problem in problems:
+        expected = sdp_solve(problem)
+        m = problem.b.size
+        for rows in ([0], [0, m - 1], list(range(m))):
+            keep = list(range(m)) + rows
+            result = sdp_solve(SdpProblem(problem.C, problem.A[keep], problem.b[keep]))
+            assert result.iterations == expected.iterations
+            assert abs(result.value - expected.value) <= 1e-11
 
 
 def test_linear_algebra_calls_per_iteration(monkeypatch):
     # Per iteration that steps: one eigh of the pair [X; Z], taken by the PD
     # guard and reused by the next iteration, one eigh for the NT point, one
-    # eigvalsh per evaluated direction, one Cholesky test and two solves,
-    # each with its refinement step.  The CHSH program never escalates its
-    # centering weight nor halves a step in the guard, so it evaluates two
-    # directions (the predictor and the corrector it takes) per iteration.
+    # eigvalsh per evaluated direction, and two solves, each with its
+    # refinement step.  The CHSH program never escalates its centering
+    # weight nor halves a step in the guard, so it evaluates two directions
+    # (the predictor and the corrector it takes) per iteration.
     problem = moment_program(NpaLevel.L1, {((x,), (y,)): CHSH_COEFFS[x, y] for x in range(2) for y in range(2)})
     calls = Counter()
 
@@ -275,7 +270,7 @@ def test_linear_algebra_calls_per_iteration(monkeypatch):
 
         return counted
 
-    for name in ("eigh", "eigvalsh", "solve", "cholesky"):
+    for name in ("eigh", "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name), 0))
     monkeypatch.setattr(sdp, "_direction", counting("direction", sdp._direction, 1))
     result = sdp_solve(problem)
@@ -286,7 +281,6 @@ def test_linear_algebra_calls_per_iteration(monkeypatch):
         ("eigh", (2, 5, 5)): 1 + steps,  # the starting point's, then the guard's
         ("eigh", (5, 5)): steps,
         ("eigvalsh", (2, 5, 5)): 2 * steps,
-        ("cholesky", (m, m)): steps,
         ("solve", (m, m)): 4 * steps,
         ("direction", ()): 2 * steps,
     }
