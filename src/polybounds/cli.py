@@ -27,10 +27,10 @@ writes one JSON array, so it refuses ``--csv``, ``--format md`` and an
 entry whose own ``format`` is ``md``.
 
 One emitter, ``canonical_json``, writes every JSON report, error payload
-and ``--batch`` entry in one pass over the raw result tree; markdown
-reports read their numbers back from its text.  The argument parser is
-built once per process, so in-process callers of ``main`` do not pay for
-it on every call.
+and ``--batch`` entry in one pass over the raw result tree, choosing each
+node's writer by its exact type and writing each float from its ``%.12g``
+text; markdown reports read their numbers back from its text.  The
+argument parser is built once per process, for in-process ``main`` calls.
 
 ``iv-bounds`` and ``pns`` answer from closed forms (Balke-Pearl dual
 vertices, Tian-Pearl bounds); ``--audit`` checks them against the basis
@@ -145,12 +145,20 @@ NORMALIZATION_ACCEPT_TEXT = "1e-9"
 NORMALIZATION_ACCEPT = float(NORMALIZATION_ACCEPT_TEXT)
 
 
-def _round12(x: float) -> float:
+def _float_text(x: float, level: int = 0) -> str:
+    """``repr`` of ``x`` rounded to 12 significant digits; a non-finite ``x`` raises ``FloatRangeError``."""
+    # ``level``, the indent that every emitter takes, is unused.  The text is
+    # written from %.12g alone: a decimal of at most 12 digits is the shortest
+    # repr of the double it rounds to (two such decimals lie at least 1e-12
+    # apart relative, doubles 2.2e-16), so only the layout can differ
+    text = f"{x:.12g}"
+    if "e" in text:  # repr writes [1e12, 1e16) positionally, and tiny values its own way
+        return float.__repr__(float(text))
+    if "." in text:
+        return text
     if not math.isfinite(x):
         raise FloatRangeError(f"result {x} is past the floating-point range")
-    if x == 0.0:
-        return 0.0
-    return float(f"{x:.12g}")
+    return "0.0" if x == 0.0 else text + ".0"  # -0.0 is written 0.0
 
 
 def _block(parts: list, level: int, brackets: str) -> str:
@@ -160,30 +168,41 @@ def _block(parts: list, level: int, brackets: str) -> str:
     if not parts:
         return brackets
     inner = "\n" + "  " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(parts) + "\n" + "  " * level + brackets[1]
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}\n{'  ' * level}{brackets[1]}"
 
 
-def _emit(obj, level: int) -> str:
-    if isinstance(obj, (float, np.floating)):
-        return float.__repr__(_round12(float(obj)))
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, dict):
-        items = [encode_basestring_ascii(str(k)) + ": " + _emit(obj[k], level + 1) for k in sorted(obj, key=str)]
-        return _block(items, level, "{}")
-    if isinstance(obj, (list, tuple)):
-        return _block([_emit(v, level + 1) for v in obj], level, "[]")
-    if isinstance(obj, np.ndarray):
-        return _emit(obj.tolist(), level)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, Interval):
-        return _emit({"hi": obj.hi, "lo": obj.lo, "width": obj.width}, level)
-    if obj is None:
-        return "null"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+class _EmitterTable(dict):
+    """Emitters ``(node, level) -> text`` by exact type; a missing type takes its nearest base's, cached."""
+
+    def __missing__(self, kind: type):
+        base = next((b for b in kind.__mro__ if b in self), None)
+        if base is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        self[kind] = self[base]
+        return self[base]
+
+
+def _emit_dict(obj: dict, level: int) -> str:
+    items = [f"{encode_basestring_ascii(str(k))}: {_EMITTERS[type(v := obj[k])](v, level + 1)}"
+             for k in sorted(obj, key=str)]
+    return _block(items, level, "{}")
+
+
+# a node is written by its type's entry, called directly, so the emitter
+# recurses two frames per level of nesting (the entry and its comprehension)
+_EMITTERS = _EmitterTable({
+    float: _float_text,  # the most common node
+    np.floating: lambda x, level: _float_text(float(x)),
+    str: lambda s, level: encode_basestring_ascii(s),
+    dict: _emit_dict,
+    **dict.fromkeys(
+        (list, tuple), lambda seq, level: _block([_EMITTERS[type(v)](v, level + 1) for v in seq], level, "[]")),
+    np.ndarray: lambda arr, level: _EMITTERS[type(v := arr.tolist())](v, level),  # a 0-d array is a scalar
+    **dict.fromkeys((bool, np.bool_), lambda b, level: "true" if b else "false"),
+    **dict.fromkeys((int, np.integer), lambda n, level: int.__repr__(int(n))),
+    Interval: lambda iv, level: _emit_dict({"hi": iv.hi, "lo": iv.lo, "width": iv.width}, level),
+    type(None): lambda none, level: "null",
+})
 
 
 def canonical_json(obj, level: int = 0) -> str:
@@ -193,8 +212,11 @@ def canonical_json(obj, level: int = 0) -> str:
     writes once floats are rounded to 12 significant digits, keys (distinct
     as text) are made ``str``, arrays are lists and an ``Interval`` is
     ``{hi, lo, width}``.  Indentation starts at ``level``.  A non-finite
-    number, which JSON does not allow, raises ``FloatRangeError``."""
-    return _emit(obj, level)
+    number raises ``FloatRangeError``, a tree too deep to recurse ``SchemaError``."""
+    try:
+        return _EMITTERS[type(obj)](obj, level)
+    except RecursionError:  # only a request's echo nests that deep
+        raise SchemaError("request nests too deeply to echo in the report") from None
 
 
 @dataclass(frozen=True)
@@ -723,10 +745,7 @@ def _cross_section_csv(path: str, samples: int = 36) -> None:
     for k in range(samples):
         phi = 2.0 * np.pi * k / samples
         f = np.cos(phi) * f1 + np.sin(phi) * f2
-        rows.append(
-            f"{_round12(phi)},{_round12(local_max(f))},"
-            f"{_round12(tsirelson_bound(f))},{_round12(no_signaling_max(f))}"
-        )
+        rows.append(",".join(map(_float_text, (phi, local_max(f), tsirelson_bound(f), no_signaling_max(f)))))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -541,6 +542,29 @@ def test_non_finite_report_values_are_solver_errors():
     with pytest.raises(FloatRangeError):
         canonical_json({"bound": float("nan")})
     assert _classify(FloatRangeError("overflow")) == 4
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.0, -0.0, 5e-324, 1e-5, 9.99999999999951e-05, 123.0, 999999999999.5, 1e12, -1.25e13, 1.5e15,
+     9.9999999999995e15, 1e16, 1e22, float(2**53), 0.1 + 0.2],
+)
+def test_float_text_is_the_repr_of_the_12_digit_value(x):
+    # where the %.12g text and repr lay a number out differently; a zero of
+    # either sign is written 0.0
+    assert canonical_json(x) == float.__repr__(float(f"{x:.12g}") + 0.0)
+    assert canonical_json(np.float32(x)) == float.__repr__(float(f"{float(np.float32(x)):.12g}") + 0.0)
+
+
+@pytest.mark.parametrize("x", [float("inf"), -float("inf"), float("nan")])
+def test_float_text_refuses_non_finite_values(x):
+    with pytest.raises(FloatRangeError):
+        canonical_json(x)
+
+
+def test_the_emitter_refuses_unknown_types():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        canonical_json({"a": {1}})
 
 
 @pytest.mark.parametrize("tolerance", ["abc", True, [1e-6]])
@@ -1130,3 +1154,102 @@ def test_membership_and_chsh_run_no_simplex(tmp_path, capsys, monkeypatch):
     # the audit does solve the LP, so the patch is in place
     with pytest.raises(_SimplexCalled):
         run_cli(capsys, "membership", "--input", write_doc(tmp_path, {"behavior": local}, options={"audit": True}))
+
+
+@pytest.mark.parametrize("depth", [400, 600, 900])
+def test_a_deep_request_is_echoed_or_refused_as_a_schema_error(tmp_path, capsys, depth):
+    # json.load reads each depth; the report's echo of the request recurses
+    # two frames a level, so 400 levels are echoed and 600 pass the
+    # interpreter's recursion limit
+    note = "[" * depth + "]" * depth
+    manski = '{"schema": 1, "kind": "manski", "payload": {"e1": 0.7, "e0": 0.4, "px1": 0.5, "note": ' + note + "}}"
+    single, batch = tmp_path / "single.json", tmp_path / "batch.json"
+    single.write_text(manski)
+    batch.write_text(f"[{manski}, {json.dumps(FRECHET)}]")
+    code, out = run_cli(capsys, "manski", "--input", str(single))
+    batch_code, batch_out = run_cli(capsys, "manski", "--batch", str(batch))
+    entries = json.loads(batch_out)
+    assert entries[1]["results"]["joint_bounds"]["lo"] == 0.5
+    if depth == 400:
+        assert code == batch_code == 0
+        for report in (json.loads(out), entries[0]):
+            assert json.dumps(report["request"]["payload"]["note"]) == note
+        return
+    # the single report and the markdown one are the error payload; in a
+    # batch only the deep entry is
+    error = {"code": 2, "message": "request nests too deeply to echo in the report", "type": "SchemaError"}
+    md_code, md_out = run_cli(capsys, "manski", "--input", str(single), "--format", "md")
+    assert code == batch_code == md_code == 2
+    assert json.loads(out) == json.loads(md_out) == entries[0] == {"schema": 1, "error": error}
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: a fixed set of requests whose stdout and exit codes are pinned
+
+PR_BOX = [[[[0.5, 0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.5]]], [[[0.0, 0.0], [0.0, 0.5]], [[0.5, 0.5], [0.5, 0.0]]]]
+IV_TABLE = [[[0.3, 0.1], [0.2, 0.25]], [[0.15, 0.35], [0.35, 0.3]]]
+DETERMINISTIC_BEHAVIOR = [[[[1, 1], [1, 1]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]
+NOTE = [0.0, -0.0, 5e-324, 1e-05, 9.99999999999951e-05, 123.0, 999999999999.5, 1e12, -1.25e13, 1.5e15,
+        9.9999999999995e15, 1e16, 1e22, 2**53, 0.1 + 0.2, 10**30, -7, True, None, "café ☃"]
+GOLDEN_REQUESTS = (
+    ("iv-bounds", (), {"table": IV_TABLE}),
+    ("iv-bounds", ("--variant", "paper-literal"),
+     {"table": {"values": np.transpose(IV_TABLE, (2, 0, 1)).tolist(), "order": ["z", "y", "x"]}}),
+    ("iv-bounds", (), {"table": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]]}),
+    ("chsh", (), {"correlations": [[1, 1], [1, -1]]}),
+    ("chsh", (), {"correlations": [[0.7071, 0.7071], [0.7071, -0.7071]]}),
+    ("chsh", (), {"behavior": UNIFORM_BEHAVIOR}),
+    ("chsh", (), {"behavior": PR_BOX}),
+    ("membership", (), {"behavior": UNIFORM_BEHAVIOR}),
+    ("membership", ("--audit",), {"behavior": PR_BOX}),
+    ("membership", ("--tolerance", "1e-6"), {"behavior": DETERMINISTIC_BEHAVIOR}),
+    ("npa", (), {"functional": [[1, 1], [1, -1]]}),
+    ("npa", ("--npa-level", "1ab"), {"functional": [[1.0, 2.5], [-0.5, 1e-3]]}),
+    ("gap", (), {"functional": [[0.3, -1.2], [0.8, 0.4]]}),
+    ("gap", (), {"behavior": PR_BOX}),
+    ("gap", (), {"table": IV_TABLE}),
+    ("gap", ("--format", "md"), {"table": IV_TABLE}),
+    ("pns", (), {"experimental": {"p_do1": 0.6, "p_do0": 0.2}, "observational": {"joint": [[0.4, 0.1], [0.1, 0.4]]}}),
+    ("pns", (), {"experimental": {"p_do1": 0.5, "p_do0": 0.5}, "observational": {"joint": [[0.5, 0.5], [0.0, 0.0]]}}),
+    ("manski", (), {"e1": 0.7, "e0": 0.4, "px1": 0.5, "note": NOTE}),
+    ("manski", (), {"e1": 1e-5, "e0": 0.999999999999, "px1": 1}),
+    ("frechet", (), {"u": 0.8, "v": 0.7}),
+    ("frechet", (), {"u": 1e-5, "v": 0.3}),
+    ("entropic", (), {"behavior": PR_BOX}),
+    ("entropic", (), {"behavior": UNIFORM_BEHAVIOR, "settings": [[0.5, 0.25], [0.125, 0.125]]}),
+    ("entropic", ("--renormalize",), {"behavior": UNIFORM_BEHAVIOR, "settings": [[0.5, 0.25], [0.125, 0.126]]}),
+    ("audit", (), {"suite": "membership", "samples": 4, "seed": 3}),
+    ("chsh", ("--format", "md"), {"correlations": [[0.5, 0.5], [0.5, -0.5]]}),
+    ("frechet", (), {"u": 1.5, "v": 0.3}),
+    ("manski", (), {"e0": 0.4}),
+    ("manski", ("--batch",), [
+        {"schema": 1, "kind": "manski", "payload": {"e1": 0.7, "e0": 0.4, "px1": 0.5}},
+        {"schema": 2, "kind": "frechet", "payload": {"u": 0.8, "v": 0.7}},
+        {"schema": 1, "kind": "entropic", "payload": {"behavior": PR_BOX}},
+    ]),
+)
+
+#: sha256 of ``_golden_bytes``: a change to any of these reports' bytes changes it
+GOLDEN_SHA256 = "91f852d84b7226a30ffa3af3053118f770b78d65e070fd1ea5cde1788f6eef1e"
+
+
+def _golden_bytes(tmp_path, capsys) -> str:
+    """The exit codes and stdout of ``GOLDEN_REQUESTS``, in order."""
+    chunks = []
+    for i, (kind, flags, payload) in enumerate(GOLDEN_REQUESTS):
+        path = tmp_path / f"golden{i}.json"
+        if flags == ("--batch",):
+            path.write_text(json.dumps(payload))
+            code, out = run_cli(capsys, kind, "--batch", str(path))
+        else:
+            path.write_text(json.dumps({"schema": 1, "payload": payload}))
+            code, out = run_cli(capsys, kind, "--input", str(path), *flags)
+        chunks.append(f"{code}\n{out}")
+    return "".join(chunks)
+
+
+def test_golden_requests_keep_their_bytes(tmp_path, capsys):
+    # every kind, an audit, a markdown report, error payloads and a batch
+    # with an invalid entry; any change to a report's bytes changes the digest
+    text = _golden_bytes(tmp_path, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256

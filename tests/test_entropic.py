@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from polybounds import (
     mutual_information,
     shannon_cone_check,
 )
+from polybounds.model import INEQUALITY_SLACK
 from conftest import random_local_behavior, random_nosignaling_behavior
 
 
@@ -75,6 +78,31 @@ def test_entropic_lhs_invariant_under_outcome_relabeling():
         b = random_nosignaling_behavior(rng)
         flipped = Behavior(b.p[::-1])  # a -> 1 - a
         assert entropic_chsh(flipped).lhs == pytest.approx(entropic_chsh(b).lhs, abs=1e-10)
+
+
+def _signaling_behavior() -> Behavior:
+    p = np.zeros((2, 2, 2, 2))
+    for x, y in np.ndindex(2, 2):
+        p[y, 0, x, y] = 1.0  # Alice's outcome is Bob's setting
+    return Behavior(p)
+
+
+def test_entropic_chsh_equals_the_per_setting_mutual_informations_exactly():
+    rng = np.random.default_rng(73)
+    pr, uniform = Behavior.pr_box().p, Behavior.uniform().p
+    behaviors = [random_local_behavior(rng) for _ in range(60)]
+    behaviors += [Behavior(lam * pr + (1 - lam) * uniform) for lam in rng.uniform(size=60)]
+    behaviors += [s.behavior() for s in enumerate_strategies()]  # zero cells
+    behaviors += [Behavior.pr_box(), _signaling_behavior()]
+    settings = [None, np.array([[0.5, 0.25], [0.125, 0.125]])]
+    for b, s in itertools.product(behaviors, settings):
+        r = entropic_chsh(b, s)
+        infos = tuple(mutual_information(b.p[:, :, x, y]) for x in range(2) for y in range(2))
+        assert r.mutual_informations == infos
+        assert r.lhs == infos[0] + infos[1] + infos[2] - infos[3]
+        h = entropy(np.full((2, 2), 0.25) if s is None else s)
+        assert (r.rhs, r.settings_entropy) == (2.0 * h, h)
+        assert r.holds == (r.lhs <= r.rhs + INEQUALITY_SLACK)
 
 
 def test_entropy_vector_from_joint_members():
