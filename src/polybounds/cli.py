@@ -1,6 +1,7 @@
 """Command-line surface: JSON in, deterministic JSON or markdown reports out.
 
-One analysis per invocation:
+One analysis per invocation, of a KIND named by a key of ``_HANDLERS``
+(``KINDS`` reads them from there):
 
     polybounds KIND [--input PATH|-] [--format json|md] [--npa-level 1|1ab]
                [--tolerance T] [--variant standard|paper-literal]
@@ -15,16 +16,17 @@ rest of the output is dropped quietly and the exit code stays the same.
 
 This module reads only the document's layout: which fields are present,
 the ``{"values", "order"}`` form and its axis permutation, and the number
-of axes the permutation needs; those errors are ``SchemaError``.  Every
-value (shape, finiteness, sign, block mass, scalar range) is checked by
-the model types, and their ``ValidationError`` names it.  The one policy
-kept here is the band ``NORMALIZATION_ACCEPT``: block masses within it of
-1 are rescaled silently, and larger deviations are an error unless
-``--renormalize`` turns them into a warning; ``chsh`` correlators within
-it of [-1, 1] are clipped onto it, and others reach ``CorrelationTable``,
-which refuses them.  All exit 2.  ``--batch``
-writes one JSON array, so it refuses ``--csv``, ``--format md`` and an
-entry whose own ``format`` is ``md``.
+of axes the permutation needs; those errors are ``SchemaError``.  A number
+literal past the float range (``1e400``) is refused at read, as ``NaN`` is,
+since the report echoes even the fields no analysis reads.  Every value
+(shape, finiteness, sign, block mass, scalar range) is checked by the model
+types, and their ``ValidationError`` names it.  The one policy kept here is
+the band ``NORMALIZATION_ACCEPT``: block masses within it of 1 are rescaled
+silently, and larger deviations are an error unless ``--renormalize`` turns
+them into a warning; ``chsh`` correlators within it of [-1, 1] are clipped
+onto it, and others reach ``CorrelationTable``, which refuses them.  All
+exit 2.  ``--batch`` writes one JSON array, so it refuses ``--csv``,
+``--format md`` and an entry whose own ``format`` is ``md``.
 
 One emitter, ``canonical_json``, writes every JSON report, error payload
 and ``--batch`` entry in one pass over the raw result tree, choosing each
@@ -126,9 +128,6 @@ from .quantum import NpaLevel, npa_bound, quantum_ace_sdp, quantum_gap_report, t
 from .solvers import TOL, LpProblem, lp_solve
 from .solvers.sdp import GAP_ACCEPT
 
-KINDS = ("iv-bounds", "chsh", "membership", "npa", "gap", "pns", "manski", "frechet", "entropic", "audit")
-
-
 class SchemaError(PolyboundsError):
     """The request document does not match its kind's schema."""
 
@@ -143,6 +142,11 @@ EXIT_SOLVER = 4
 #: text too, because error reports quote it.
 NORMALIZATION_ACCEPT_TEXT = "1e-9"
 NORMALIZATION_ACCEPT = float(NORMALIZATION_ACCEPT_TEXT)
+#: An audit's ``agrees``: a closed form against the basis oracle or the
+#: simplex within EXACT_AUDIT_TOL absolute, and against the SDP within
+#: SDP_AUDIT_TOL relative to max(1, |closed form|) (``_sdp_agrees``).
+EXACT_AUDIT_TOL = 1e-9
+SDP_AUDIT_TOL = 1e-6
 
 
 def _float_text(x: float, level: int = 0) -> str:
@@ -396,7 +400,7 @@ def _membership_audit(behavior: Behavior, cert: MembershipCertificate, tol: floa
 def _oracle_audit(objective, A, b, bounds: Interval, tol: float) -> dict:
     """The basis oracle's interval for the same LP, and whether it matches ``bounds``."""
     oracle = oracle_extremal_scan(objective, A=A, b=b, tol=tol)
-    agrees = abs(oracle.lo - bounds.lo) <= 1e-9 and abs(oracle.hi - bounds.hi) <= 1e-9
+    agrees = abs(oracle.lo - bounds.lo) <= EXACT_AUDIT_TOL and abs(oracle.hi - bounds.hi) <= EXACT_AUDIT_TOL
     return {"oracle_bounds": oracle, "agrees": bool(agrees)}
 
 
@@ -445,12 +449,16 @@ def _handle_membership(req: AnalysisRequest, tol: float, warnings: list) -> tupl
     return results, {}
 
 
+def _sdp_agrees(pairs) -> bool:
+    """Is each SDP value v within SDP_AUDIT_TOL of its closed form w, relative to max(1, |w|)?"""
+    return all(abs(v - w) <= SDP_AUDIT_TOL * max(1.0, abs(w)) for v, w in pairs)
+
+
 def _sdp_audit(level: NpaLevel, functional, value: float, results: dict, prov: dict) -> None:
     """Re-solve the closed-form quantum ``value`` with the moment SDP; the
     comparison goes to ``results`` and the solver's run to ``prov``."""
     result = npa_bound(level, functional)
-    agrees = abs(result.value - value) <= 1e-6 * max(1.0, abs(value))
-    results["audit"] = {"sdp_bound": result.value, "agrees": bool(agrees)}
+    results["audit"] = {"sdp_bound": result.value, "agrees": _sdp_agrees([(result.value, value)])}
     prov.update({"sdp_iterations": result.iterations, "sdp_termination": result.termination, "duality_gap": result.gap})
 
 
@@ -464,9 +472,8 @@ def _table_audit(table: ObservedIVTable, level: NpaLevel, quantum: Interval, res
     except (PolyboundsError, np.linalg.LinAlgError) as exc:
         results["audit"] = {"agrees": None, "error": {"type": type(exc).__name__, "message": str(exc)}}
         return
-    pairs = ((interval.lo, quantum.lo), (interval.hi, quantum.hi))
-    agrees = all(abs(v - w) <= 1e-6 * max(1.0, abs(w)) for v, w in pairs)
-    results["audit"] = {"sdp_interval": interval, "agrees": bool(agrees)}
+    agrees = _sdp_agrees([(interval.lo, quantum.lo), (interval.hi, quantum.hi)])
+    results["audit"] = {"sdp_interval": interval, "agrees": agrees}
     prov.update(diagnostics)
 
 
@@ -522,12 +529,7 @@ def _handle_iv_bounds(req: AnalysisRequest, tol: float, warnings: list) -> tuple
         )
     bounds = ace_bounds(table, tol)
     results = {
-        "instrumental_inequality": {
-            "holds": check.holds,
-            "value": check.value,
-            "variant": check.variant,
-            "other_variant": {"holds": other.holds, "value": other.value, "variant": other.variant},
-        },
+        "instrumental_inequality": {**check._asdict(), "other_variant": other._asdict()},
         "ace_bounds": bounds,
     }
     if req.options["audit"]:
@@ -585,16 +587,8 @@ def _handle_entropic(req: AnalysisRequest, tol: float, warnings: list) -> tuple[
         settings = _distribution_from(
             req.payload, "settings", "xy", "settings distribution", req.options["renormalize"], warnings
         )
-    result = entropic_chsh(behavior, settings)
     warnings.append(SETTINGS_CONVENTION)
-    results = {
-        "lhs": result.lhs,
-        "rhs": result.rhs,
-        "holds": result.holds,
-        "mutual_informations": list(result.mutual_informations),
-        "settings_entropy": result.settings_entropy,
-    }
-    return results, {}
+    return entropic_chsh(behavior, settings)._asdict(), {}
 
 
 def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dict, dict]:
@@ -624,7 +618,7 @@ def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dic
             oracle = oracle_extremal_scan(ACE_COEFFS, A=RESPONSE_MATRIX, b=table.flat(), tol=tol)
             # the widest spread of each endpoint among closed form, simplex and basis oracle
             worst = max(worst, np.ptp([closed.lo, lp_lo, oracle.lo]), np.ptp([closed.hi, lp_hi, oracle.hi]))
-        results["lp"] = {"max_discrepancy": worst, "agrees": bool(worst <= 1e-9)}
+        results["lp"] = {"max_discrepancy": worst, "agrees": bool(worst <= EXACT_AUDIT_TOL)}
 
     if suite in ("all", "pns"):
         worst = 0.0
@@ -639,7 +633,7 @@ def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dic
             A, b = counterfactual_atom_system(exp, obs)
             oracle = oracle_extremal_scan(pns_objective(), A=A, b=b, tol=tol)
             worst = max(worst, abs(formula.lo - oracle.lo), abs(formula.hi - oracle.hi))
-        results["pns"] = {"max_discrepancy": worst, "agrees": bool(worst <= 1e-9)}
+        results["pns"] = {"max_discrepancy": worst, "agrees": bool(worst <= EXACT_AUDIT_TOL)}
 
     if suite in ("all", "membership"):
         disagreements = 0
@@ -663,18 +657,20 @@ def _handle_audit(req: AnalysisRequest, tol: float, warnings: list) -> tuple[dic
     return results, {}
 
 
+#: The analysis of each kind, in the order of the usage text.
 _HANDLERS = {
+    "iv-bounds": _handle_iv_bounds,
     "chsh": _handle_chsh,
     "membership": _handle_membership,
     "npa": _handle_npa,
     "gap": _handle_gap,
-    "iv-bounds": _handle_iv_bounds,
     "pns": _handle_pns,
     "manski": _handle_manski,
     "frechet": _handle_frechet,
     "entropic": _handle_entropic,
     "audit": _handle_audit,
 }
+KINDS = tuple(_HANDLERS)
 
 
 def run(request: AnalysisRequest) -> Report:
@@ -774,12 +770,21 @@ def _reject_constant(token: str):
     raise SchemaError(f"request holds the non-finite number {token}, which JSON does not allow")
 
 
+def _finite_float(literal: str) -> float:
+    """A number literal as a float; one past the float range (``1e400``) is refused."""
+    x = float(literal)
+    if math.isinf(x):
+        raise SchemaError(f"request holds the number {literal}, which is past the floating-point range")
+    return x
+
+
 def _read_document(path: str):
+    hooks = {"parse_constant": _reject_constant, "parse_float": _finite_float}
     try:
         if path == "-":
-            return json.load(sys.stdin, parse_constant=_reject_constant)
+            return json.load(sys.stdin, **hooks)
         with open(path) as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, **hooks)
     except json.JSONDecodeError:
         raise
     except (ValueError, RecursionError) as exc:  # undecodable bytes, over-long integers, deep nesting

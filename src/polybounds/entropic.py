@@ -20,7 +20,12 @@ from .model import INEQUALITY_SLACK, Behavior, float_array, probability_array
 def entropy(dist) -> float:
     """Base-2 entropy of a discrete distribution, with 0 log 0 = 0."""
     p = float_array(dist, "distribution")
-    p = probability_array(p, p.shape, None, "distribution").reshape(-1)
+    return _checked_entropy(probability_array(p, p.shape, None, "distribution"))
+
+
+def _checked_entropy(p: np.ndarray) -> float:
+    """``entropy`` of a table that ``probability_array`` has checked."""
+    p = p.reshape(-1)
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum() + 0.0)
 
@@ -62,7 +67,7 @@ def entropic_chsh(b: Behavior, settings=None) -> EntropicChshResult:
     h_joint = -(((joint[0, 0] + joint[0, 1]) + joint[1, 0]) + joint[1, 1]) + 0.0
     infos = tuple(map(float, (h_alice + h_bob - h_joint).reshape(-1)))  # settings (x, y) in row-major order
     lhs = infos[0] + infos[1] + infos[2] - infos[3]
-    h_settings = entropy(s)
+    h_settings = _checked_entropy(s)
     rhs = 2.0 * h_settings
     holds = lhs <= rhs + INEQUALITY_SLACK
     return EntropicChshResult(float(lhs), float(rhs), bool(holds), infos, float(h_settings))

@@ -25,6 +25,8 @@ Conventions fixed here once and for all:
 
 All types are immutable values (backing arrays are frozen), so every
 operation in the package is a pure function and safe to call concurrently.
+The model imports nothing from the solver package: a check that takes a
+tolerance, such as ``Behavior.no_signaling_at``, is given it by its caller.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import NormalizationError, ValidationError
-from .solvers.lp import TOL
 
 #: Sign of an outcome bit: 0 -> +1, 1 -> -1.
 SIGNS = np.array([1.0, -1.0])
@@ -175,11 +176,6 @@ class Behavior(_BlockTable):
         optimum of 4g (the gaps of different marginals do not add), so this
         is the LP's own test."""
         return 4.0 * self.signaling <= tol
-
-    @property
-    def no_signaling(self) -> bool:
-        """``no_signaling_at`` the package tolerance ``TOL``."""
-        return self.no_signaling_at(TOL)
 
     @classmethod
     def uniform(cls) -> "Behavior":

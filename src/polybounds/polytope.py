@@ -1,11 +1,14 @@
 """The local-realist polytope and its coupling-side relatives.
 
 The polytope is the convex hull of the 16 deterministic strategies
-(4 sign bits: Alice's two answers and Bob's two answers).  A no-signaling
-behavior is a member exactly when the 8 CHSH facets hold (Fine, J. Math.
-Phys. 23, 1306, 1982), so membership is decided by the facets, and the
-mixing weights of a member come from Fine's explicit joint distribution of
-(A0, A1, B0, B1), with no solver; biased marginals are handled.
+(4 sign bits: Alice's two answers and Bob's two answers).  Their sign
+table ``STRATEGY_SIGNS`` is the strategies' one source: the correlation
+and behavior tables derive from it, and a ``DeterministicStrategy`` reads
+its row.  A no-signaling behavior is a member exactly when the 8 CHSH
+facets hold (Fine, J. Math. Phys. 23, 1306, 1982), so membership is
+decided by the facets, and the mixing weights of a member come from Fine's
+explicit joint distribution of (A0, A1, B0, B1), with no solver; biased
+marginals are handled.
 Non-membership is certified by the most-violated facet.  The strategy LP
 stays as the independent check behind ``fine_check``.  Maxima of
 correlation functionals over the local and no-signaling polytopes are read
@@ -43,20 +46,32 @@ from .model import (
 from .solvers import TOL, LpProblem, lp_solve
 
 
-def _bit(sign: int) -> int:
-    return (1 - sign) // 2
+#: The 16 deterministic strategies as a (16, 4) sign table with columns (a0,
+#: a1, b0, b1), in lexicographic order with +1 first: the one source of every
+#: strategy fact.  Row 4 rx + ry is the response pair (rx, ry) of
+#: ``ResponseTypeDist``, each response 2 f(0) + f(1) with bit(+1) = 0.
+STRATEGY_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+#: Correlators E[A_x B_y] = a_x b_y of each strategy, shape (16, 2, 2).
+STRATEGY_CORRELATIONS = STRATEGY_SIGNS[:, :2, None] * STRATEGY_SIGNS[:, None, 2:]
+_ANSWERS = (STRATEGY_SIGNS[:, None, :] == SIGNS[None, :, None]).astype(float)  # [s, bit, observable]
+#: Behaviors p(a, b | x, y) of each strategy, shape (16, 2, 2, 2, 2).
+STRATEGY_BEHAVIORS = np.einsum("sax,sby->sabxy", _ANSWERS[:, :, :2], _ANSWERS[:, :, 2:])
+#: Strategy behaviors as the columns of a (16 behavior entries, 16 strategies) matrix.
+_STRATEGY_MATRIX = STRATEGY_BEHAVIORS.reshape(16, 16).T
+for _table in (STRATEGY_SIGNS, STRATEGY_CORRELATIONS, STRATEGY_BEHAVIORS, _STRATEGY_MATRIX):
+    _table.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
     """One of the 16 deterministic strategies: pre-agreed +-1 answers
-    (a0, a1) for Alice's settings and (b0, b1) for Bob's.
+    (a0, a1) for Alice's settings and (b0, b1) for Bob's, read from its row
+    of ``STRATEGY_SIGNS``.
 
     The causal view of the same object is a response pair: the treatment
     response maps instrument to treatment via bit(a_z), the outcome
-    response maps treatment to outcome via bit(b_x), with bit(+1) = 0 and
-    bit(-1) = 1.  ``response_indices`` and ``from_response_indices`` fix
-    the bijection.
+    response maps treatment to outcome via bit(b_x), and the row is
+    4 rx + ry.
     """
 
     a0: int
@@ -70,49 +85,30 @@ class DeterministicStrategy:
                 raise ValidationError(f"{name} must be +1 or -1, got {v}")
 
     @classmethod
-    def from_bits(cls, bits: tuple[int, int, int, int]) -> "DeterministicStrategy":
-        return cls(*(int(SIGNS[b]) for b in bits))
-
-    @classmethod
     def from_response_indices(cls, rx: int, ry: int) -> "DeterministicStrategy":
         if not (0 <= rx < 4 and 0 <= ry < 4):
             raise ValidationError("response indices must lie in 0..3")
-        return cls.from_bits((rx >> 1, rx & 1, ry >> 1, ry & 1))
+        return cls(*map(int, STRATEGY_SIGNS[4 * rx + ry]))
+
+    @property
+    def row(self) -> int:
+        """Its row of ``STRATEGY_SIGNS``."""
+        return STRATEGY_SIGNS.tolist().index([self.a0, self.a1, self.b0, self.b1])
 
     def response_indices(self) -> tuple[int, int]:
         """(treatment response, outcome response), each 2*f(0) + f(1)."""
-        rx = 2 * _bit(self.a0) + _bit(self.a1)
-        ry = 2 * _bit(self.b0) + _bit(self.b1)
-        return rx, ry
+        return divmod(self.row, 4)
 
     def correlations(self) -> CorrelationTable:
-        a = np.array([self.a0, self.a1], dtype=float)
-        b = np.array([self.b0, self.b1], dtype=float)
-        return CorrelationTable(np.outer(a, b))
+        return CorrelationTable(STRATEGY_CORRELATIONS[self.row])
 
     def behavior(self) -> Behavior:
-        rx, ry = self.response_indices()
-        return Behavior(STRATEGY_BEHAVIORS[4 * rx + ry])
+        return Behavior(STRATEGY_BEHAVIORS[self.row])
 
 
 def enumerate_strategies() -> list[DeterministicStrategy]:
-    """All 16 strategies in lexicographic (a0, a1, b0, b1) order, +1 first."""
-    return [DeterministicStrategy.from_bits(bits) for bits in itertools.product((0, 1), repeat=4)]
-
-
-#: The strategies' answers as a (16, 4) sign table with columns (a0, a1, b0,
-#: b1).  Its row order is that of ``enumerate_strategies``, of
-#: ``itertools.product((1, -1), repeat=4)`` and of the response types (4 * rx + ry).
-STRATEGY_SIGNS = np.array([[s.a0, s.a1, s.b0, s.b1] for s in enumerate_strategies()], dtype=float)
-#: Correlators E[A_x B_y] = a_x b_y of each strategy, shape (16, 2, 2).
-STRATEGY_CORRELATIONS = STRATEGY_SIGNS[:, :2, None] * STRATEGY_SIGNS[:, None, 2:]
-_ANSWERS = (STRATEGY_SIGNS[:, None, :] == SIGNS[None, :, None]).astype(float)  # [s, bit, observable]
-#: Behaviors p(a, b | x, y) of each strategy, shape (16, 2, 2, 2, 2).
-STRATEGY_BEHAVIORS = np.einsum("sax,sby->sabxy", _ANSWERS[:, :, :2], _ANSWERS[:, :, 2:])
-#: Strategy behaviors as the columns of a (16 behavior entries, 16 strategies) matrix.
-_STRATEGY_MATRIX = STRATEGY_BEHAVIORS.reshape(16, 16).T
-for _table in (STRATEGY_SIGNS, STRATEGY_CORRELATIONS, STRATEGY_BEHAVIORS, _STRATEGY_MATRIX):
-    _table.setflags(write=False)
+    """All 16 strategies in the row order of ``STRATEGY_SIGNS``."""
+    return [DeterministicStrategy(*map(int, signs)) for signs in STRATEGY_SIGNS]
 
 
 @dataclass(frozen=True, eq=False)

@@ -126,6 +126,15 @@ class _Simplex:
             self.pivot(leaving, entering, obj)
 
 
+def _multipliers(B: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """The multipliers y of the final basis B: B' y = c_B, by least squares
+    when B is singular."""
+    try:
+        return np.linalg.solve(B.T, cb)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(B.T, cb, rcond=None)[0]
+
+
 def lp_solve(problem: LpProblem, tol: float = TOL) -> LpResult:
     """Solve a small dense equality-form LP by two-phase simplex; infeasible
     when the phase-1 optimum exceeds ``tol``."""
@@ -153,21 +162,13 @@ def lp_solve(problem: LpProblem, tol: float = TOL) -> LpResult:
     infeasibility = -obj1[-1]
 
     signs = np.where(flip, -1.0, 1.0)
-    augmented = np.hstack([A, np.eye(m)])
 
     if infeasibility > tol:
-        # Farkas certificate y: solve B' y = cost1_B on the final basis
-        B = augmented[:, basis]
-        cb = cost1[basis]
-        try:
-            y = np.linalg.solve(B.T, cb)
-        except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(B.T, cb, rcond=None)[0]
         return LpResult(
             status="infeasible",
             value=float("nan"),
             x=None,
-            dual=signs * y,
+            dual=signs * _multipliers(np.hstack([A, np.eye(m)])[:, basis], cost1[basis]),  # the Farkas certificate
             iterations=sx.pivots,
             phase1_infeasibility=float(infeasibility),
         )
@@ -214,15 +215,8 @@ def lp_solve(problem: LpProblem, tol: float = TOL) -> LpResult:
         x[bj] = T2[i, -1]
     value = float(c @ x)
 
-    # equality multipliers from the final basis: B' y = c_B
-    B = A[keep][:, basis]
-    cb = c[basis]
-    try:
-        y = np.linalg.solve(B.T, cb)
-    except np.linalg.LinAlgError:
-        y = np.linalg.lstsq(B.T, cb, rcond=None)[0]
     dual = np.zeros(m)
-    dual[keep] = y
+    dual[keep] = _multipliers(A[keep][:, basis], c[basis])
     dual *= signs
 
     if minimize:

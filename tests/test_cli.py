@@ -348,18 +348,30 @@ def test_an_empty_correlation_table_is_a_validation_error(tmp_path, capsys, corr
     assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
 
 
+def _past_the_band(largest):
+    return "ValidationError", f"correlators must lie in [-1, 1], got max |e| = {largest}"
+
+
+#: The reader's message for a number literal that reads as inf.
+PAST_FLOAT_RANGE = "request holds the number {}, which is past the floating-point range"
+
+
 @pytest.mark.parametrize(
-    "text, largest",
-    [("[[1.5, 0], [0, 0]]", "1.5"), ("[[1e400, 0], [0, 0]]", "inf"), ("[[0, -1.000000002], [0, 0]]", "1.000000002")],
+    "text, error",
+    [
+        ("[[1.5, 0], [0, 0]]", _past_the_band("1.5")),
+        # a literal past the float range is refused as the document is read
+        ("[[1e400, 0], [0, 0]]", ("SchemaError", PAST_FLOAT_RANGE.format("1e400"))),
+        ("[[0, -1.000000002], [0, 0]]", _past_the_band("1.000000002")),
+    ],
     ids=["1.5", "past-float-range", "just-past-the-band"],
 )
-def test_correlators_past_the_band_are_refused_by_the_model(tmp_path, capsys, text, largest):
+def test_correlators_past_the_band_are_refused_by_the_model(tmp_path, capsys, text, error):
     path = tmp_path / "doc.json"
     path.write_text('{"schema": 1, "payload": {"correlations": %s}}' % text)
     code, out = run_cli(capsys, "chsh", "--input", str(path))
     assert code == 2
-    message = f"correlators must lie in [-1, 1], got max |e| = {largest}"
-    assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "ValidationError"}
+    assert json.loads(out)["error"] == {"code": 2, "message": error[1], "type": error[0]}
 
 
 def test_correlators_within_the_band_are_clipped(tmp_path, capsys):
@@ -996,6 +1008,30 @@ def test_non_finite_json_constant_is_a_schema_error(tmp_path, capsys):
     assert "NaN" in error["message"]
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+def test_a_number_past_the_float_range_in_an_ignored_field_is_a_schema_error(tmp_path, capsys, literal):
+    # the report echoes the field, so reading it as inf once ended in exit 4
+    path = tmp_path / "doc.json"
+    path.write_text('{"schema": 1, "payload": {"e1": 0.5, "e0": 0.2, "px1": 0.4, "note": %s}}' % literal)
+    code, out = run_cli(capsys, "manski", "--input", str(path))
+    assert code == 2
+    message = PAST_FLOAT_RANGE.format(literal)
+    assert json.loads(out)["error"] == {"code": 2, "message": message, "type": "SchemaError"}
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+def test_a_number_past_the_float_range_fails_the_whole_batch(tmp_path, capsys, literal):
+    path = tmp_path / "batch.json"
+    path.write_text(
+        '[{"schema": 1, "kind": "frechet", "payload": {"u": 0.8, "v": 0.7}},'
+        f' {{"schema": 1, "kind": "manski", "payload": {{"e1": 0.5, "e0": 0.2, "px1": 0.4, "note": [{literal}]}}}}]'
+    )
+    code, out = run_cli(capsys, "manski", "--batch", str(path))
+    assert code == 2
+    message = PAST_FLOAT_RANGE.format(literal)
+    assert json.loads(out) == {"schema": 1, "error": {"code": 2, "message": message, "type": "SchemaError"}}
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_json_constant_fails_the_whole_batch(tmp_path, capsys, token):
     path = tmp_path / "batch.json"
@@ -1233,10 +1269,10 @@ GOLDEN_REQUESTS = (
 GOLDEN_SHA256 = "91f852d84b7226a30ffa3af3053118f770b78d65e070fd1ea5cde1788f6eef1e"
 
 
-def _golden_bytes(tmp_path, capsys) -> str:
-    """The exit codes and stdout of ``GOLDEN_REQUESTS``, in order."""
+def _golden_bytes(tmp_path, capsys, requests=GOLDEN_REQUESTS) -> str:
+    """The exit codes and stdout of ``requests``, in order."""
     chunks = []
-    for i, (kind, flags, payload) in enumerate(GOLDEN_REQUESTS):
+    for i, (kind, flags, payload) in enumerate(requests):
         path = tmp_path / f"golden{i}.json"
         if flags == ("--batch",):
             path.write_text(json.dumps(payload))
@@ -1253,3 +1289,30 @@ def test_golden_requests_keep_their_bytes(tmp_path, capsys):
     # with an invalid entry; any change to a report's bytes changes the digest
     text = _golden_bytes(tmp_path, capsys)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+#: The audit paths: each engine that re-checks a closed form (the basis
+#: oracle, the simplex, the strategy LP and the moment SDP at both levels),
+#: the 1ab table SDP and a refused table.  The SDP runs put iterations and
+#: duality gaps in the bytes, so this digest also pins the solvers' runs.
+AUDIT_GOLDEN_REQUESTS = (
+    ("iv-bounds", ("--audit",), {"table": IV_TABLE}),
+    ("pns", ("--audit",), {"experimental": {"p_do1": 0.6, "p_do0": 0.2}, "observational": {"joint": [[0.4, 0.1], [0.1, 0.4]]}}),
+    ("chsh", ("--audit",), {"correlations": [[0.4, 0.5], [0.3, -0.2]]}),
+    ("npa", ("--audit",), {"functional": [[1, 1], [1, -1]]}),
+    ("npa", ("--audit", "--npa-level", "1ab"), {"functional": [[1.0, 2.5], [-0.5, 1e-3]]}),
+    ("gap", ("--audit",), {"table": IV_TABLE}),
+    ("gap", ("--audit",), {"functional": [[0.3, -1.2], [0.8, 0.4]]}),
+    ("gap", ("--npa-level", "1ab"), {"table": IV_TABLE}),
+    ("audit", (), {"suite": "lp", "samples": 4, "seed": 5}),
+    ("audit", (), {"suite": "pns", "samples": 4, "seed": 5}),
+    ("iv-bounds", (), {"table": [[[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]]}),
+)
+
+#: sha256 of ``_golden_bytes`` over ``AUDIT_GOLDEN_REQUESTS``
+AUDIT_GOLDEN_SHA256 = "18fa0ec276a9c9038328f0c455e6ca925707fd33b63fac6347d12480f443ac7a"
+
+
+def test_audit_requests_keep_their_bytes(tmp_path, capsys):
+    text = _golden_bytes(tmp_path, capsys, AUDIT_GOLDEN_REQUESTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_GOLDEN_SHA256

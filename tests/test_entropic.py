@@ -94,7 +94,11 @@ def test_entropic_chsh_equals_the_per_setting_mutual_informations_exactly():
     behaviors += [Behavior(lam * pr + (1 - lam) * uniform) for lam in rng.uniform(size=60)]
     behaviors += [s.behavior() for s in enumerate_strategies()]  # zero cells
     behaviors += [Behavior.pr_box(), _signaling_behavior()]
-    settings = [None, np.array([[0.5, 0.25], [0.125, 0.125]])]
+    # the settings are checked once, so their entropy must still be entropy's
+    # own, also on a zero cell, a dip below 0 that the check clears, and a list
+    settings = [None, np.array([[0.5, 0.25], [0.125, 0.125]]), rng.dirichlet(np.ones(4)).reshape(2, 2)]
+    settings += [np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([[0.5, 0.5 + 1e-13], [-1e-13, 0.0]])]
+    settings += [[[0.7, 0.1], [0.1, 0.1]]]
     for b, s in itertools.product(behaviors, settings):
         r = entropic_chsh(b, s)
         infos = tuple(mutual_information(b.p[:, :, x, y]) for x in range(2) for y in range(2))

@@ -29,6 +29,7 @@ from polybounds import (
     tsirelson_bound,
 )
 from polybounds.model import check_probability
+from polybounds.solvers import TOL
 from conftest import random_local_behavior, random_nosignaling_behavior
 
 
@@ -72,7 +73,7 @@ def test_signaling_flagged_not_rejected():
     p[:, :, 0, 0] = [[0.5, 0.3], [0.1, 0.1]]
     p[:, :, 0, 1] = [[0.1, 0.1], [0.3, 0.5]]
     b = Behavior(p)
-    assert not b.no_signaling
+    assert not b.no_signaling_at(TOL)
 
 
 def test_behavior_to_correlations_is_linear():

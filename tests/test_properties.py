@@ -1,4 +1,5 @@
-"""Property-based checks of the command line over generated request documents.
+"""Property-based checks of the command line over generated request
+documents, and of the instrumental-variable closed forms under relabeling.
 
 Documents of every kind are drawn valid, then one field may be replaced by
 a value of the wrong type or range.  Every document must end in a
@@ -7,8 +8,9 @@ for functionals whose values pass the float range), the same bytes every
 time, and results that do not depend on the axis order an array is
 written in.  The one-pass report emitter must write the bytes of the
 two-pass renderer it replaced, on generated trees of every value type a
-report can hold.
-Examples are derandomized, so the suite stays deterministic.
+report can hold.  The closed-form effect bounds must map under the IV
+scenario's 8 relabelings as the effect does.  Examples are derandomized,
+so the suite stays deterministic.
 """
 
 import contextlib
@@ -24,9 +26,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from polybounds import RESPONSE_MATRIX, FloatRangeError, Interval  # noqa: E402
+from polybounds import (  # noqa: E402
+    RESPONSE_MATRIX,
+    ExperimentalData,
+    FloatRangeError,
+    Interval,
+    NpaLevel,
+    ObservationalData,
+    ObservedIVTable,
+    ace_bounds,
+    pns_bounds,
+    quantum_ace_bounds,
+)
 from polybounds.cli import KINDS, canonical_json, main  # noqa: E402
 from polybounds.polytope import STRATEGY_BEHAVIORS  # noqa: E402
+from conftest import one_sided_iv_table, random_counterfactual_instance, random_iv_table  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -379,3 +393,51 @@ def test_a_non_finite_number_anywhere_raises(data):
     root = _plant(data, data.draw(trees), bad)
     with pytest.raises(FloatRangeError):
         canonical_json(root)
+
+
+# ---------------------------------------------------------------------------
+# relabelings of the instrumental-variable scenario
+
+#: The 8 relabelings (swap z, flip x, flip y): a swap of the instrument keeps
+#: the effect, and a flip of the treatment or of the outcome negates it.
+relabelings = st.tuples(st.booleans(), st.booleans(), st.booleans())
+iv_families = st.sampled_from((random_iv_table, one_sided_iv_table))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _relabeled(table: ObservedIVTable, swap_z: bool, flip_x: bool, flip_y: bool) -> ObservedIVTable:
+    """p(y, x | z) with the labels of each chosen variable exchanged."""
+    return ObservedIVTable(table.p[::-1 if flip_y else 1, ::-1 if flip_x else 1, ::-1 if swap_z else 1])
+
+
+def _assert_maps(bounds: Interval, relabeled: Interval, flip_x: bool, flip_y: bool) -> None:
+    """``relabeled`` is ``bounds`` mapped as the effect maps.  The closed
+    forms sum the cells in another order once they are relabeled, so an
+    endpoint may move by an ulp."""
+    image = (bounds.lo, bounds.hi) if flip_x == flip_y else (-bounds.hi, -bounds.lo)
+    np.testing.assert_allclose((relabeled.lo, relabeled.hi), image, rtol=0, atol=1e-15)
+
+
+@PROPERTY_SETTINGS
+@given(iv_families, seeds, relabelings)
+def test_ace_bounds_map_under_the_iv_relabelings(family, seed, relabeling):
+    table = family(np.random.default_rng(seed))
+    _assert_maps(ace_bounds(table), ace_bounds(_relabeled(table, *relabeling)), *relabeling[1:])
+
+
+@PROPERTY_SETTINGS
+@given(iv_families, seeds, relabelings)
+def test_level1_closed_form_maps_under_the_iv_relabelings(family, seed, relabeling):
+    table = family(np.random.default_rng(seed))
+    bounds, relabeled = (quantum_ace_bounds(t, NpaLevel.L1)[0] for t in (table, _relabeled(table, *relabeling)))
+    _assert_maps(bounds, relabeled, *relabeling[1:])
+
+
+@PROPERTY_SETTINGS
+@given(seeds)
+def test_pns_bounds_keep_under_a_joint_flip_of_treatment_and_outcome(seed):
+    # Y'(x) = 1 - Y(1 - x) keeps the event {Y(1) = 1, Y(0) = 0}
+    exp, obs = random_counterfactual_instance(np.random.default_rng(seed))
+    bounds = pns_bounds(exp, obs)
+    flipped = pns_bounds(ExperimentalData(1.0 - exp.p_do0, 1.0 - exp.p_do1), ObservationalData(obs.joint[::-1, ::-1]))
+    np.testing.assert_allclose((flipped.lo, flipped.hi), (bounds.lo, bounds.hi), rtol=0, atol=1e-15)
