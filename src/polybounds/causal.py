@@ -73,6 +73,13 @@ BALKE_PEARL_LO = np.array([
 BALKE_PEARL_HI = -BALKE_PEARL_LO[:, [4, 5, 6, 7, 0, 1, 2, 3, 8]]
 BALKE_PEARL_LO.setflags(write=False)
 BALKE_PEARL_HI.setflags(write=False)
+#: The natural rows of both tables, then the others.  A natural row is the
+#: sum of one natural bound per treatment, P(Y(x) = 1) in
+#: [p(1, x | z), p(1, x | z) + p(1 - x | z)] for some arm z: these bounds
+#: hold for a quantum confounder too (Gachechiladze, Miklin and Chaves, PRL
+#: 125, 230401, 2020), and rows 2, 3, 6 and 7, which mix the arms with
+#: opposite signs, need not.
+_NATURAL_FIRST = (0, 1, 4, 5, 2, 3, 6, 7)
 
 
 def iv_table_from_response_dist(q) -> ObservedIVTable:
@@ -108,14 +115,31 @@ def instrumental_inequality(t: ObservedIVTable, variant: str = "standard", tol: 
     return InstrumentalCheck(2.0 * (value - 1.0) <= tol, value, variant)
 
 
-def ace_bounds(t: ObservedIVTable, tol: float = TOL) -> Interval:
-    """Sharp bounds on the average causal effect, in closed form: each
-    endpoint is the best of the 8 Balke-Pearl dual-vertex expressions.
+class ActiveRows(NamedTuple):
+    """Each effect endpoint's best Balke-Pearl row: the value, the row, and
+    whether a natural row attains it (ties counted)."""
+
+    lo: float
+    hi: float
+    lo_row: int
+    hi_row: int
+    lo_natural: bool
+    hi_natural: bool
+
+    @property
+    def interval(self) -> Interval:
+        """The endpoints as an interval; ends that cross, within the
+        tolerance of the table's inequality test, collapse to the upper one."""
+        return Interval(min(self.lo, self.hi), self.hi)
+
+
+def active_rows(t: ObservedIVTable, tol: float = TOL) -> ActiveRows:
+    """The 8 Balke-Pearl rows of each endpoint evaluated once: the best row
+    of each side, the first in ``_NATURAL_FIRST`` that attains it.
 
     Raises ``InfeasibleTableError`` when the instrumental inequality fails at
     ``tol``; for binary Z, X and Y the inequality is exactly the polytope's
-    boundary (Bonet, UAI 2001).  Endpoints that cross within that tolerance
-    collapse to the upper one.
+    boundary (Bonet, UAI 2001).
     """
     check = instrumental_inequality(t, tol=tol)
     if not check.holds:
@@ -123,9 +147,21 @@ def ace_bounds(t: ObservedIVTable, tol: float = TOL) -> Interval:
             f"observed table is not IV-compatible (phase-1 infeasibility {2.0 * (check.value - 1.0):.3e})"
         )
     cells = np.append(t.flat(), 1.0)
-    lo = float((BALKE_PEARL_LO @ cells).max())
-    hi = float((BALKE_PEARL_HI @ cells).min())
-    return Interval(min(lo, hi), hi)
+    lows, highs = (BALKE_PEARL_LO @ cells).tolist(), (BALKE_PEARL_HI @ cells).tolist()
+    lo, hi = max(lows), min(highs)
+    lo_row = next(k for k in _NATURAL_FIRST if lows[k] == lo)
+    hi_row = next(k for k in _NATURAL_FIRST if highs[k] == hi)
+    return ActiveRows(lo, hi, lo_row, hi_row, lo_row in _NATURAL_FIRST[:4], hi_row in _NATURAL_FIRST[:4])
+
+
+def ace_bounds(t: ObservedIVTable, tol: float = TOL) -> Interval:
+    """Sharp bounds on the average causal effect, in closed form: each
+    endpoint is the best of the 8 Balke-Pearl dual-vertex expressions
+    (``active_rows``, which refuses a table that fails the instrumental
+    inequality at ``tol``).  Endpoints that cross within that tolerance
+    collapse to the upper one.
+    """
+    return active_rows(t, tol).interval
 
 
 def manski_bounds(e1: float, e0: float, px1: float) -> Interval:

@@ -9,9 +9,11 @@ The quantum value of a 2x2 correlator functional has a closed form
 the functional and behavior routes of ``quantum_gap_report`` with no
 solver.  The moment-matrix SDP (``npa_bound``) stays as its independent
 cross-check.  The level-1 effect bounds of an instrumental table are a
-chordal matrix completion with one free scalar, answered by a 1-D search
-with no solver (``quantum_ace_bounds``); the moment SDP
-(``quantum_ace_sdp``) is the engine at level 1ab and the level-1 audit.
+chordal matrix completion with one free scalar, held to the natural bounds
+by the table's unobserved cells; an endpoint whose active Balke-Pearl row
+is natural is the classical one, and any other is a 1-D search, with no
+solver (``quantum_ace_bounds``).  The moment SDP (``quantum_ace_sdp``) is
+the engine at level 1ab and the level-1 audit.
 
 The relaxation side builds moment matrices over operator words in the
 +-1-observable formulation.  Level ``L1`` uses words {1, A0, A1, B0, B1}
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .causal import ace_bounds, manski_bounds
+from .causal import ActiveRows, active_rows, manski_bounds
 from .errors import FloatRangeError, InfeasibleTableError, SdpConvergenceError, ValidationError
 from .model import (
     Behavior,
@@ -402,12 +404,54 @@ def _iv_data_rows() -> list:
     return rows
 
 
+def _classical_rows(table: ObservedIVTable) -> ActiveRows | None:
+    """The table's ``active_rows``, or None when ``ace_bounds`` refuses it:
+    level 1 imposes the unobserved cells exactly on the tables it answers."""
+    try:
+        return active_rows(table)
+    except InfeasibleTableError:
+        return None
+
+
+def _with_cells(problem: SdpProblem, table: ObservedIVTable) -> SdpProblem:
+    """A level-1 program of ``table`` with the unobserved cells
+    p(a, b | z, x) = p(1 - x | z) / 2 + (-1)^b (<B_x> - q_zx) / 2 >= 0,
+    a != x, as the diagonal of a block appended to the moment matrix: one
+    row per cell sets its diagonal entry to the cell.  A cell of an arm
+    that never takes 1 - x is 0 by the data, and is left out, since it
+    would leave the program no interior point."""
+    p, n, m = table.p, problem.dimension, len(problem.b)
+    cells = [(z, x, sign) for z in range(2) for x in range(2) for sign in (1.0, -1.0) if p[:, 1 - x, z].any()]
+    size = n + len(cells)
+    C, A, b = np.zeros((size, size)), np.zeros((m + len(cells), size, size)), np.zeros(m + len(cells))
+    C[:n, :n], A[:m, :n, :n], b[:m] = problem.C, problem.A, problem.b
+    for k, (z, x, sign) in enumerate(cells):
+        j = n - 2 + x  # the word B_x: the last two words stay whatever the pins
+        A[m + k, n + k, n + k] = 1.0
+        A[m + k, 0, j] = A[m + k, j, 0] = -0.25 * sign
+        b[m + k] = 0.5 * (p[:, 1 - x, z].sum() - sign * (p[0, x, z] - p[1, x, z]))
+    return SdpProblem(C, A, b)
+
+
+def _effect_program(table: ObservedIVTable, level: NpaLevel) -> SdpProblem:
+    """The upper-endpoint program of ``quantum_ace_sdp``: the moment family
+    of ``table`` maximizing (<B_0> - <B_1>) / 2, with the unobserved cells
+    at level 1 on a table that ``ace_bounds`` answers."""
+    problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
+    return _with_cells(problem, table) if level is NpaLevel.L1 and _classical_rows(table) is not None else problem
+
+
 def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, dict]:
     """Treatment-effect bounds from the moment SDP at ``level``, with the
     solver's iterations, stop reasons and duality gaps.
 
     The observed table fixes the moment family (``moment_program``); the
-    effect is (<B_0> - <B_1>) / 2.  The two endpoints, which differ only in
+    effect is (<B_0> - <B_1>) / 2.  At level 1, on a table that
+    ``ace_bounds`` answers, the program also carries the 8 unobserved cells
+    p(a, b | z, x) >= 0, a != x, as a diagonal block appended to the moment
+    matrix (``_with_cells``); since C, the A_k and the solver's identity
+    start are block-diagonal, so are its iterates.  Level 1ab implies the
+    cells, and is left as it is.  The two endpoints, which differ only in
     the sign of the objective, are one ``sdp_solve`` each.  A table that no
     moment matrix fits raises ``InfeasibleTableError``.  When the data pin
     the effect, the two solved endpoints can cross by rounding.  A crossing
@@ -419,7 +463,7 @@ def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, 
     least treatment mass and that mass, since an arm close to pinned is the
     usual cause.
     """
-    problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
+    problem = _effect_program(table, level)
     try:
         hi, lo = sdp_solve(problem), sdp_solve(SdpProblem(-problem.C, problem.A, problem.b))
     except SdpConvergenceError as exc:
@@ -528,7 +572,7 @@ def _unimodal_argmax(f, lo: float, hi: float) -> float:
                 v, fv = u, fu
 
 
-def _level1_ace_bounds(table: ObservedIVTable) -> Interval:
+def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows | None) -> Interval:
     """Level-1 effect bounds as a chordal completion, with no solver.
 
     The table fixes <A_z> = p(0 | z) - p(1 | z) and, for each (z, x),
@@ -554,10 +598,27 @@ def _level1_ace_bounds(table: ObservedIVTable) -> Interval:
     (b_0 - h_0) - (b_1 + h_1).  Both are concave in cos(theta) on the angles
     where both chords exist, so each is a 1-D unimodal search
     (``_unimodal_argmax``); an angle where a chord is missing scores below
-    every feasible one, by how far its line misses the ball.  Each endpoint
-    takes the better of the two angles found, and at one angle the upper
-    difference is never below the lower, so the endpoints cannot cross and
-    need no midpoint rule.
+    every feasible one, by how far its line misses the ball.  Each searched
+    endpoint takes the best of the angles found (two when both endpoints
+    are searched), and at one angle the upper difference is never below the
+    lower, so the endpoints cannot cross and need no midpoint rule.
+
+    ``rows`` are the table's ``active_rows``, or None when ``ace_bounds``
+    refuses the table.  With them, level 1 imposes the 8 unobserved cells
+    p(a, b | z, x) = [2 p(1 - x | z) + (-1)^b 2 (b_x - q_zx)] / 4 >= 0 with
+    a != x, which every quantum model obeys: together they are the box
+    |b_x - q_zx| <= p(1 - x | z) for both arms, the natural bounds, and each
+    chord is clipped to it.  The upper and lower ends of the clipped chords
+    stay concave and convex in cos(theta); an angle whose chord misses its
+    box scores between the angles that miss the ball and the feasible ones,
+    by how far it misses.  The natural Balke-Pearl rows are the sums of one
+    natural bound per treatment, so their best is the bound that the box
+    puts on the effect.  The boxed relaxation contains the classical set
+    and lies in the box, so an endpoint whose active row is natural is the
+    ``ace_bounds`` endpoint exactly, with no search, and only the other
+    endpoints are searched.  A table that ``ace_bounds`` refuses fails the
+    instrumental inequality, which empties the box, and keeps the search
+    over the whole chords.
 
     An arm pinned by exact zeros (``_pinned_letters``) drops its letter, as
     in ``moment_program``.  It fixes b_x = q_zx for the treatment x it
@@ -568,20 +629,26 @@ def _level1_ace_bounds(table: ObservedIVTable) -> Interval:
     raises ``InfeasibleTableError``, and an unpinned arm with a treatment
     mass below ``_MASS_FLOOR`` raises ``FloatRangeError``.
     """
-    pins = _pinned_letters(table)
     p = table.p.tolist()  # [y][x][z]
     mass = [[p[0][x][z] + p[1][x][z] for z in range(2)] for x in range(2)]
     q = [[p[0][x][z] - p[1][x][z] for z in range(2)] for x in range(2)]
     roots = [math.sqrt(mass[0][z]) * math.sqrt(mass[1][z]) for z in range(2)]
-    # the free arms, the smaller root first; a missing arm reads p = q = 0
-    # with root 1, which leaves its coordinate out of the chord
-    arms = sorted((z for z in range(2) if z not in pins), key=roots.__getitem__) + [None, None]
-    for z in arms[:2]:
-        if z is not None and min(mass[0][z], mass[1][z]) < _MASS_FLOOR:
+    # the free arms (a treatment mass of 0 pins an arm), the smaller root
+    # first; a missing arm reads p = q = 0 with root 1, which leaves its
+    # coordinate out of the chord
+    arms = sorted((z for z in range(2) if min(mass[0][z], mass[1][z]) > 0.0), key=roots.__getitem__)
+    for z in arms:
+        if min(mass[0][z], mass[1][z]) < _MASS_FLOOR:
             raise FloatRangeError(
                 f"arm z={z} has a treatment mass of {min(mass[0][z], mass[1][z]):.3g}, below the range of the "
                 "level-1 closed form; a mass of exactly 0 pins the arm"
             )
+    classical = None if rows is None else rows.interval
+    natural = {-1.0: rows is not None and rows.lo_natural, 1.0: rows is not None and rows.hi_natural}
+    if natural[-1.0] and natural[1.0]:
+        return classical
+    pins = _pinned_letters(table)
+    arms += [None, None]
     lines = []
     for x in range(2):
         (p0, q0, r0), (p1, q1, r1) = (
@@ -598,29 +665,48 @@ def _level1_ace_bounds(table: ObservedIVTable) -> Interval:
             b = sum(values) / len(values)
             p0, q0, r0 = lines[x][:3]
             fixed[x] = (b, 0.0, max(b * b - 1.0 + ((q0 - p0 * b) / r0) ** 2, max(values) - min(values)))
+    # the box |b_x - q_zx| <= p(1 - x | z) of the unobserved cells, open
+    # when ace_bounds refuses the table
+    box = [
+        (max(q[x][z] - mass[1 - x][z] for z in range(2)), min(q[x][z] + mass[1 - x][z] for z in range(2)))
+        if rows is not None else (-math.inf, math.inf)
+        for x in range(2)
+    ]
 
-    def evaluate(cos: float, sin: float, sign: float) -> tuple[float, float]:
-        """sign (b_0 - b_1) + h_0 + h_1 over the two chords at this angle,
-        with h_x a chord's half-length, and how far the worse line misses
-        the ball."""
+    def evaluate(cos: float, sin: float, sign: float) -> tuple[float, float, float]:
+        """sign (b_0 - b_1) over the two chords at this angle, each clipped
+        to its box, with how far the worse line misses the ball and how far
+        the worse chord misses its box."""
         (c0, h0, e0), (c1, h1, e1) = (fixed[x] if x in fixed else _chord(line, cos, sin) for x, line in enumerate(lines))
-        return sign * (c0 - c1) + h0 + h1, max(e0, e1)
+        (low0, high0), (low1, high1) = box
+        # the value takes the upper end of b_0 and the lower one of b_1, or the reverse
+        if sign > 0.0:
+            clipped = max(c0 + h0 - high0, 0.0) + max(low1 - c1 + h1, 0.0)
+        else:
+            clipped = max(low0 - c0 + h0, 0.0) + max(c1 + h1 - high1, 0.0)
+        miss = max(c0 - h0 - high0, low0 - c0 - h0, c1 - h1 - high1, low1 - c1 - h1)
+        return sign * (c0 - c1) + h0 + h1 - clipped, max(e0, e1), miss
 
-    def rank(value: float, excess: float) -> float:
-        # a feasible value is at least -2, since |b_x| <= 1 on a chord
-        return value if excess <= 0.0 else -3.0 - excess
+    def rank(value: float, excess: float, miss: float) -> float:
+        # a feasible value is at least -2, since |b_x| <= 1 on a chord; a
+        # chord that misses its box by m <= 2 ranks between, at -2 - m / 2
+        return -3.0 - excess if excess > 0.0 else -2.0 - 0.5 * miss if miss > 0.0 else value
 
+    searched = [sign for sign in (1.0, -1.0) if not natural[sign]]
     if arms[1] is None:
         angles = [(0.0, 1.0)]  # no angle: the second coordinate reads 0
     else:
         found = (
             _unimodal_argmax(lambda t: rank(*evaluate(math.cos(t), math.sin(t), sign)), 0.0, math.pi)
-            for sign in (1.0, -1.0)
+            for sign in searched
         )
         angles = [(math.cos(t), math.sin(t)) for t in found]
     ends = []
     for sign in (-1.0, 1.0):
-        value, excess = max((evaluate(*angle, sign) for angle in angles), key=lambda pair: rank(*pair))
+        if natural[sign]:
+            ends.append(classical.hi if sign > 0.0 else classical.lo)
+            continue
+        value, excess, _ = max((evaluate(*angle, sign) for angle in angles), key=lambda triple: rank(*triple))
         if excess > _BALL_SLACK:
             raise InfeasibleTableError(
                 f"the table lies outside the level-1 quantum relaxation (by {excess:.3g} past the unit ball)"
@@ -629,19 +715,28 @@ def _level1_ace_bounds(table: ObservedIVTable) -> Interval:
     return Interval(*ends)
 
 
-def quantum_ace_bounds(table: ObservedIVTable, level: NpaLevel = NpaLevel.L1) -> tuple[Interval, dict]:
+def quantum_ace_bounds(
+    table: ObservedIVTable, level: NpaLevel = NpaLevel.L1, rows: ActiveRows | None = None
+) -> tuple[Interval, dict]:
     """Treatment-effect bounds when the latent confounder may be quantum.
 
     The effect is (<B_0> - <B_1>) / 2 over the moment relaxation the table
     fixes.  This is an outer relaxation, so the interval contains the
     classical LP interval.  Level 1 is a chordal matrix completion answered
     with no solver (``_level1_ace_bounds``), and its diagnostics are
-    ``{"engine": "closed-form", "level": "1"}``.  Level 1ab is the moment SDP
-    (``quantum_ace_sdp``), and its diagnostics hold the two endpoint solves'
-    iterations, stop reasons and duality gaps.
+    ``{"engine": "closed-form", "level": "1"}``.  On a table that
+    ``ace_bounds`` answers it also imposes the 8 unobserved cells
+    p(a, b | z, x) >= 0, a != x: the interval lies in the box of the natural
+    bounds, an endpoint whose active Balke-Pearl row is natural is the
+    ``ace_bounds`` endpoint, and only the others are searched.  ``rows``
+    are the table's ``active_rows`` at the default tolerance or a stricter
+    one, when the caller has them, and are computed here otherwise.  Level
+    1ab is the moment SDP (``quantum_ace_sdp``), and its diagnostics hold
+    the two endpoint solves' iterations, stop reasons and duality gaps.
     """
     if level is NpaLevel.L1:
-        return _level1_ace_bounds(table), {"engine": "closed-form", "level": level.value}
+        interval = _level1_ace_bounds(table, rows or _classical_rows(table))
+        return interval, {"engine": "closed-form", "level": level.value}
     return quantum_ace_sdp(table, level)
 
 
@@ -678,15 +773,21 @@ def quantum_gap_report(
     table is bounded at ``level`` by ``quantum_ace_bounds``: at level 1 by a
     closed-form completion (``diagnostics`` ``{"engine": "closed-form",
     "level": "1"}``), at 1ab by the moment SDP, whose diagnostics hold the
-    solver's iterations, stop reasons and duality gaps.  ``tol`` is the LP
-    feasibility threshold of a table's classical interval.
+    solver's iterations, stop reasons and duality gaps.  The table's 8
+    Balke-Pearl rows are evaluated once (``active_rows``), for the classical
+    interval and the level-1 row rule.  ``tol`` is the LP feasibility
+    threshold of a table's classical interval, and the margin past the
+    quantum value at which a behavior is flagged super-quantum.
     """
     notes: list[str] = []
     diagnostics: dict = {}
 
     if isinstance(subject, ObservedIVTable):
-        classical = ace_bounds(subject, tol)
-        quantum, diag = quantum_ace_bounds(subject, level)
+        rows = active_rows(subject, tol)
+        classical = rows.interval
+        # level 1 boxes the tables that ace_bounds answers at the default
+        # tolerance, as its audit SDP does; rows passed at a looser one are not
+        quantum, diag = quantum_ace_bounds(subject, level, rows if tol <= TOL else None)
         diagnostics.update(diag)
         p_yx = subject.p.mean(axis=2)  # observational joint under a uniform instrument
         px1 = float(p_yx[:, 1].sum())
@@ -710,7 +811,7 @@ def quantum_gap_report(
         nosignaling = no_signaling_max(functional)
         diagnostics["facet_index"] = k
         notes.append("classical entry is the behavior's most-violated facet value")
-        if classical > quantum + 1e-9:
+        if classical > quantum + tol:
             notes.append("behavior exceeds the relaxation bound: super-quantum correlations")
         return GapReport(
             "behavior", classical, quantum, float(nosignaling), quantum - classical,

@@ -50,6 +50,20 @@ def random_quantum_behavior(rng) -> Behavior:
     )
 
 
+def two_qubit_iv_model(rng) -> tuple[ObservedIVTable, float]:
+    """The IV table of a random two-qubit model, t[y, x, z] =
+    p(a = x, b = y | z, x), and the model's own effect (<B_0> - <B_1>) / 2."""
+    rho = random_state(rng)
+    a0, a1, b0, b1 = (random_observable(rng) for _ in range(4))
+    behavior = quantum_behavior(rho, a0, a1, b0, b1)
+    bob = [float(np.trace(rho.rho @ np.kron(np.eye(2), b.m)).real) for b in (b0, b1)]
+    return ObservedIVTable(np.einsum("xyzx->yxz", behavior.p)), 0.5 * (bob[0] - bob[1])
+
+
+def two_qubit_iv_table(rng) -> ObservedIVTable:
+    return two_qubit_iv_model(rng)[0]
+
+
 def random_nosignaling_behavior(rng) -> Behavior:
     """Mixture family covering local, quantum, and noisy PR-box behaviors."""
     kind = rng.integers(3)

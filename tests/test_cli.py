@@ -83,6 +83,20 @@ def test_gap_chsh_triple(tmp_path, capsys):
     assert r["nosignaling"] == pytest.approx(4.0, abs=1e-9)
 
 
+def test_tolerance_moves_the_super_quantum_verdict(tmp_path, capsys):
+    # a noisy PR box 1e-7 past Tsirelson's bound is super-quantum at the
+    # default tolerance, 1e-9, and not at 1e-6
+    lam = (2 * np.sqrt(2) + 1e-7) / 4
+    behavior = lam * np.array(PR_BOX) + (1 - lam) * np.full((2, 2, 2, 2), 0.25)
+    path = write_doc(tmp_path, {"behavior": behavior.tolist()})
+    verdicts = []
+    for flags in ((), ("--tolerance", "1e-6")):
+        code, out = run_cli(capsys, "gap", "--input", path, *flags)
+        assert code == 0
+        verdicts.append(any("super-quantum" in w for w in json.loads(out)["warnings"]))
+    assert verdicts == [True, False]
+
+
 def test_iv_bounds_with_order_permutation(tmp_path, capsys):
     # same perfect-compliance table specified in (z, x, y) order
     values = np.zeros((2, 2, 2))
@@ -514,10 +528,10 @@ def test_gap_audit_resolves_a_table_with_the_stacked_sdp(tmp_path, capsys):
 
 
 def test_a_table_audit_whose_sdp_raises_still_answers(tmp_path, capsys):
-    # an arm pinned but for 1e-9 of its mass: the closed form answers, and the
+    # an arm pinned but for 1e-7 of its mass: the closed form answers, and the
     # audit SDP stops at its iteration cap
-    rng = np.random.default_rng(7)
-    table = (1.0 - 1e-9) * one_sided_iv_table(rng).p + 1e-9 * random_iv_table(rng).p
+    rng = np.random.default_rng(1)
+    table = (1.0 - 1e-7) * one_sided_iv_table(rng).p + 1e-7 * random_iv_table(rng).p
     path = write_doc(tmp_path, {"table": table.tolist()})
     code, out = run_cli(capsys, "gap", "--input", path, "--audit")
     assert code == 0
@@ -1266,7 +1280,7 @@ GOLDEN_REQUESTS = (
 )
 
 #: sha256 of ``_golden_bytes``: a change to any of these reports' bytes changes it
-GOLDEN_SHA256 = "91f852d84b7226a30ffa3af3053118f770b78d65e070fd1ea5cde1788f6eef1e"
+GOLDEN_SHA256 = "ee46700775564099e30f91bec2b57cbf7a0ea4bca6ceaa5cdbe11089f8511cda"
 
 
 def _golden_bytes(tmp_path, capsys, requests=GOLDEN_REQUESTS) -> str:
@@ -1310,7 +1324,7 @@ AUDIT_GOLDEN_REQUESTS = (
 )
 
 #: sha256 of ``_golden_bytes`` over ``AUDIT_GOLDEN_REQUESTS``
-AUDIT_GOLDEN_SHA256 = "18fa0ec276a9c9038328f0c455e6ca925707fd33b63fac6347d12480f443ac7a"
+AUDIT_GOLDEN_SHA256 = "cdf70fd113268503136a5bf6fa27642362ad17d1885a6f0846ab70f337227b4a"
 
 
 def test_audit_requests_keep_their_bytes(tmp_path, capsys):

@@ -40,7 +40,12 @@ from polybounds import (  # noqa: E402
 )
 from polybounds.cli import KINDS, canonical_json, main  # noqa: E402
 from polybounds.polytope import STRATEGY_BEHAVIORS  # noqa: E402
-from conftest import one_sided_iv_table, random_counterfactual_instance, random_iv_table  # noqa: E402
+from conftest import (  # noqa: E402
+    one_sided_iv_table,
+    random_counterfactual_instance,
+    random_iv_table,
+    two_qubit_iv_table,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -401,7 +406,7 @@ def test_a_non_finite_number_anywhere_raises(data):
 #: The 8 relabelings (swap z, flip x, flip y): a swap of the instrument keeps
 #: the effect, and a flip of the treatment or of the outcome negates it.
 relabelings = st.tuples(st.booleans(), st.booleans(), st.booleans())
-iv_families = st.sampled_from((random_iv_table, one_sided_iv_table))
+iv_families = st.sampled_from((random_iv_table, one_sided_iv_table, two_qubit_iv_table))
 seeds = st.integers(0, 2**32 - 1)
 
 

@@ -30,6 +30,7 @@ from polybounds import (
     quantum_gap_report,
     tsirelson_bound,
 )
+from polybounds.causal import BALKE_PEARL_HI, BALKE_PEARL_LO, active_rows
 from polybounds.errors import SdpConvergenceError
 from polybounds.solvers import TOL
 from polybounds.quantum import (
@@ -41,6 +42,7 @@ from polybounds.quantum import (
     quantum_ace_sdp,
 )
 from conftest import (
+    near_edge_iv_table,
     one_sided_iv_table,
     random_iv_table,
     structural_iv_tables,
@@ -48,6 +50,7 @@ from conftest import (
     random_quantum_behavior,
     random_state,
     tsirelson_closed_form,
+    two_qubit_iv_model,
 )
 
 KET0 = np.array([1.0, 0.0])
@@ -484,6 +487,22 @@ def test_level1_closed_form_matches_the_sdp_on_random_and_structural_tables():
         assert closed.hi == pytest.approx(sdp.hi, abs=1e-8)
 
 
+def test_level1_searched_endpoints_match_the_boxed_sdp_on_two_qubit_models():
+    # a model's table often has an active row that is not natural, and that
+    # endpoint is searched over the chords clipped to the box
+    rng = np.random.default_rng(79)
+    searched = 0
+    for _ in range(20):
+        table, _ = two_qubit_iv_model(rng)
+        rows = active_rows(table)
+        searched += (not rows.lo_natural) + (not rows.hi_natural)
+        closed, _ = quantum_ace_bounds(table, NpaLevel.L1)
+        sdp, _ = quantum_ace_sdp(table, NpaLevel.L1)
+        assert closed.lo == pytest.approx(sdp.lo, abs=1e-8)
+        assert closed.hi == pytest.approx(sdp.hi, abs=1e-8)
+    assert searched >= 3
+
+
 def test_level1_closed_form_matches_the_sdp_near_the_edge_of_the_relaxation():
     """Mixtures of a model's table with a violating one, 1e-3 on either side
     of the edge of the level-1 relaxation: inside, few angles admit both
@@ -502,6 +521,61 @@ def test_level1_closed_form_matches_the_sdp_near_the_edge_of_the_relaxation():
         assert closed.hi == pytest.approx(sdp.hi, abs=1e-7)
         with pytest.raises(InfeasibleTableError):
             quantum_ace_bounds(ObservedIVTable((1.0 - edge - 1e-3) * inner + (edge + 1e-3) * outside), NpaLevel.L1)
+
+
+def _bits_of(interval) -> tuple:
+    return interval.lo.hex(), interval.hi.hex()
+
+
+def test_natural_active_rows_answer_level1_with_no_search(monkeypatch):
+    """When both active Balke-Pearl rows are natural, the level-1 endpoints
+    are the ace_bounds endpoints bit for bit, and no angle is searched."""
+
+    def refuse(*args):
+        raise AssertionError("the level-1 closed form searched an angle")
+
+    monkeypatch.setattr("polybounds.quantum._unimodal_argmax", refuse)
+    rng = np.random.default_rng(77)
+    for arms in itertools.product((None, 0, 1), repeat=2):
+        natural = 0
+        for _ in range(10):
+            table = _types_with_arms(rng, arms)
+            rows = active_rows(table)
+            if rows.lo_natural and rows.hi_natural:
+                natural += 1
+                quantum, _ = quantum_ace_bounds(table, NpaLevel.L1)
+                assert _bits_of(quantum) == _bits_of(ace_bounds(table))
+        assert natural, arms
+
+
+def test_level1_answers_every_table_at_the_edge_that_ace_bounds_answers():
+    # a table past the edge by up to 4e-10 empties the box by up to 8e-10,
+    # within the tolerance at which ace_bounds still answers
+    for excess in (0.0, 1e-12, 4e-10):
+        rng = np.random.default_rng(78)
+        for _ in range(20):
+            table = near_edge_iv_table(rng, excess)
+            classical = ace_bounds(table)
+            quantum, _ = quantum_ace_bounds(table, NpaLevel.L1)
+            assert quantum.encloses(classical, tol=1e-12)
+
+
+def test_boxed_level1_holds_each_two_qubit_models_effect_and_encloses_level1ab():
+    """Soundness of the unobserved cells: the interval lies in the box of
+    the natural bounds and holds the model's own effect (every one lies at
+    least 0.0088 inside it), and it encloses level 1ab."""
+    rng = np.random.default_rng(12345)
+    natural = [0, 1, 4, 5]
+    for k in range(300):
+        table, effect = two_qubit_iv_model(rng)
+        interval, _ = quantum_ace_bounds(table, NpaLevel.L1)
+        assert interval.contains(effect, tol=1e-9), k
+        cells = np.append(table.flat(), 1.0)
+        assert (BALKE_PEARL_LO[natural] @ cells).max() <= interval.lo + 1e-12
+        assert interval.hi <= (BALKE_PEARL_HI[natural] @ cells).min() + 1e-12
+        if k < 30:
+            level1ab, _ = quantum_ace_bounds(table, NpaLevel.L1AB)
+            assert interval.encloses(level1ab, tol=1e-7), k
 
 
 def test_level1_closed_form_calls_no_solver(monkeypatch):
@@ -552,11 +626,12 @@ def test_near_pinned_arms_approach_the_pinned_interval():
 
 
 def test_an_sdp_that_stops_at_its_cap_names_the_least_treated_arm():
-    """An arm pinned but for 1e-9 of its mass stops the level-1 SDP at its
+    """An arm pinned but for 1e-7 of its mass stops the level-1 SDP at its
     iteration cap; the error names that arm and its treatment mass, so the
-    case reads apart from a solver fault."""
-    rng = np.random.default_rng(7)
-    table = ObservedIVTable((1.0 - 1e-9) * one_sided_iv_table(rng).p + 1e-9 * random_iv_table(rng).p)
+    case reads apart from a solver fault.  (The unobserved cells let most
+    such tables converge: this one ends with a primal residual of 1.7e-7.)"""
+    rng = np.random.default_rng(1)
+    table = ObservedIVTable((1.0 - 1e-7) * one_sided_iv_table(rng).p + 1e-7 * random_iv_table(rng).p)
     mass = table.p[:, 1, 0].sum()
     with pytest.raises(SdpConvergenceError) as raised:
         quantum_ace_sdp(table, NpaLevel.L1)

@@ -15,7 +15,7 @@ from polybounds import (
     moment_program,
     sdp_solve,
 )
-from polybounds.quantum import quantum_ace_sdp
+from polybounds.quantum import _effect_program, quantum_ace_sdp
 from polybounds.solvers import sdp
 from conftest import one_sided_iv_table, random_iv_table, structural_iv_tables
 
@@ -195,7 +195,9 @@ def test_sdp_endpoints_do_not_cross_and_stop_within_forty_iterations():
             # an explicit inverse of the Schur complement in place of the
             # LU solve runs level-1ab endpoints to the cap
             assert max(diagnostics["sdp_iterations"]) < 40
-            hi, lo = map(sdp_solve, _endpoint_pair(table, level))
+            # the program solved, with the unobserved cells at level 1
+            problem = _effect_program(table, level)
+            hi, lo = map(sdp_solve, (problem, SdpProblem(-problem.C, problem.A, problem.b)))
             assert (lo.iterations, hi.iterations) == diagnostics["sdp_iterations"]
             assert hi.value >= -lo.value - hi.gap - lo.gap
             assert interval.lo <= interval.hi
