@@ -11,9 +11,12 @@ solver.  The moment-matrix SDP (``npa_bound``) stays as its independent
 cross-check.  The level-1 effect bounds of an instrumental table are a
 chordal matrix completion with one free scalar, held to the natural bounds
 by the table's unobserved cells; an endpoint whose active Balke-Pearl row
-is natural is the classical one, and any other is a 1-D search, with no
-solver (``quantum_ace_bounds``).  The moment SDP (``quantum_ace_sdp``) is
-the engine at level 1ab and the level-1 audit.
+is natural, and both endpoints of a table with a pinned arm, are the
+classical ones, and any other is a 1-D search, with no solver
+(``quantum_ace_bounds``).  The moment SDP (``quantum_ace_sdp``) is the
+engine at level 1ab and the level-1 audit.  Every level refuses a table
+that fails the instrumental inequality: the natural bounds hold for every
+quantum model.
 
 The relaxation side builds moment matrices over operator words in the
 +-1-observable formulation.  Level ``L1`` uses words {1, A0, A1, B0, B1}
@@ -404,15 +407,6 @@ def _iv_data_rows() -> list:
     return rows
 
 
-def _classical_rows(table: ObservedIVTable) -> ActiveRows | None:
-    """The table's ``active_rows``, or None when ``ace_bounds`` refuses it:
-    level 1 imposes the unobserved cells exactly on the tables it answers."""
-    try:
-        return active_rows(table)
-    except InfeasibleTableError:
-        return None
-
-
 def _with_cells(problem: SdpProblem, table: ObservedIVTable) -> SdpProblem:
     """A level-1 program of ``table`` with the unobserved cells
     p(a, b | z, x) = p(1 - x | z) / 2 + (-1)^b (<B_x> - q_zx) / 2 >= 0,
@@ -436,9 +430,11 @@ def _with_cells(problem: SdpProblem, table: ObservedIVTable) -> SdpProblem:
 def _effect_program(table: ObservedIVTable, level: NpaLevel) -> SdpProblem:
     """The upper-endpoint program of ``quantum_ace_sdp``: the moment family
     of ``table`` maximizing (<B_0> - <B_1>) / 2, with the unobserved cells
-    at level 1 on a table that ``ace_bounds`` answers."""
+    at level 1.  A table that fails the instrumental inequality
+    (``active_rows``) raises ``InfeasibleTableError``."""
     problem = moment_program(level, {((), (0,)): 0.5, ((), (1,)): -0.5}, table)
-    return _with_cells(problem, table) if level is NpaLevel.L1 and _classical_rows(table) is not None else problem
+    active_rows(table)
+    return _with_cells(problem, table) if level is NpaLevel.L1 else problem
 
 
 def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, dict]:
@@ -446,15 +442,16 @@ def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, 
     solver's iterations, stop reasons and duality gaps.
 
     The observed table fixes the moment family (``moment_program``); the
-    effect is (<B_0> - <B_1>) / 2.  At level 1, on a table that
-    ``ace_bounds`` answers, the program also carries the 8 unobserved cells
-    p(a, b | z, x) >= 0, a != x, as a diagonal block appended to the moment
-    matrix (``_with_cells``); since C, the A_k and the solver's identity
-    start are block-diagonal, so are its iterates.  Level 1ab implies the
-    cells, and is left as it is.  The two endpoints, which differ only in
-    the sign of the objective, are one ``sdp_solve`` each.  A table that no
-    moment matrix fits raises ``InfeasibleTableError``.  When the data pin
-    the effect, the two solved endpoints can cross by rounding.  A crossing
+    effect is (<B_0> - <B_1>) / 2.  At level 1 the program also carries the
+    8 unobserved cells p(a, b | z, x) >= 0, a != x, as a diagonal block
+    appended to the moment matrix (``_with_cells``); since C, the A_k and
+    the solver's identity start are block-diagonal, so are its iterates.
+    Level 1ab implies the cells, and is left as it is.  The two endpoints,
+    which differ only in the sign of the objective, are one ``sdp_solve``
+    each.  A table that no moment matrix fits, or that fails the
+    instrumental inequality (``active_rows``), raises
+    ``InfeasibleTableError`` before any solve.  When the data pin the
+    effect, the two solved endpoints can cross by rounding.  A crossing
     no larger than the sum of the two certified duality gaps returns the
     midpoint as a point interval; a larger one still fails the ``Interval``
     check.  This is the engine of level 1ab and the audit of the level-1
@@ -572,7 +569,7 @@ def _unimodal_argmax(f, lo: float, hi: float) -> float:
                 v, fv = u, fu
 
 
-def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows | None) -> Interval:
+def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows) -> Interval:
     """Level-1 effect bounds as a chordal completion, with no solver.
 
     The table fixes <A_z> = p(0 | z) - p(1 | z) and, for each (z, x),
@@ -592,50 +589,41 @@ def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows | None) -> Inter
     the frame, like any test through the block's inverse, fails.  In that
     frame block x holds exactly when (b, t_0, (t_1 - cos t_0) / sin) lies in
     the unit ball, t_z = (q_zx - p(x | z) b) / root_z being <xi_z, B_x psi>,
-    so each b_x ranges over a chord (``_chord``).  The upper endpoint is half
-    the largest of (b_0 + h_0) - (b_1 - h_1) over theta, with b_x and h_x a
-    chord's centre and half-length, and the lower one half the least of
-    (b_0 - h_0) - (b_1 + h_1).  Both are concave in cos(theta) on the angles
-    where both chords exist, so each is a 1-D unimodal search
-    (``_unimodal_argmax``); an angle where a chord is missing scores below
-    every feasible one, by how far its line misses the ball.  Each searched
-    endpoint takes the best of the angles found (two when both endpoints
-    are searched), and at one angle the upper difference is never below the
-    lower, so the endpoints cannot cross and need no midpoint rule.
+    so each b_x ranges over a chord (``_chord``).
 
-    ``rows`` are the table's ``active_rows``, or None when ``ace_bounds``
-    refuses the table.  With them, level 1 imposes the 8 unobserved cells
+    Level 1 also imposes the 8 unobserved cells
     p(a, b | z, x) = [2 p(1 - x | z) + (-1)^b 2 (b_x - q_zx)] / 4 >= 0 with
-    a != x, which every quantum model obeys: together they are the box
+    a != x, which every quantum model obeys: they are the box
     |b_x - q_zx| <= p(1 - x | z) for both arms, the natural bounds, and each
-    chord is clipped to it.  The upper and lower ends of the clipped chords
-    stay concave and convex in cos(theta); an angle whose chord misses its
-    box scores between the angles that miss the ball and the feasible ones,
-    by how far it misses.  The natural Balke-Pearl rows are the sums of one
-    natural bound per treatment, so their best is the bound that the box
-    puts on the effect.  The boxed relaxation contains the classical set
-    and lies in the box, so an endpoint whose active row is natural is the
-    ``ace_bounds`` endpoint exactly, with no search, and only the other
-    endpoints are searched.  A table that ``ace_bounds`` refuses fails the
-    instrumental inequality, which empties the box, and keeps the search
-    over the whole chords.
+    chord is clipped to it.  The natural Balke-Pearl rows are the sums of
+    one natural bound per treatment, so their best is the effect bound of
+    the box, and the relaxation contains the classical set and lies in the
+    box: an endpoint whose active row (``rows``, the table's
+    ``active_rows``) is natural is the ``ace_bounds`` endpoint exactly.  So
+    is every endpoint of a table with an arm pinned by exact zeros
+    (``_pinned_letters``): the pin fixes b_x = q_zx, a point of its box, for
+    the treatment x it always takes, a free arm's 3x3 block holds every b of
+    the other box, and b_0 and b_1 do not couple.
 
-    An arm pinned by exact zeros (``_pinned_letters``) drops its letter, as
-    in ``moment_program``.  It fixes b_x = q_zx for the treatment x it
-    always takes (two arms pinned to the same x fix the mean of theirs), and
-    there is then no angle: the 3x3 or 2x2 blocks give the intervals
-    directly.  A table outside the relaxation (a chord missing at every
-    angle, or a fixed b_x off its chord, by more than ``_BALL_SLACK``)
-    raises ``InfeasibleTableError``, and an unpinned arm with a treatment
-    mass below ``_MASS_FLOOR`` raises ``FloatRangeError``.
+    Any other upper endpoint is half the largest of
+    (b_0 + h_0) - (b_1 - h_1) over theta, with b_x and h_x a clipped chord's
+    centre and half-length, and a lower one half the least of
+    (b_0 - h_0) - (b_1 + h_1).  Both are concave in cos(theta) where both
+    chords exist, so each is a 1-D unimodal search (``_unimodal_argmax``);
+    an angle where a chord misses the ball scores below every other, and one
+    where it misses its box between those and the feasible ones, each by how
+    far it misses.  Each searched endpoint takes the best of the angles
+    found, and at one angle the upper difference is never below the lower,
+    so the endpoints cannot cross.  A chord missing at every searched angle
+    by more than ``_BALL_SLACK`` raises ``InfeasibleTableError``, and an
+    unpinned arm with a treatment mass below ``_MASS_FLOOR`` raises
+    ``FloatRangeError``.
     """
     p = table.p.tolist()  # [y][x][z]
     mass = [[p[0][x][z] + p[1][x][z] for z in range(2)] for x in range(2)]
     q = [[p[0][x][z] - p[1][x][z] for z in range(2)] for x in range(2)]
     roots = [math.sqrt(mass[0][z]) * math.sqrt(mass[1][z]) for z in range(2)]
-    # the free arms (a treatment mass of 0 pins an arm), the smaller root
-    # first; a missing arm reads p = q = 0 with root 1, which leaves its
-    # coordinate out of the chord
+    # the free arms (a treatment mass of 0 pins an arm), the smaller root first
     arms = sorted((z for z in range(2) if min(mass[0][z], mass[1][z]) > 0.0), key=roots.__getitem__)
     for z in arms:
         if min(mass[0][z], mass[1][z]) < _MASS_FLOOR:
@@ -643,33 +631,17 @@ def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows | None) -> Inter
                 f"arm z={z} has a treatment mass of {min(mass[0][z], mass[1][z]):.3g}, below the range of the "
                 "level-1 closed form; a mass of exactly 0 pins the arm"
             )
-    classical = None if rows is None else rows.interval
-    natural = {-1.0: rows is not None and rows.lo_natural, 1.0: rows is not None and rows.hi_natural}
-    if natural[-1.0] and natural[1.0]:
+    classical = rows.interval
+    natural = {-1.0: rows.lo_natural, 1.0: rows.hi_natural}
+    if len(arms) < 2 or natural[-1.0] and natural[1.0]:
         return classical
-    pins = _pinned_letters(table)
-    arms += [None, None]
     lines = []
     for x in range(2):
-        (p0, q0, r0), (p1, q1, r1) = (
-            (0.0, 0.0, 1.0) if z is None else (mass[x][z], q[x][z], roots[z]) for z in arms[:2]
-        )
+        (p0, q0, r0), (p1, q1, r1) = ((mass[x][z], q[x][z], roots[z]) for z in arms)
         lines.append((p0, q0, r0, p1 * (r0 / r1), q1 * (r0 / r1), (p0 * q1 - p1 * q0) / r1))
-    # a b_x that pinned arms fix is a chord of length 0, with how far it lies
-    # off the free arm's ball (at most one arm is free, in the first slot) or
-    # how far two pins disagree
-    fixed = {}
-    for x in range(2):
-        values = [q[x][z] for z, sign in pins.items() if (sign < 0.0) == x]
-        if values:
-            b = sum(values) / len(values)
-            p0, q0, r0 = lines[x][:3]
-            fixed[x] = (b, 0.0, max(b * b - 1.0 + ((q0 - p0 * b) / r0) ** 2, max(values) - min(values)))
-    # the box |b_x - q_zx| <= p(1 - x | z) of the unobserved cells, open
-    # when ace_bounds refuses the table
+    # the box |b_x - q_zx| <= p(1 - x | z) of the unobserved cells
     box = [
         (max(q[x][z] - mass[1 - x][z] for z in range(2)), min(q[x][z] + mass[1 - x][z] for z in range(2)))
-        if rows is not None else (-math.inf, math.inf)
         for x in range(2)
     ]
 
@@ -677,7 +649,7 @@ def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows | None) -> Inter
         """sign (b_0 - b_1) over the two chords at this angle, each clipped
         to its box, with how far the worse line misses the ball and how far
         the worse chord misses its box."""
-        (c0, h0, e0), (c1, h1, e1) = (fixed[x] if x in fixed else _chord(line, cos, sin) for x, line in enumerate(lines))
+        (c0, h0, e0), (c1, h1, e1) = (_chord(line, cos, sin) for line in lines)
         (low0, high0), (low1, high1) = box
         # the value takes the upper end of b_0 and the lower one of b_1, or the reverse
         if sign > 0.0:
@@ -693,14 +665,11 @@ def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows | None) -> Inter
         return -3.0 - excess if excess > 0.0 else -2.0 - 0.5 * miss if miss > 0.0 else value
 
     searched = [sign for sign in (1.0, -1.0) if not natural[sign]]
-    if arms[1] is None:
-        angles = [(0.0, 1.0)]  # no angle: the second coordinate reads 0
-    else:
-        found = (
-            _unimodal_argmax(lambda t: rank(*evaluate(math.cos(t), math.sin(t), sign)), 0.0, math.pi)
-            for sign in searched
-        )
-        angles = [(math.cos(t), math.sin(t)) for t in found]
+    found = (
+        _unimodal_argmax(lambda t: rank(*evaluate(math.cos(t), math.sin(t), sign)), 0.0, math.pi)
+        for sign in searched
+    )
+    angles = [(math.cos(t), math.sin(t)) for t in found]
     ends = []
     for sign in (-1.0, 1.0):
         if natural[sign]:
@@ -724,18 +693,19 @@ def quantum_ace_bounds(
     fixes.  This is an outer relaxation, so the interval contains the
     classical LP interval.  Level 1 is a chordal matrix completion answered
     with no solver (``_level1_ace_bounds``), and its diagnostics are
-    ``{"engine": "closed-form", "level": "1"}``.  On a table that
-    ``ace_bounds`` answers it also imposes the 8 unobserved cells
-    p(a, b | z, x) >= 0, a != x: the interval lies in the box of the natural
-    bounds, an endpoint whose active Balke-Pearl row is natural is the
-    ``ace_bounds`` endpoint, and only the others are searched.  ``rows``
-    are the table's ``active_rows`` at the default tolerance or a stricter
-    one, when the caller has them, and are computed here otherwise.  Level
-    1ab is the moment SDP (``quantum_ace_sdp``), and its diagnostics hold
-    the two endpoint solves' iterations, stop reasons and duality gaps.
+    ``{"engine": "closed-form", "level": "1"}``.  It imposes the 8
+    unobserved cells p(a, b | z, x) >= 0, a != x: the interval lies in the
+    box of the natural bounds, an endpoint whose active Balke-Pearl row is
+    natural is the ``ace_bounds`` endpoint, and only the others are
+    searched.  ``rows`` are the table's ``active_rows`` at the default
+    tolerance or a stricter one, when the caller has them, and are computed
+    here otherwise.  Level 1ab is the moment SDP (``quantum_ace_sdp``), and
+    its diagnostics hold the two endpoint solves' iterations, stop reasons
+    and duality gaps.  Both levels refuse a table that fails the
+    instrumental inequality at the default tolerance.
     """
     if level is NpaLevel.L1:
-        interval = _level1_ace_bounds(table, rows or _classical_rows(table))
+        interval = _level1_ace_bounds(table, rows or active_rows(table))
         return interval, {"engine": "closed-form", "level": level.value}
     return quantum_ace_sdp(table, level)
 
@@ -777,7 +747,8 @@ def quantum_gap_report(
     Balke-Pearl rows are evaluated once (``active_rows``), for the classical
     interval and the level-1 row rule.  ``tol`` is the LP feasibility
     threshold of a table's classical interval, and the margin past the
-    quantum value at which a behavior is flagged super-quantum.
+    quantum value at which a behavior is flagged super-quantum; the quantum
+    interval refuses a table at the default tolerance, whatever ``tol``.
     """
     notes: list[str] = []
     diagnostics: dict = {}
@@ -785,14 +756,15 @@ def quantum_gap_report(
     if isinstance(subject, ObservedIVTable):
         rows = active_rows(subject, tol)
         classical = rows.interval
-        # level 1 boxes the tables that ace_bounds answers at the default
-        # tolerance, as its audit SDP does; rows passed at a looser one are not
+        # the quantum side refuses a table that fails the instrumental
+        # inequality at the default tolerance; rows at a looser one may not
         quantum, diag = quantum_ace_bounds(subject, level, rows if tol <= TOL else None)
         diagnostics.update(diag)
         p_yx = subject.p.mean(axis=2)  # observational joint under a uniform instrument
-        px1 = float(p_yx[:, 1].sum())
-        e1 = float(p_yx[1, 1] / px1) if px1 > 0 else 0.0
-        e0 = float(p_yx[1, 0] / (1.0 - px1)) if px1 < 1 else 0.0
+        mass = p_yx.sum(axis=0)  # each treatment's share; a conditional mean over its own mass stays in [0, 1]
+        px1 = float(mass[1] / mass.sum())
+        e1 = float(p_yx[1, 1] / mass[1]) if px1 > 0 else 0.0
+        e0 = float(p_yx[1, 0] / mass[0]) if px1 < 1 else 0.0
         if px1 in (0.0, 1.0):
             notes.append("degenerate treatment arm; its conditional mean was set to 0")
         nosignaling = manski_bounds(e1, e0, px1)

@@ -427,6 +427,38 @@ def test_the_inequality_verdict_reads_the_tolerance(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "InfeasibleTableError"
 
 
+@pytest.mark.parametrize("level", ["1", "1ab"])
+@pytest.mark.parametrize("audit", [False, True])
+def test_gap_refuses_a_table_past_the_inequality_at_every_level(tmp_path, capsys, level, audit):
+    # instrumental value 1 + 1e-6: the classical side answers at the looser
+    # tolerance, but the quantum side reads the default 1e-9 and refuses it
+    table = near_edge_iv_table(np.random.default_rng(0), 1e-6).p.tolist()
+    path = write_doc(tmp_path, {"table": table}, {"tolerance": 1e-3, "npa_level": level, "audit": audit})
+    code, out = run_cli(capsys, "gap", "--input", path)
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "InfeasibleTableError"
+    assert "not IV-compatible" in error["message"]
+
+
+def test_gap_answers_a_table_whose_treatment_share_rounds_near_one(tmp_path, capsys):
+    # the untreated share of the uniformly mixed table was once taken as
+    # 1 - px1, which rounding left below the untreated outcome mass: its
+    # conditional mean came out as 1.0000000000000009, and the request exited 2
+    table = [
+        [[0.0, 0.0], [0.6615507873791852, 0.5714032805295675]],
+        [[0.030811261863177612, 0.12095876871279534], [0.3076379507576373, 0.3076379507576373]],
+    ]
+    code, out = run_cli(capsys, "gap", "--input", write_doc(tmp_path, {"table": table}))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["nosignaling"]["width"] == 1.0
+    assert results["quantum"]["lo"] <= results["classical"]["lo"]
+    code, out = run_cli(capsys, "iv-bounds", "--input", write_doc(tmp_path, {"table": table}))
+    assert code == 0
+    assert json.loads(out)["results"]["ace_bounds"] == results["classical"]
+
+
 def test_normalization_rejected_unless_renormalize(tmp_path, capsys):
     noisy = (np.full((2, 2, 2), 0.25) * 1.01).tolist()
     path = write_doc(tmp_path, {"table": noisy})

@@ -9,8 +9,10 @@ time, and results that do not depend on the axis order an array is
 written in.  The one-pass report emitter must write the bytes of the
 two-pass renderer it replaced, on generated trees of every value type a
 report can hold.  The closed-form effect bounds must map under the IV
-scenario's 8 relabelings as the effect does.  Examples are derandomized,
-so the suite stays deterministic.
+scenario's 8 relabelings as the effect does, and the Bell scenario's
+relabelings must keep membership verdicts and functional values and map a
+violated facet to its image.  Examples are derandomized, so the suite
+stays deterministic.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from polybounds import (  # noqa: E402
+    CHSH_VARIANTS,
     RESPONSE_MATRIX,
     ExperimentalData,
     FloatRangeError,
@@ -35,8 +38,11 @@ from polybounds import (  # noqa: E402
     ObservationalData,
     ObservedIVTable,
     ace_bounds,
+    local_max,
+    no_signaling_max,
     pns_bounds,
     quantum_ace_bounds,
+    tsirelson_bound,
 )
 from polybounds.cli import KINDS, canonical_json, main  # noqa: E402
 from polybounds.polytope import STRATEGY_BEHAVIORS  # noqa: E402
@@ -44,6 +50,7 @@ from conftest import (  # noqa: E402
     one_sided_iv_table,
     random_counterfactual_instance,
     random_iv_table,
+    random_nosignaling_behavior,
     two_qubit_iv_table,
 )
 
@@ -446,3 +453,68 @@ def test_pns_bounds_keep_under_a_joint_flip_of_treatment_and_outcome(seed):
     bounds = pns_bounds(exp, obs)
     flipped = pns_bounds(ExperimentalData(1.0 - exp.p_do0, 1.0 - exp.p_do1), ObservationalData(obs.joint[::-1, ::-1]))
     np.testing.assert_allclose((flipped.lo, flipped.hi), (bounds.lo, bounds.hi), rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# relabelings of the Bell scenario
+
+#: Swap the parties, exchange each party's settings, and exchange the
+#: outcomes of Alice at x = 0, 1 and of Bob at y = 0, 1.  On correlators
+#: these permute the entries and negate rows and columns, so they map the 8
+#: CHSH variants onto one another.
+bell_relabelings = st.tuples(
+    st.booleans(), st.booleans(), st.booleans(), st.lists(st.booleans(), min_size=4, max_size=4)
+)
+bell_behaviors = st.one_of(behaviors, seeds.map(lambda s: random_nosignaling_behavior(np.random.default_rng(s)).p))
+
+
+def _bell_relabeled(p: np.ndarray, swap: bool, flip_x: bool, flip_y: bool, outcomes) -> np.ndarray:
+    """p(a, b | x, y) with the parties swapped, then the settings, then the
+    outcomes that ``outcomes`` picks, each exchanged when chosen."""
+    p = p.transpose(1, 0, 3, 2) if swap else p
+    p = p[:, :, ::-1 if flip_x else 1, ::-1 if flip_y else 1].copy()
+    for x in range(2):
+        if outcomes[x]:
+            p[:, :, x] = p[::-1, :, x].copy()
+    for y in range(2):
+        if outcomes[2 + y]:
+            p[:, :, :, y] = p[:, ::-1, :, y].copy()
+    return p
+
+
+def _correlator_image(f: np.ndarray, swap: bool, flip_x: bool, flip_y: bool, outcomes) -> np.ndarray:
+    """The same relabeling on correlators E[A_x B_y], or on a functional."""
+    f = f.T if swap else f
+    signs = np.outer(np.where(outcomes[:2], -1.0, 1.0), np.where(outcomes[2:], -1.0, 1.0))
+    return f[::-1 if flip_x else 1, ::-1 if flip_y else 1] * signs
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(("chsh", "membership")), bell_behaviors, bell_relabelings)
+def test_membership_verdicts_map_under_the_bell_relabelings(kind, behavior, relabeling):
+    reports = []
+    for p in (behavior, _bell_relabeled(behavior, *relabeling)):
+        code, out = _run(_to_json({"schema": 1, "kind": kind, "payload": {"behavior": p}}))
+        assert code == 0
+        reports.append(_parse(out)["results"])
+    original, relabeled = reports
+    member = "member" if kind == "membership" else "member_of_local_polytope"
+    assert relabeled[member] == original[member]
+    facet, image = original.get("violated_facet"), relabeled.get("violated_facet")
+    assert (facet is None) == (image is None)
+    if facet is not None:
+        coefficients = _correlator_image(np.array(facet["coefficients"]), *relabeling)
+        assert image["coefficients"] == coefficients.tolist()
+        assert image["index"] == next(k for k, v in enumerate(CHSH_VARIANTS) if (v == coefficients).all())
+        # the reports print 12 significant digits
+        assert image["value"] == pytest.approx(facet["value"], rel=0, abs=1e-11)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4), bell_relabelings)
+def test_functional_values_keep_under_the_bell_relabelings(coefficients, relabeling):
+    f = np.array(coefficients).reshape(2, 2)
+    image = _correlator_image(f, *relabeling)
+    for bound in (tsirelson_bound, local_max, no_signaling_max):
+        # each sums the coefficients in another order once they are relabeled
+        np.testing.assert_allclose(bound(image), bound(f), rtol=0, atol=4e-15 * np.abs(f).max())

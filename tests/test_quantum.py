@@ -503,24 +503,23 @@ def test_level1_searched_endpoints_match_the_boxed_sdp_on_two_qubit_models():
     assert searched >= 3
 
 
-def test_level1_closed_form_matches_the_sdp_near_the_edge_of_the_relaxation():
-    """Mixtures of a model's table with a violating one, 1e-3 on either side
-    of the edge of the level-1 relaxation: inside, few angles admit both
-    chords, and the endpoints still match the SDP's, to the SDP's own 1e-7
-    feasibility acceptance since it ends at its iteration cap on two of
-    them; outside, the table is rejected."""
-    rng = np.random.default_rng(8)
-    crafted = np.zeros((2, 2, 2))
-    crafted[1, 1, 0] = crafted[0, 1, 1] = 1.0
-    for edge in (0.83995, 0.96768, 0.97722):  # the shares past which no moment matrix completes
-        inner, outside = random_iv_table(rng).p, 0.5 * crafted + 0.5 * random_iv_table(rng).p
-        table = ObservedIVTable((1.0 - edge + 1e-3) * inner + (edge - 1e-3) * outside)
-        closed, _ = quantum_ace_bounds(table, NpaLevel.L1)
-        sdp, _ = quantum_ace_sdp(table, NpaLevel.L1)
-        assert closed.lo == pytest.approx(sdp.lo, abs=1e-7)
-        assert closed.hi == pytest.approx(sdp.hi, abs=1e-7)
-        with pytest.raises(InfeasibleTableError):
-            quantum_ace_bounds(ObservedIVTable((1.0 - edge - 1e-3) * inner + (edge + 1e-3) * outside), NpaLevel.L1)
+def test_every_quantum_level_refuses_tables_past_the_instrumental_inequality(monkeypatch):
+    """A table that fails the instrumental inequality at the default
+    tolerance empties the box of the natural bounds, which every quantum
+    model obeys: the closed form, level 1ab and the audit SDP at both levels
+    all refuse it, before any solve."""
+
+    def refuse(*args):
+        raise AssertionError("a table past the instrumental inequality reached the SDP")
+
+    monkeypatch.setattr("polybounds.quantum.sdp_solve", refuse)
+    for excess in (1e-6, 1e-3, 0.05):
+        for seed in range(20):
+            table = near_edge_iv_table(np.random.default_rng(seed), excess)
+            for level in NpaLevel:
+                for bounds in (quantum_ace_bounds, quantum_ace_sdp):
+                    with pytest.raises(InfeasibleTableError, match="not IV-compatible"):
+                        bounds(table, level)
 
 
 def _bits_of(interval) -> tuple:
@@ -546,6 +545,36 @@ def test_natural_active_rows_answer_level1_with_no_search(monkeypatch):
                 quantum, _ = quantum_ace_bounds(table, NpaLevel.L1)
                 assert _bits_of(quantum) == _bits_of(ace_bounds(table))
         assert natural, arms
+
+
+def test_pinned_arms_answer_level1_with_ace_bounds(monkeypatch):
+    """A pin fixes its b_x to a point of its box, and the free arm's 3x3
+    block holds every b of the other box, with b_0 and b_1 uncoupled: on a
+    table with a pinned arm, level 1 is ace_bounds bit for bit, with no
+    angle searched.  Among the structural tables, seed 0's table 148 once
+    got an upper end an ulp inside ace_bounds' from a searched chord."""
+
+    def refuse(*args):
+        raise AssertionError("the level-1 closed form searched an angle")
+
+    monkeypatch.setattr("polybounds.quantum._unimodal_argmax", refuse)
+    rng = np.random.default_rng(74)
+    patterns = [arms for arms in itertools.product((None, 0, 1), repeat=2) if arms != (None, None)]
+    tables = [_types_with_arms(rng, arms) for arms in patterns for _ in range(5)]
+    for seed in range(10):
+        tables += [ObservedIVTable(t) for t in structural_iv_tables(np.random.default_rng(seed), 300)]
+    answered = 0
+    for table in tables:
+        if not _pinned_letters(table):
+            continue
+        try:
+            classical = ace_bounds(table)
+        except InfeasibleTableError:
+            continue
+        answered += 1
+        quantum, _ = quantum_ace_bounds(table, NpaLevel.L1)
+        assert _bits_of(quantum) == _bits_of(classical)
+    assert answered == len(patterns) * 5 + 283
 
 
 def test_level1_answers_every_table_at_the_edge_that_ace_bounds_answers():
@@ -641,16 +670,16 @@ def test_an_sdp_that_stops_at_its_cap_names_the_least_treated_arm():
 
 
 def test_level1_closed_form_rejects_tables_outside_the_relaxation():
-    # 80 % of a table whose instrumental-inequality value is 2: no moment
-    # matrix completes it
+    # 80 % of a table whose instrumental-inequality value is 2: the box of
+    # the natural bounds is empty
     rng = np.random.default_rng(73)
     crafted = np.zeros((2, 2, 2))
     crafted[1, 1, 0] = crafted[0, 1, 1] = 1.0
     violating = ObservedIVTable(0.8 * crafted + 0.2 * random_iv_table(rng).p)
-    with pytest.raises(InfeasibleTableError, match="outside the level-1 quantum relaxation"):
+    with pytest.raises(InfeasibleTableError, match="not IV-compatible"):
         quantum_ace_bounds(violating, NpaLevel.L1)
     # both arms always treat, with different outcome distributions: the one
-    # <B_1> cannot take both values
+    # <B_1> cannot take both values, and the inequality fails too
     p = np.zeros((2, 2, 2))
     p[:, 1, 0] = (0.3, 0.7)
     p[:, 1, 1] = (0.6, 0.4)
