@@ -80,6 +80,9 @@ BALKE_PEARL_HI.setflags(write=False)
 #: 125, 230401, 2020), and rows 2, 3, 6 and 7, which mix the arms with
 #: opposite signs, need not.
 _NATURAL_FIRST = (0, 1, 4, 5, 2, 3, 6, 7)
+#: The constant column of the Balke-Pearl rows.
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
 
 
 def iv_table_from_response_dist(q) -> ObservedIVTable:
@@ -105,11 +108,11 @@ def instrumental_inequality(t: ObservedIVTable, variant: str = "standard", tol: 
     Either holds when 2 (value - 1) <= ``tol``: on the standard form, the
     simplex's phase-1 test on the type polytope, which ``ace_bounds`` reads.
     """
-    p = t.p  # indexed [y, x, z]
+    p = t.p.tolist()  # indexed [y][x][z]
     if variant == "standard":
-        value = float(p.max(axis=2).sum(axis=0).max())
+        value = max(max(p[0][x]) + max(p[1][x]) for x in range(2))
     elif variant == "paper_literal":
-        value = float(p.max(axis=1).sum(axis=0).max())
+        value = max(max(p[0][0][z], p[0][1][z]) + max(p[1][0][z], p[1][1][z]) for z in range(2))
     else:
         raise ValidationError(f"unknown variant {variant!r}")
     return InstrumentalCheck(2.0 * (value - 1.0) <= tol, value, variant)
@@ -146,7 +149,7 @@ def active_rows(t: ObservedIVTable, tol: float = TOL) -> ActiveRows:
         raise InfeasibleTableError(
             f"observed table is not IV-compatible (phase-1 infeasibility {2.0 * (check.value - 1.0):.3e})"
         )
-    cells = np.append(t.flat(), 1.0)
+    cells = np.concatenate((t.flat(), _ONE))
     lows, highs = (BALKE_PEARL_LO @ cells).tolist(), (BALKE_PEARL_HI @ cells).tolist()
     lo, hi = max(lows), min(highs)
     lo_row = next(k for k in _NATURAL_FIRST if lows[k] == lo)

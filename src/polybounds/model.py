@@ -31,6 +31,7 @@ tolerance, such as ``Behavior.no_signaling_at``, is given it by its caller.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
@@ -239,7 +240,7 @@ def correlator_functional(functional) -> np.ndarray:
     f = functional.e if isinstance(functional, CorrelationTable) else float_array(functional, "functional")
     if f.shape != (2, 2):
         raise ValidationError(f"functional must be a 2x2 coefficient array, got shape {f.shape}")
-    if not np.isfinite(f).all():
+    if not all(map(math.isfinite, f.ravel().tolist())):
         raise ValidationError("functional has non-finite entries")
     return f
 
@@ -254,7 +255,7 @@ class CorrelationTriple:
 
     def __post_init__(self):
         for name, v in (("e_ab", self.e_ab), ("e_ac", self.e_ac), ("e_bc", self.e_bc)):
-            if not np.isfinite(v) or abs(v) > 1.0 + INTERVAL_SLACK:
+            if not math.isfinite(v) or abs(v) > 1.0 + INTERVAL_SLACK:
                 raise ValidationError(f"{name} must lie in [-1, 1], got {v}")
 
 
@@ -266,7 +267,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValidationError("interval endpoints must be finite")
         if self.lo > self.hi + INTERVAL_SLACK:
             raise ValidationError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")

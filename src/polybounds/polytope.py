@@ -60,6 +60,9 @@ STRATEGY_BEHAVIORS = np.einsum("sax,sby->sabxy", _ANSWERS[:, :, :2], _ANSWERS[:,
 _STRATEGY_MATRIX = STRATEGY_BEHAVIORS.reshape(16, 16).T
 for _table in (STRATEGY_SIGNS, STRATEGY_CORRELATIONS, STRATEGY_BEHAVIORS, _STRATEGY_MATRIX):
     _table.setflags(write=False)
+#: Each strategy's correlators as a row (e00, e01, e10, e11) of floats, for
+#: ``local_max`` on a functional's four floats.
+_CORRELATION_ROWS = STRATEGY_CORRELATIONS.reshape(16, 4).tolist()
 
 
 @dataclass(frozen=True)
@@ -277,10 +280,13 @@ def countermonotone_coupling(u: float, v: float) -> np.ndarray:
 def local_max(functional) -> float:
     """Maximum of a correlation functional over the local polytope: the best
     of its 16 vertices, the deterministic strategies; inf when a vertex
-    value passes the float range."""
-    f = correlator_functional(functional)
-    with np.errstate(over="ignore"):
-        return float((STRATEGY_CORRELATIONS * f).sum(axis=(1, 2)).max())
+    value passes the float range.  Computed on the four floats, bit for bit
+    the vectorized numpy form that the tests keep as a reference: each
+    vertex value is summed left to right in row-major order, and the + 0.0
+    reads a best value of -0.0 (every term a negative zero) as 0.0, as a
+    numpy sum, which starts at +0.0, does."""
+    f00, f01, f10, f11 = correlator_functional(functional).ravel().tolist()
+    return max(e00 * f00 + e01 * f01 + e10 * f10 + e11 * f11 for e00, e01, e10, e11 in _CORRELATION_ROWS) + 0.0
 
 
 def no_signaling_max(functional) -> float:
@@ -290,8 +296,7 @@ def no_signaling_max(functional) -> float:
     022101, 2005) are all 16 sign patterns: even parity for the 16
     strategies, odd parity for the 8 PR boxes (the ``CHSH_VARIANTS``).  So
     the correlators fill the cube [-1, 1]^4 and the maximum is sum |f|
-    (inf past the float range).
+    (inf past the float range), summed in row-major order.
     """
-    f = correlator_functional(functional)
-    with np.errstate(over="ignore"):
-        return float(np.abs(f).sum())
+    f00, f01, f10, f11 = correlator_functional(functional).ravel().tolist()
+    return abs(f00) + abs(f01) + abs(f10) + abs(f11)

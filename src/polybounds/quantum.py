@@ -198,10 +198,10 @@ class NpaLevel(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "NpaLevel":
-        for level in cls:
-            if level.value == str(text).lower():
-                return level
-        raise ValidationError(f"unknown relaxation level {text!r}; use '1' or '1ab'")
+        level = cls._value2member_map_.get(str(text).lower())
+        if level is None:
+            raise ValidationError(f"unknown relaxation level {text!r}; use '1' or '1ab'")
+        return level
 
 
 Word = tuple[tuple[int, ...], tuple[int, ...]]
@@ -342,26 +342,28 @@ def tsirelson_bound(functional) -> float:
     and c* when it lies in (-1, 1).  The coefficients are divided by
     max |f| first and the value scaled back; a value past the float range
     raises ``FloatRangeError``.  The CHSH coefficients give 2*sqrt(2)
-    exactly.
+    exactly.  It is computed on the four floats, bit for bit the vectorized
+    numpy form that the tests keep as a reference: b_y^2 in c* is ``** 2``
+    (C ``pow``), which can differ from b_y * b_y in the last place.
     """
-    f = correlator_functional(functional)
-    scale = float(np.abs(f).max())
+    f = correlator_functional(functional).ravel().tolist()
+    scale = max(map(abs, f))
     if scale == 0.0:
         return 0.0
-    g = f / scale
-    a = g[0] ** 2 + g[1] ** 2
-    b = 2.0 * g[0] * g[1]
+    g00, g01, g10, g11 = (v / scale for v in f)
+    a0, a1 = g00 * g00 + g10 * g10, g01 * g01 + g11 * g11
+    b0, b1 = 2.0 * g00 * g10, 2.0 * g01 * g11
     cosines = [-1.0, 1.0]
-    if b[0] * b[1] < 0.0:
-        # the denominator underflows only when one column's b is so small
-        # that the sum is flat in c to rounding; the nan or inf it then
-        # gives fails the range test, and the endpoints decide
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            stationary = (b[1] ** 2 * a[0] - b[0] ** 2 * a[1]) / (b[0] * b[1] * (b[0] - b[1]))
-        if -1.0 < stationary < 1.0:
-            cosines.append(float(stationary))
-    c = np.array(cosines)[:, None]
-    return _in_range("quantum", scale * float(np.sqrt(np.maximum(a + b * c, 0.0)).sum(axis=1).max()))
+    if b0 * b1 < 0.0:
+        # the denominator underflows to 0 only when one column's b is so
+        # small that the sum is flat in c to rounding: the endpoints decide
+        denominator = b0 * b1 * (b0 - b1)
+        if denominator != 0.0:
+            stationary = (b1 ** 2 * a0 - b0 ** 2 * a1) / denominator
+            if -1.0 < stationary < 1.0:
+                cosines.append(stationary)
+    best = max(math.sqrt(max(a0 + b0 * c, 0.0)) + math.sqrt(max(a1 + b1 * c, 0.0)) for c in cosines)
+    return _in_range("quantum", scale * best)
 
 
 def npa_bound(level: NpaLevel, functional) -> SdpResult:
@@ -760,11 +762,13 @@ def quantum_gap_report(
         # inequality at the default tolerance; rows at a looser one may not
         quantum, diag = quantum_ace_bounds(subject, level, rows if tol <= TOL else None)
         diagnostics.update(diag)
-        p_yx = subject.p.mean(axis=2)  # observational joint under a uniform instrument
-        mass = p_yx.sum(axis=0)  # each treatment's share; a conditional mean over its own mass stays in [0, 1]
-        px1 = float(mass[1] / mass.sum())
-        e1 = float(p_yx[1, 1] / mass[1]) if px1 > 0 else 0.0
-        e0 = float(p_yx[1, 0] / mass[0]) if px1 < 1 else 0.0
+        p = subject.p.tolist()  # [y][x][z]
+        # the observational joint under a uniform instrument; each sum starts at +0.0, as a numpy mean's does
+        p_yx = [[(0.0 + p[y][x][0] + p[y][x][1]) / 2 for x in range(2)] for y in range(2)]
+        mass = [p_yx[0][x] + p_yx[1][x] for x in range(2)]  # a conditional mean over its own mass stays in [0, 1]
+        px1 = mass[1] / (mass[0] + mass[1])
+        e1 = p_yx[1][1] / mass[1] if px1 > 0 else 0.0
+        e0 = p_yx[1][0] / mass[0] if px1 < 1 else 0.0
         if px1 in (0.0, 1.0):
             notes.append("degenerate treatment arm; its conditional mean was set to 0")
         nosignaling = manski_bounds(e1, e0, px1)

@@ -1362,3 +1362,31 @@ AUDIT_GOLDEN_SHA256 = "cdf70fd113268503136a5bf6fa27642362ad17d1885a6f0846ab70f33
 def test_audit_requests_keep_their_bytes(tmp_path, capsys):
     text = _golden_bytes(tmp_path, capsys, AUDIT_GOLDEN_REQUESTS)
     assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_GOLDEN_SHA256
+
+
+#: The functional branches of ``npa`` and ``gap`` at both levels: the zero
+#: functional, the 1e300 probe, a functional whose values pass the float
+#: range, the two functionals where the Tsirelson closed form's rounding is
+#: delicate (a squared coefficient, and a stationary denominator of -0.0) and
+#: a scaled CHSH variant.
+FUNCTIONAL_GOLDEN_REQUESTS = tuple(
+    (kind, flags, {"functional": functional})
+    for functional in (
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1e300, 1.0], [1.0, -1.0]],
+        [[1e308, 1e308], [1e308, -1e308]],
+        [[14689.204016873298, -23885.34276419946], [13598.813150448486, 24514.51694544626]],
+        [[1.0, 1.0], [1e-162, -1e-162]],
+        [[-0.5, 0.5], [0.5, 0.5]],
+    )
+    for kind in ("npa", "gap")
+    for flags in ((), ("--npa-level", "1ab"))
+)
+
+#: sha256 of ``_golden_bytes`` over ``FUNCTIONAL_GOLDEN_REQUESTS``
+FUNCTIONAL_GOLDEN_SHA256 = "49fae44e5dfc6475514ff966ad713c2adee9f0a91fd1a272d32ba797c775370d"
+
+
+def test_functional_requests_keep_their_bytes(tmp_path, capsys):
+    text = _golden_bytes(tmp_path, capsys, FUNCTIONAL_GOLDEN_REQUESTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == FUNCTIONAL_GOLDEN_SHA256

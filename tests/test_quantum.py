@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from polybounds import (
     Behavior,
     CHSH_COEFFS,
+    CHSH_VARIANTS,
     DichotomicObservable,
     FloatRangeError,
     InfeasibleTableError,
@@ -30,13 +31,22 @@ from polybounds import (
     quantum_gap_report,
     tsirelson_bound,
 )
-from polybounds.causal import BALKE_PEARL_HI, BALKE_PEARL_LO, active_rows
+from polybounds.causal import (
+    BALKE_PEARL_HI,
+    BALKE_PEARL_LO,
+    ActiveRows,
+    active_rows,
+    instrumental_inequality,
+    manski_bounds,
+)
 from polybounds.errors import SdpConvergenceError
+from polybounds.polytope import STRATEGY_CORRELATIONS
 from polybounds.solvers import TOL
 from polybounds.quantum import (
     PAULI_X,
     PAULI_Z,
     _entry_monomial,
+    _level1_ace_bounds,
     _pinned_letters,
     _words,
     quantum_ace_sdp,
@@ -691,6 +701,19 @@ def test_level1_closed_form_rejects_tables_outside_the_relaxation():
         quantum_ace_bounds(tiny, NpaLevel.L1)
 
 
+def test_level1_refuses_a_chord_that_misses_the_ball_at_every_angle():
+    # active_rows refuses these tables first, so their rows are forged here,
+    # none natural, and both endpoints are searched
+    crafted = np.zeros((2, 2, 2))
+    crafted[1, 1, 0] = crafted[0, 1, 1] = 1.0
+    interior = random_iv_table(np.random.default_rng(0)).p
+    forged = ActiveRows(0.0, 0.0, 2, 2, False, False)
+    for mix, excess in ((0.5, "0.47"), (0.8, "7.25")):
+        table = ObservedIVTable(mix * crafted + (1.0 - mix) * interior)
+        with pytest.raises(InfeasibleTableError, match=rf"outside the level-1 quantum relaxation \(by {excess} past"):
+            _level1_ace_bounds(table, forged)
+
+
 def test_pinned_arms_that_disagree_fit_no_moment_matrix():
     # both arms always take treatment 1, one with outcome 1 and one with
     # outcome 0: a least-squares <B_1> = 0 misses both rows by 0.5
@@ -760,3 +783,128 @@ def test_entry_monomial_reduction():
     assert _entry_monomial(((0,), (0,)), ((1,), (1,))) == ((0, 1), (0, 1))
     # diagonal entries collapse to the identity
     assert _entry_monomial(((0, 1), ()), ((0, 1), ())) == ((), ())
+
+
+# ---------------------------------------------------------------------------
+# the closed forms on Python floats against the vectorized numpy expressions
+# they replaced, held here as references: equal bit for bit, signed zeros,
+# infinities and raised errors included
+
+
+def _local_max_vectorized(f: np.ndarray) -> float:
+    with np.errstate(over="ignore"):
+        return float((STRATEGY_CORRELATIONS * f).sum(axis=(1, 2)).max())
+
+
+def _no_signaling_max_vectorized(f: np.ndarray) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.abs(f).sum())
+
+
+def _tsirelson_vectorized(f: np.ndarray) -> float:
+    scale = float(np.abs(f).max())
+    if scale == 0.0:
+        return 0.0
+    g = f / scale
+    a = g[0] ** 2 + g[1] ** 2
+    b = 2.0 * g[0] * g[1]
+    cosines = [-1.0, 1.0]
+    if b[0] * b[1] < 0.0:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stationary = (b[1] ** 2 * a[0] - b[0] ** 2 * a[1]) / (b[0] * b[1] * (b[0] - b[1]))
+        if -1.0 < stationary < 1.0:
+            cosines.append(float(stationary))
+    c = np.array(cosines)[:, None]
+    value = scale * float(np.sqrt(np.maximum(a + b * c, 0.0)).sum(axis=1).max())
+    if not np.isfinite(value):
+        raise FloatRangeError("the quantum value of the functional is past the floating-point range")
+    return value
+
+
+def _exact(function, *args):
+    """The result's exact bits (negative zero apart from zero), or the type
+    of the error raised."""
+    try:
+        return function(*args).hex()
+    except FloatRangeError as exc:
+        return type(exc)
+
+
+#: Functionals where the closed form's rounding is delicate: a squared
+#: coefficient that C ``pow`` and x * x round apart, and a stationary
+#: denominator of -0.0.
+WITNESS_FUNCTIONALS = (
+    [[14689.204016873298, -23885.34276419946], [13598.813150448486, 24514.51694544626]],
+    [[1.0, 1.0], [1e-162, -1e-162]],
+)
+
+
+def _functional_sweep(rng, count: int) -> list:
+    out = [np.array(f) for f in WITNESS_FUNCTIONALS]
+    out += [np.array([[1e300, 1.0], [1.0, -1.0]]), np.zeros((2, 2)), np.full((2, 2), -0.0)]
+    out += [sign * scale * v for v in CHSH_VARIANTS for sign in (1.0, -1.0) for scale in (0.5, 2.0)]
+    while len(out) < count:
+        # one scale for the four cells, or (3 in 10) a scale per cell
+        f = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(2, 2) if rng.random() < 0.3 else 1)
+        kind = rng.integers(5)
+        if kind == 0:
+            f[rng.integers(2)] = 0.0  # a zero row
+        elif kind == 1:
+            f[rng.random((2, 2)) < 0.5] = rng.choice((0.0, -0.0))  # zero cells
+        elif kind == 2:
+            f = CHSH_VARIANTS[rng.integers(8)] * rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+        out.append(f)
+    return out
+
+
+def test_functional_closed_forms_match_the_vectorized_forms_bit_for_bit():
+    for f in _functional_sweep(np.random.default_rng(29), 12000):
+        assert _exact(local_max, f) == _exact(_local_max_vectorized, f), f.tolist()
+        assert _exact(no_signaling_max, f) == _exact(_no_signaling_max_vectorized, f), f.tolist()
+        assert _exact(tsirelson_bound, f) == _exact(_tsirelson_vectorized, f), f.tolist()
+
+
+def test_witness_functionals_take_the_rounding_of_the_vectorized_forms():
+    squared, flat = (np.array(f) for f in WITNESS_FUNCTIONALS)
+    b1 = 2.0 * (squared[0, 1] / squared.max()) * (squared[1, 1] / squared.max())
+    assert b1 ** 2 != b1 * b1  # C pow and the product round apart here
+    g = flat / np.abs(flat).max()
+    b = 2.0 * g[0] * g[1]
+    assert b[0] * b[1] < 0.0 and str(b[0] * b[1] * (b[0] - b[1])) == "-0.0"
+    assert tsirelson_bound(flat) == 2.0
+    for f in (squared, flat):
+        assert tsirelson_bound(f).hex() == _tsirelson_vectorized(f).hex()
+
+
+def _iv_tables(rng) -> list:
+    tables = [random_iv_table(rng) for _ in range(40)] + [one_sided_iv_table(rng) for _ in range(40)]
+    tables += [ObservedIVTable(p) for p in structural_iv_tables(rng, 40)]
+    tables += [_types_with_arms(rng, arms) for arms in itertools.product((None, 0, 1), repeat=2) for _ in range(3)]
+    untreated = np.zeros((2, 2, 2))
+    untreated[0, 0] = 1.0  # no unit is ever treated, and none recovers
+    tables.append(ObservedIVTable(untreated))
+    # the zero cells as negative zeros
+    tables += [ObservedIVTable(np.where(t.p == 0.0, -0.0, t.p)) for t in tables if (t.p == 0.0).any()]
+    return tables
+
+
+def test_instrumental_inequality_matches_the_vectorized_form_bit_for_bit():
+    rng = np.random.default_rng(30)
+    tables = _iv_tables(rng) + [near_edge_iv_table(rng, excess) for excess in (0.0, 1e-6, 0.05)]
+    for t in tables:
+        for variant, axis in (("standard", 2), ("paper_literal", 1)):
+            reference = float(t.p.max(axis=axis).sum(axis=0).max())
+            assert instrumental_inequality(t, variant).value.hex() == reference.hex()
+
+
+def test_gap_report_manski_inputs_match_the_vectorized_form_bit_for_bit(monkeypatch):
+    seen = []
+    monkeypatch.setattr("polybounds.quantum.manski_bounds", lambda *args: seen.append(args) or manski_bounds(*args))
+    for t in _iv_tables(np.random.default_rng(31)):
+        quantum_gap_report(t)
+        p_yx = t.p.mean(axis=2)
+        mass = p_yx.sum(axis=0)
+        px1 = float(mass[1] / mass.sum())
+        e1 = float(p_yx[1, 1] / mass[1]) if px1 > 0 else 0.0
+        e0 = float(p_yx[1, 0] / mass[0]) if px1 < 1 else 0.0
+        assert [v.hex() for v in seen.pop()] == [e1.hex(), e0.hex(), px1.hex()]
