@@ -75,7 +75,6 @@ from .quantum import (
     TwoQubitState,
     chsh_operator,
     moment_program,
-    noncommutativity_witness,
     npa_bound,
     quantum_ace_bounds,
     quantum_behavior,

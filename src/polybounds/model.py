@@ -308,25 +308,14 @@ def behavior_to_correlations(b: Behavior) -> CorrelationTable:
 
 def chsh_value(c: CorrelationTable | np.ndarray) -> float:
     """Canonical CHSH combination S = e00 + e01 + e10 - e11."""
-    e = c.e if isinstance(c, CorrelationTable) else np.asarray(c, dtype=float)
+    e = (c if isinstance(c, CorrelationTable) else CorrelationTable(c)).e
     return float(np.sum(CHSH_COEFFS * e))
 
 
-def chsh_variant_coefficients() -> np.ndarray:
-    """The 8 sign variants of the CHSH combination as (8, 2, 2) coefficients.
-
-    Variant k negates term k % 4 (row-major position) and carries a global
-    sign of +1 for k < 4, -1 otherwise.  Variant 3 is the canonical CHSH.
-    """
-    variants = np.empty((8, 2, 2))
-    for k in range(8):
-        m = np.ones((2, 2))
-        m[divmod(k % 4, 2)] = -1.0
-        variants[k] = m if k < 4 else -m
-    return variants
-
-
-CHSH_VARIANTS = chsh_variant_coefficients()
+#: The 8 sign variants of the CHSH combination as (8, 2, 2) coefficients.
+#: Variant k negates term k % 4 (row-major position) and carries a global
+#: sign of +1 for k < 4, -1 otherwise.  Variant 3 is the canonical CHSH.
+CHSH_VARIANTS = np.concatenate([1.0 - 2.0 * np.eye(4), 2.0 * np.eye(4) - 1.0]).reshape(8, 2, 2)
 CHSH_VARIANTS.setflags(write=False)
 #: Coefficients of the canonical CHSH combination e00 + e01 + e10 - e11.
 CHSH_COEFFS = CHSH_VARIANTS[3]
@@ -334,5 +323,5 @@ CHSH_COEFFS = CHSH_VARIANTS[3]
 
 def chsh_variant_values(c: CorrelationTable | np.ndarray) -> np.ndarray:
     """All 8 CHSH variants evaluated on a correlation table."""
-    e = c.e if isinstance(c, CorrelationTable) else np.asarray(c, dtype=float)
+    e = (c if isinstance(c, CorrelationTable) else CorrelationTable(c)).e
     return np.tensordot(CHSH_VARIANTS, e, axes=([1, 2], [0, 1]))

@@ -178,9 +178,9 @@ def local_membership(b: Behavior, tol: float = TOL) -> MembershipCertificate:
     """Decide membership in the local polytope by Fine's theorem.
 
     A behavior is a member when it is no-signaling (``no_signaling_at``)
-    and the 8 CHSH facets hold (``chsh_facets_hold``), both at ``tol``: the
-    two tests of the strategy LP's phase 1, without the simplex, on CHSH
-    variants evaluated once.  A member's weights are Fine's joint
+    and the 8 CHSH facets hold (``_facets_hold``, the rule of
+    ``chsh_facets_hold``, on CHSH variants evaluated once), both at ``tol``:
+    the two tests of the strategy LP's phase 1, without the simplex.  A member's weights are Fine's joint
     distribution (``_fine_joint``); a non-member gets the most-violated
     CHSH facet, or none (every field but ``member`` None) when it is
     signaling with every facet holding.

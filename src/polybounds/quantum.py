@@ -40,7 +40,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +70,8 @@ class TwoQubitState:
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=complex)
+        if not np.isfinite(rho).all():
+            raise ValidationError("density matrix has non-finite entries")
         if rho.shape != (4, 4):
             raise ValidationError(f"density matrix must be 4x4, got {rho.shape}")
         if np.abs(rho - rho.conj().T).max() > 1e-12:
@@ -85,6 +86,8 @@ class TwoQubitState:
     @classmethod
     def from_ket(cls, ket) -> "TwoQubitState":
         v = np.asarray(ket, dtype=complex).reshape(4)
+        if not np.isfinite(v).all():
+            raise ValidationError("state vector has non-finite entries")
         norm = np.linalg.norm(v)
         if norm == 0:
             raise ValidationError("state vector must be nonzero")
@@ -112,6 +115,8 @@ class DichotomicObservable:
 
     def __post_init__(self):
         m = np.array(self.m, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValidationError("observable has non-finite entries")
         if m.shape != (2, 2):
             raise ValidationError(f"observable must be 2x2, got {m.shape}")
         if np.abs(m - m.conj().T).max() > 1e-12:
@@ -124,11 +129,15 @@ class DichotomicObservable:
     @classmethod
     def from_angle(cls, theta: float) -> "DichotomicObservable":
         """cos(theta) Z + sin(theta) X: a unit Bloch vector in the XZ plane."""
+        if not math.isfinite(theta):
+            raise ValidationError(f"angle must be finite, got {theta}")
         return cls(np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X)
 
     @classmethod
     def from_bloch(cls, n) -> "DichotomicObservable":
         v = np.asarray(n, dtype=float).reshape(3)
+        if not np.isfinite(v).all():
+            raise ValidationError("Bloch vector has non-finite entries")
         norm = np.linalg.norm(v)
         if norm == 0:
             raise ValidationError("Bloch vector must be nonzero")
@@ -167,29 +176,10 @@ def chsh_operator(
     b0: DichotomicObservable,
     b1: DichotomicObservable,
 ) -> np.ndarray:
-    """A0 (x) (B0 + B1) + A1 (x) (B0 - B1) on the two-qubit space."""
+    """A0 (x) (B0 + B1) + A1 (x) (B0 - B1) on the two-qubit space.  Its square
+    is 4I - [A0, A1] (x) [B0, B1] (Landau, Phys. Lett. A 120, 54, 1987), so a
+    commuting pair on either side caps its top eigenvalue at 2."""
     return np.kron(a0.m, b0.m + b1.m) + np.kron(a1.m, b0.m - b1.m)
-
-
-class NoncommutativityWitness(NamedTuple):
-    comm_a: float
-    comm_b: float
-    achievable_chsh: float
-
-
-def noncommutativity_witness(
-    a0: DichotomicObservable,
-    a1: DichotomicObservable,
-    b0: DichotomicObservable,
-    b1: DichotomicObservable,
-) -> NoncommutativityWitness:
-    """Commutator norms of each party's pair and the best CHSH value any
-    state can reach with these fixed observables (the top eigenvalue of
-    the CHSH operator).  Either commutator vanishing caps the value at 2."""
-    comm_a = float(np.linalg.norm(a0.m @ a1.m - a1.m @ a0.m, 2))
-    comm_b = float(np.linalg.norm(b0.m @ b1.m - b1.m @ b0.m, 2))
-    top = float(np.linalg.eigvalsh(chsh_operator(a0, a1, b0, b1)).max())
-    return NoncommutativityWitness(comm_a, comm_b, top)
 
 
 class NpaLevel(enum.Enum):

@@ -2,13 +2,3 @@
 
 from .lp import TOL, LpProblem, LpResult, lp_solve
 from .sdp import SdpProblem, SdpResult, sdp_solve
-
-__all__ = [
-    "TOL",
-    "LpProblem",
-    "LpResult",
-    "lp_solve",
-    "SdpProblem",
-    "SdpResult",
-    "sdp_solve",
-]

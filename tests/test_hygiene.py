@@ -1,35 +1,62 @@
 """Static hygiene of the package source, read with ``ast``: no module imports
-a name it never uses (the re-exports of ``__init__.py`` aside), and no
-private module-level name is left that nothing in the package references.
-Every function the benchmark's tracer wraps must still exist, its
-rendering span must time each document once, and the SDP requests must
-complete under it."""
+a name it never uses (the re-exports of ``__init__.py`` aside), no private
+module-level name is left that nothing in the package references, and every
+exported name is read by the package, the CLI or the acceptance gate, or is
+listed with its reason.  Every function the benchmark's tracer wraps must
+still exist, its rendering span must time each document once, and the SDP
+requests must complete under it."""
 
 import ast
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import polybounds
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "polybounds"
 TREES = {path.relative_to(SRC).as_posix(): ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
 
 
-def _reads(tree) -> set:
-    """Names a module reads: loaded bare names, attribute names, and names
-    imported from elsewhere in the package."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.level:
-            names.update(alias.name for alias in node.names)
-    return names
+#: Exported names that no package module and not the acceptance gate read,
+#: each with the reason it stays.
+_UNREACHED = {
+    "mutual_information": "the reference that entropic_chsh is tested against bit for bit",
+    "shannon_cone_check": "ROADMAP item 14 decides the Shannon-cone code",
+    "oracle_vertex_average": "perfbench/tracing.py wraps it, so deleting it changes the benchmark",
+}
+
+
+def _reads(node, inside=frozenset()) -> set:
+    """Names a tree reads: loaded bare names, attribute names and ``from ...
+    import`` names, each outside the body of the ``def`` or ``class`` that
+    defines it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        found = {node.id}
+    elif isinstance(node, ast.Attribute):
+        found = {node.attr}
+    elif isinstance(node, ast.ImportFrom):
+        found = {alias.name for alias in node.names}
+    else:
+        found = set()
+    return (found - inside).union(*(_reads(child, inside) for child in ast.iter_child_nodes(node)))
+
+
+def export_breaches(exports: set, trees, unreached: dict) -> list:
+    """Each way the exports break the rule that every exported name is read
+    by one of ``trees`` or listed in ``unreached``, and no more than that."""
+    read = set().union(*map(_reads, trees))
+    return sorted(
+        [f"{name} is exported but read nowhere" for name in exports - read - unreached.keys()]
+        + [f"{name} is in _UNREACHED but read" for name in unreached.keys() & read]
+        + [f"{name} is in _UNREACHED but not exported" for name in unreached.keys() - exports]
+    )
 
 
 @pytest.mark.parametrize("module", [m for m in TREES if not m.endswith("__init__.py")])
@@ -57,6 +84,25 @@ def test_no_unreferenced_private_name(module):
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     referenced = set().union(*(_reads(tree) for tree in TREES.values()))
     assert sorted(private - referenced) == []
+
+
+def test_every_export_is_read_or_listed():
+    # submodules are exempt, and a name the tracer wraps is not thereby read
+    exports = {name for name in polybounds.__all__ if not isinstance(getattr(polybounds, name), types.ModuleType)}
+    trees = [tree for module, tree in TREES.items() if not module.endswith("__init__.py")]
+    trees.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    assert export_breaches(exports, trees, _UNREACHED) == []
+
+
+def test_the_export_rule_names_each_breach():
+    tree = ast.parse("from polybounds import listed_but_read\nused()\n\ndef lonely():\n    return lonely()\n")
+    exports = {"used", "lonely", "listed_but_read"}
+    unreached = {"listed_but_read": "planted", "gone": "planted"}
+    assert export_breaches(exports, [tree], unreached) == [
+        "gone is in _UNREACHED but not exported",
+        "listed_but_read is in _UNREACHED but read",
+        "lonely is exported but read nowhere",
+    ]
 
 
 def _tracing():

@@ -51,6 +51,13 @@ def test_chsh_examples():
     assert chsh_value(tsirelson) == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
 
+def test_a_bare_array_is_read_as_a_correlation_table():
+    with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+        chsh_variant_values(5 * np.ones((2, 2)))
+    with pytest.raises(ValidationError, match="shape"):
+        chsh_value(np.ones(3))
+
+
 def test_negative_entry_rejected():
     p = np.full((2, 2, 2, 2), 0.25)
     p[0, 0, 0, 0] = -0.01

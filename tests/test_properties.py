@@ -9,7 +9,8 @@ time, and results that do not depend on the axis order an array is
 written in.  The one-pass report emitter must write the bytes of the
 two-pass renderer it replaced, on generated trees of every value type a
 report can hold.  The closed-form effect bounds must map under the IV
-scenario's 8 relabelings as the effect does, and the Bell scenario's
+scenario's 8 relabelings as the effect does, in the library and in the
+``iv-bounds``, ``gap`` and ``pns`` reports, and the Bell scenario's
 relabelings must keep membership verdicts and functional values and map a
 violated facet to its image.  Examples are derandomized, so the suite
 stays deterministic.
@@ -17,6 +18,7 @@ stays deterministic.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -413,7 +415,8 @@ def test_a_non_finite_number_anywhere_raises(data):
 #: The 8 relabelings (swap z, flip x, flip y): a swap of the instrument keeps
 #: the effect, and a flip of the treatment or of the outcome negates it.
 relabelings = st.tuples(st.booleans(), st.booleans(), st.booleans())
-iv_families = st.sampled_from((random_iv_table, one_sided_iv_table, two_qubit_iv_table))
+IV_FAMILIES = (random_iv_table, one_sided_iv_table, two_qubit_iv_table)
+iv_families = st.sampled_from(IV_FAMILIES)
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -422,12 +425,12 @@ def _relabeled(table: ObservedIVTable, swap_z: bool, flip_x: bool, flip_y: bool)
     return ObservedIVTable(table.p[::-1 if flip_y else 1, ::-1 if flip_x else 1, ::-1 if swap_z else 1])
 
 
-def _assert_maps(bounds: Interval, relabeled: Interval, flip_x: bool, flip_y: bool) -> None:
+def _assert_maps(bounds: Interval, relabeled: Interval, flip_x: bool, flip_y: bool, atol: float = 1e-15) -> None:
     """``relabeled`` is ``bounds`` mapped as the effect maps.  The closed
     forms sum the cells in another order once they are relabeled, so an
     endpoint may move by an ulp."""
     image = (bounds.lo, bounds.hi) if flip_x == flip_y else (-bounds.hi, -bounds.lo)
-    np.testing.assert_allclose((relabeled.lo, relabeled.hi), image, rtol=0, atol=1e-15)
+    np.testing.assert_allclose((relabeled.lo, relabeled.hi), image, rtol=0, atol=atol)
 
 
 @PROPERTY_SETTINGS
@@ -453,6 +456,54 @@ def test_pns_bounds_keep_under_a_joint_flip_of_treatment_and_outcome(seed):
     bounds = pns_bounds(exp, obs)
     flipped = pns_bounds(ExperimentalData(1.0 - exp.p_do0, 1.0 - exp.p_do1), ObservationalData(obs.joint[::-1, ::-1]))
     np.testing.assert_allclose((flipped.lo, flipped.hi), (bounds.lo, bounds.hi), rtol=0, atol=1e-15)
+
+
+#: Reports print 12 significant digits, so a mapped endpoint read from the
+#: CLI may differ from its image in the last printed digit.
+CLI_ATOL = 1e-11
+
+
+def _results(kind: str, payload: dict, **options) -> dict:
+    code, out = _run({"schema": 1, "kind": kind, "payload": payload, "options": options})
+    assert code == 0
+    return _parse(out)["results"]
+
+
+def _interval(record: dict) -> Interval:
+    return Interval(record["lo"], record["hi"])
+
+
+@pytest.mark.parametrize("family", IV_FAMILIES)
+def test_iv_reports_map_under_the_iv_relabelings_through_the_cli(family):
+    for seed in range(8):
+        table = family(np.random.default_rng(seed))
+        bounds = _results("iv-bounds", {"table": table.p.tolist()})
+        gap = _results("gap", {"table": table.p.tolist()}, npa_level="1")
+        for relabeling in itertools.product((False, True), repeat=3):
+            relabeled = {"table": _relabeled(table, *relabeling).p.tolist()}
+            mapped = _results("iv-bounds", relabeled)
+            _assert_maps(_interval(bounds["ace_bounds"]), _interval(mapped["ace_bounds"]), *relabeling[1:], CLI_ATOL)
+            check = mapped["instrumental_inequality"]["value"]
+            assert check == pytest.approx(bounds["instrumental_inequality"]["value"], rel=0, abs=CLI_ATOL)
+            mapped = _results("gap", relabeled, npa_level="1")
+            for key in ("classical", "quantum", "nosignaling"):
+                _assert_maps(_interval(gap[key]), _interval(mapped[key]), *relabeling[1:], CLI_ATOL)
+            assert mapped["gap"] == pytest.approx(gap["gap"], rel=0, abs=CLI_ATOL)
+
+
+def test_pns_reports_keep_under_a_joint_flip_through_the_cli():
+    # the flip keeps PNS and exchanges PN, on the cell x = y = 1, with PS, on x = y = 0
+    for seed in range(8):
+        exp, obs = random_counterfactual_instance(np.random.default_rng(seed))
+        report, flipped = (
+            _results("pns", {"experimental": {"p_do1": p_do1, "p_do0": p_do0}, "observational": {"joint": joint}})
+            for p_do1, p_do0, joint in (
+                (exp.p_do1, exp.p_do0, obs.joint.tolist()),
+                (1.0 - exp.p_do0, 1.0 - exp.p_do1, obs.joint[::-1, ::-1].tolist()),
+            )
+        )
+        for key, image in (("pns_bounds", "pns_bounds"), ("pn_bounds", "ps_bounds"), ("ps_bounds", "pn_bounds")):
+            _assert_maps(_interval(report[image]), _interval(flipped[key]), False, False, CLI_ATOL)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from polybounds import (
     local_max,
     moment_program,
     no_signaling_max,
-    noncommutativity_witness,
     npa_bound,
     quantum_ace_bounds,
     quantum_behavior,
@@ -150,23 +149,38 @@ def test_chsh_operator_identity():
         assert np.abs(C @ C - identity).max() <= 1e-10
 
 
-def test_witness_commuting_observables_capped_at_two():
-    w = noncommutativity_witness(Z, Z, X, X)
-    assert w.comm_a == pytest.approx(0.0, abs=1e-12)
-    assert w.achievable_chsh <= 2.0 + 1e-9
+def _top_chsh(a0, a1, b0, b1) -> float:
+    """The best CHSH value any state reaches with these fixed observables."""
+    return float(np.linalg.eigvalsh(chsh_operator(a0, a1, b0, b1)).max())
 
 
-def test_witness_anticommuting_observables_reach_tsirelson():
-    w = noncommutativity_witness(Z, X, Z, X)
-    assert w.comm_a == pytest.approx(2.0, abs=1e-12)
-    assert w.comm_b == pytest.approx(2.0, abs=1e-12)
-    assert w.achievable_chsh == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+def test_chsh_operator_of_a_commuting_pair_is_capped_at_two():
+    assert _top_chsh(Z, Z, X, X) <= 2.0 + 1e-9
 
 
-def test_witness_intermediate_angle_strictly_between():
+def test_chsh_operator_of_anticommuting_pairs_reaches_tsirelson():
+    assert _top_chsh(Z, X, Z, X) == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+
+
+def test_chsh_operator_at_an_intermediate_angle_lies_strictly_between():
     mid = DichotomicObservable.from_angle(np.pi / 4)
-    w = noncommutativity_witness(Z, mid, Z, mid)
-    assert 2.0 + 1e-6 < w.achievable_chsh < 2 * np.sqrt(2) - 1e-6
+    assert 2.0 + 1e-6 < _top_chsh(Z, mid, Z, mid) < 2 * np.sqrt(2) - 1e-6
+
+
+def test_the_simulator_types_refuse_non_finite_input():
+    # a NaN passes every "error > tol" check, and an eigensolver given one
+    # fails to converge: each is refused before either
+    builds = (
+        lambda: DichotomicObservable(np.full((2, 2), np.nan)),
+        lambda: DichotomicObservable.from_angle(np.nan),
+        lambda: DichotomicObservable.from_angle(np.inf),
+        lambda: DichotomicObservable.from_bloch([np.inf, 0.0, 0.0]),
+        lambda: TwoQubitState(np.full((4, 4), np.nan)),
+        lambda: TwoQubitState.from_ket([np.nan, 0.0, 0.0, 0.0]),
+    )
+    for build in builds:
+        with pytest.raises(ValidationError, match="finite"):
+            build()
 
 
 def test_npa_chsh_both_levels():
