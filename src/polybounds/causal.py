@@ -87,7 +87,7 @@ _ONE.setflags(write=False)
 
 def iv_table_from_response_dist(q) -> ObservedIVTable:
     """Forward map: the observed table generated by a type distribution."""
-    qv = q.q if isinstance(q, ResponseTypeDist) else ResponseTypeDist(np.asarray(q, dtype=float)).q
+    qv = q.q if isinstance(q, ResponseTypeDist) else ResponseTypeDist(q).q
     return ObservedIVTable((RESPONSE_MATRIX @ qv).reshape(2, 2, 2))
 
 

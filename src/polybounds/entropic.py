@@ -82,13 +82,15 @@ class EntropyVector:
     n: int
 
     def __post_init__(self):
-        arr = np.array(self.h, dtype=float)
+        arr = float_array(self.h, "entropy vector")
         if self.n < 1 or self.n > 4:
             raise ValidationError(f"entropy vectors cover 1..4 variables, got n = {self.n}")
         if arr.shape != (2**self.n,):
             raise ValidationError(
                 f"incomplete entropy vector: need {2**self.n} components for n = {self.n}, got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("entropy vector has non-finite components")
         if abs(arr[0]) > 1e-12:
             raise ValidationError("the empty-set component must be zero")
         if arr.min() < -1e-12:
@@ -100,7 +102,7 @@ class EntropyVector:
     def from_joint(cls, joint) -> "EntropyVector":
         """Entropy vector of an explicit joint distribution; axis i of the
         array is variable i (bit i of the subset mask)."""
-        j = np.asarray(joint, dtype=float)
+        j = float_array(joint, "joint distribution")
         n = j.ndim
         if n < 1 or n > 4:
             raise ValidationError("joint must have between 1 and 4 axes")

@@ -12,11 +12,11 @@ cross-check.  The level-1 effect bounds of an instrumental table are a
 chordal matrix completion with one free scalar, held to the natural bounds
 by the table's unobserved cells; an endpoint whose active Balke-Pearl row
 is natural, and both endpoints of a table with a pinned arm, are the
-classical ones, and any other is a 1-D search, with no solver
-(``quantum_ace_bounds``).  The moment SDP (``quantum_ace_sdp``) is the
-engine at level 1ab and the level-1 audit.  Every level refuses a table
-that fails the instrumental inequality: the natural bounds hold for every
-quantum model.
+classical ones, and any other is a golden-section search with its kinks
+pinned, with no solver (``quantum_ace_bounds``).  The moment SDP
+(``quantum_ace_sdp``) is the engine at level 1ab and the level-1 audit.
+Every level refuses a table that fails the instrumental inequality: the
+natural bounds hold for every quantum model.
 
 The relaxation side builds moment matrices over operator words in the
 +-1-observable formulation.  Level ``L1`` uses words {1, A0, A1, B0, B1}
@@ -52,6 +52,7 @@ from .model import (
     behavior_to_correlations,
     chsh_variant_values,
     correlator_functional,
+    float_array,
     CHSH_VARIANTS,
 )
 from .polytope import local_max, no_signaling_max
@@ -60,6 +61,23 @@ from .solvers import TOL, SdpProblem, SdpResult, sdp_solve
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _unit(v: np.ndarray, size: int, what: str) -> np.ndarray:
+    """``v``, of ``size`` entries, over its norm; divided first by its largest
+    entry only when the norm overflows, so that every other vector keeps its bits."""
+    if v.size != size:
+        raise ValidationError(f"{what} must have {size} entries, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+        norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ValidationError(f"{what} must be nonzero")
+    return v.reshape(size) / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +103,7 @@ class TwoQubitState:
 
     @classmethod
     def from_ket(cls, ket) -> "TwoQubitState":
-        v = np.asarray(ket, dtype=complex).reshape(4)
-        if not np.isfinite(v).all():
-            raise ValidationError("state vector has non-finite entries")
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValidationError("state vector must be nonzero")
-        v = v / norm
+        v = _unit(np.asarray(ket, dtype=complex), 4, "state vector")
         return cls(np.outer(v, v.conj()))
 
     @classmethod
@@ -135,13 +147,7 @@ class DichotomicObservable:
 
     @classmethod
     def from_bloch(cls, n) -> "DichotomicObservable":
-        v = np.asarray(n, dtype=float).reshape(3)
-        if not np.isfinite(v).all():
-            raise ValidationError("Bloch vector has non-finite entries")
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValidationError("Bloch vector must be nonzero")
-        v = v / norm
+        v = _unit(float_array(n, "Bloch vector"), 3, "Bloch vector")
         return cls(v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
 
     def projector(self, bit: int) -> np.ndarray:
@@ -478,8 +484,6 @@ def quantum_ace_sdp(table: ObservedIVTable, level: NpaLevel) -> tuple[Interval, 
     return Interval(lo_value, hi_value), diagnostics
 
 
-#: Golden-section fraction of Brent's method.
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 #: Relative and absolute resolution of the angle search in ``_level1_ace_bounds``.
 _ANGLE_RTOL = 1e-7
 _ANGLE_ATOL = 1e-12
@@ -511,54 +515,41 @@ def _chord(line: tuple, cos: float, sin: float) -> tuple[float, float, float]:
     return (sin * sin * p0 * q0 + g * k) / den, root * sin * math.sqrt(max(-excess, 0.0) / den), excess
 
 
-def _unimodal_argmax(f, lo: float, hi: float) -> float:
-    """Where a unimodal ``f`` peaks on (lo, hi), by Brent's method (Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 5): a
-    parabola through the three best points gives the step when it lands
-    inside the bracket and shrinks, a golden-section step otherwise."""
-    x = w = v = lo + _GOLDEN * (hi - lo)
-    fx = fw = fv = f(x)
-    step = last = 0.0
+def _peak_bracket(f, lo: float, hi: float) -> tuple[float, float, float]:
+    """Golden-section search for the peak of a unimodal ``f`` on [lo, hi]
+    (Kiefer, Proc. Amer. Math. Soc. 4, 502, 1953): the final bracket, at
+    most 4 (``_ANGLE_RTOL`` |x| + ``_ANGLE_ATOL``) wide, and x, the better of
+    its two interior points."""
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = f(c), f(d)
     while True:
-        mid = 0.5 * (lo + hi)
-        tol = _ANGLE_RTOL * abs(x) + _ANGLE_ATOL
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
-            return x
-        golden = abs(last) <= tol
-        if not golden:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            previous, last = last, step
-            golden = abs(p) >= abs(0.5 * q * previous) or p <= q * (lo - x) or p >= q * (hi - x)
-            if not golden:
-                step = p / q
-                if x + step - lo < 2.0 * tol or hi - x - step < 2.0 * tol:
-                    step = math.copysign(tol, mid - x)
-        if golden:
-            last = (lo if x >= mid else hi) - x
-            step = _GOLDEN * last
-        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        fu = f(u)
-        if fu >= fx:
-            if u >= x:
-                lo = x
-            else:
-                hi = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        x = c if fc >= fd else d
+        if hi - lo <= 4.0 * (_ANGLE_RTOL * abs(x) + _ANGLE_ATOL):
+            return lo, hi, x
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = f(c)
         else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = f(d)
+
+
+def _nonpositive_end(g, a: float, ga: float, b: float, gb: float) -> float:
+    """Where ``g``, positive at one of a and b only, crosses 0: the end at
+    which it is nonpositive of the bracket that 8 steps of the Illinois
+    variant of regula falsi leave (Dowell and Jarratt, BIT 11, 168, 1971)."""
+    kept = 0  # the end two steps in a row keep has its value halved
+    for _ in range(8):
+        c = b - gb * (b - a) / (gb - ga)
+        gc = g(c)
+        if (gc > 0.0) == (gb > 0.0):
+            b, gb, ga, kept = c, gc, ga * (0.5 if kept < 0 else 1.0), -1
+        else:
+            a, ga, gb, kept = c, gc, gb * (0.5 if kept > 0 else 1.0), 1
+    return a if ga <= 0.0 else b
 
 
 def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows) -> Interval:
@@ -601,15 +592,19 @@ def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows) -> Interval:
     (b_0 + h_0) - (b_1 - h_1) over theta, with b_x and h_x a clipped chord's
     centre and half-length, and a lower one half the least of
     (b_0 - h_0) - (b_1 + h_1).  Both are concave in cos(theta) where both
-    chords exist, so each is a 1-D unimodal search (``_unimodal_argmax``);
-    an angle where a chord misses the ball scores below every other, and one
-    where it misses its box between those and the feasible ones, each by how
-    far it misses.  Each searched endpoint takes the best of the angles
-    found, and at one angle the upper difference is never below the lower,
-    so the endpoints cannot cross.  A chord missing at every searched angle
-    by more than ``_BALL_SLACK`` raises ``InfeasibleTableError``, and an
-    unpinned arm with a treatment mass below ``_MASS_FLOOR`` raises
-    ``FloatRangeError``.
+    chords exist, so each is a golden-section search (``_peak_bracket``)
+    inside the ends, where the frame is singular; an angle where a chord
+    misses the ball scores below every other, and one where it misses its
+    box between those and the feasible ones, each by how far it misses.  At
+    a kink, where a quantity that the value clips or ranks by crosses 0, the
+    value's error is linear in the angle's, so each kink in the final
+    bracket is pinned (``_nonpositive_end``).  Each searched endpoint takes
+    the best of the golden points, the brackets' ends and the kinks, and at
+    one angle the upper difference is never below the lower, so the
+    endpoints cannot cross.  A chord missing at every such angle by more
+    than ``_BALL_SLACK`` raises ``InfeasibleTableError``; where an endpoint
+    is searched, an unpinned arm with a treatment mass below ``_MASS_FLOOR``
+    raises ``FloatRangeError``.
     """
     p = table.p.tolist()  # [y][x][z]
     mass = [[p[0][x][z] + p[1][x][z] for z in range(2)] for x in range(2)]
@@ -617,16 +612,16 @@ def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows) -> Interval:
     roots = [math.sqrt(mass[0][z]) * math.sqrt(mass[1][z]) for z in range(2)]
     # the free arms (a treatment mass of 0 pins an arm), the smaller root first
     arms = sorted((z for z in range(2) if min(mass[0][z], mass[1][z]) > 0.0), key=roots.__getitem__)
+    classical = rows.interval
+    natural = {-1.0: rows.lo_natural, 1.0: rows.hi_natural}
+    if len(arms) < 2 or natural[-1.0] and natural[1.0]:
+        return classical
     for z in arms:
         if min(mass[0][z], mass[1][z]) < _MASS_FLOOR:
             raise FloatRangeError(
                 f"arm z={z} has a treatment mass of {min(mass[0][z], mass[1][z]):.3g}, below the range of the "
                 "level-1 closed form; a mass of exactly 0 pins the arm"
             )
-    classical = rows.interval
-    natural = {-1.0: rows.lo_natural, 1.0: rows.hi_natural}
-    if len(arms) < 2 or natural[-1.0] and natural[1.0]:
-        return classical
     lines = []
     for x in range(2):
         (p0, q0, r0), (p1, q1, r1) = ((mass[x][z], q[x][z], roots[z]) for z in arms)
@@ -637,37 +632,39 @@ def _level1_ace_bounds(table: ObservedIVTable, rows: ActiveRows) -> Interval:
         for x in range(2)
     ]
 
-    def evaluate(cos: float, sin: float, sign: float) -> tuple[float, float, float]:
-        """sign (b_0 - b_1) over the two chords at this angle, each clipped
-        to its box, with how far the worse line misses the ball and how far
-        the worse chord misses its box."""
+    def score(theta: float, sign: float) -> tuple:
+        """The rank and value of sign (b_0 - b_1) at theta over the chords,
+        each clipped to its box, the excess past the ball, and the kinks'
+        four quantities (how far each chord end the value takes passes its
+        box, how far the worse chord misses its box, and the excess)."""
+        cos, sin = math.cos(theta), math.sin(theta)
         (c0, h0, e0), (c1, h1, e1) = (_chord(line, cos, sin) for line in lines)
         (low0, high0), (low1, high1) = box
         # the value takes the upper end of b_0 and the lower one of b_1, or the reverse
-        if sign > 0.0:
-            clipped = max(c0 + h0 - high0, 0.0) + max(low1 - c1 + h1, 0.0)
-        else:
-            clipped = max(low0 - c0 + h0, 0.0) + max(c1 + h1 - high1, 0.0)
+        over = (c0 + h0 - high0, low1 - c1 + h1) if sign > 0.0 else (low0 - c0 + h0, c1 + h1 - high1)
+        value = sign * (c0 - c1) + h0 + h1 - (max(over[0], 0.0) + max(over[1], 0.0))
         miss = max(c0 - h0 - high0, low0 - c0 - h0, c1 - h1 - high1, low1 - c1 - h1)
-        return sign * (c0 - c1) + h0 + h1 - clipped, max(e0, e1), miss
-
-    def rank(value: float, excess: float, miss: float) -> float:
+        excess = max(e0, e1)
         # a feasible value is at least -2, since |b_x| <= 1 on a chord; a
         # chord that misses its box by m <= 2 ranks between, at -2 - m / 2
-        return -3.0 - excess if excess > 0.0 else -2.0 - 0.5 * miss if miss > 0.0 else value
+        rank = -3.0 - excess if excess > 0.0 else -2.0 - 0.5 * miss if miss > 0.0 else value
+        return rank, value, excess, (*over, miss, excess)
 
-    searched = [sign for sign in (1.0, -1.0) if not natural[sign]]
-    found = (
-        _unimodal_argmax(lambda t: rank(*evaluate(math.cos(t), math.sin(t), sign)), 0.0, math.pi)
-        for sign in searched
-    )
-    angles = [(math.cos(t), math.sin(t)) for t in found]
+    # theta = 0 and pi leave the frame singular, and a chord undefined
+    angles = []
+    for sign in (s for s in (1.0, -1.0) if not natural[s]):
+        lo, hi, best = _peak_bracket(lambda t: score(t, sign)[0], _ANGLE_ATOL, math.pi - _ANGLE_ATOL)
+        angles += [best, lo, hi]
+        kinks_lo, kinks_hi = score(lo, sign)[3], score(hi, sign)[3]
+        for k, (g_lo, g_hi) in enumerate(zip(kinks_lo, kinks_hi)):
+            if (g_lo > 0.0) != (g_hi > 0.0):
+                angles.append(_nonpositive_end(lambda t: score(t, sign)[3][k], lo, g_lo, hi, g_hi))
     ends = []
     for sign in (-1.0, 1.0):
         if natural[sign]:
             ends.append(classical.hi if sign > 0.0 else classical.lo)
             continue
-        value, excess, _ = max((evaluate(*angle, sign) for angle in angles), key=lambda triple: rank(*triple))
+        _, value, excess, _ = max((score(t, sign) for t in angles), key=lambda terms: terms[0])
         if excess > _BALL_SLACK:
             raise InfeasibleTableError(
                 f"the table lies outside the level-1 quantum relaxation (by {excess:.3g} past the unit ball)"

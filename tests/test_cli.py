@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -1007,6 +1008,24 @@ def test_unreadable_json_is_schema_error(tmp_path, capsys, text):
     code, out = run_cli(capsys, "manski", "--input", str(path))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "flag, source, text",
+    [
+        ("--input", "file", '{"schema": 1, "payload": {"e1": 0.6, "e0": 0.4'),
+        ("--input", "stdin", ""),
+        ("--batch", "file", '[{"schema": 1, "kind": "manski", "payload": {"e1": 0.6, "e0": 0.4, "px1": 0.5}}, {"sch'),
+    ],
+    ids=["truncated-input", "empty-stdin", "truncated-batch"],
+)
+def test_malformed_json_exits_two_with_its_decode_error(tmp_path, capsys, monkeypatch, flag, source, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out = run_cli(capsys, "manski", flag, "-" if source == "stdin" else str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "JSONDecodeError"
 
 
 @pytest.mark.parametrize(

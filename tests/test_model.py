@@ -5,6 +5,8 @@ from polybounds import (
     CHSH_COEFFS,
     Behavior,
     CorrelationTable,
+    DichotomicObservable,
+    EntropyVector,
     ExperimentalData,
     Interval,
     NormalizationError,
@@ -12,6 +14,7 @@ from polybounds import (
     ObservationalData,
     ObservedIVTable,
     ResponseTypeDist,
+    TwoQubitState,
     ValidationError,
     behavior_to_correlations,
     chsh_value,
@@ -20,6 +23,7 @@ from polybounds import (
     comonotone_coupling,
     entropy,
     frechet_bounds,
+    iv_table_from_response_dist,
     local_max,
     manski_bounds,
     mutual_information,
@@ -29,6 +33,7 @@ from polybounds import (
     tsirelson_bound,
 )
 from polybounds.model import check_probability
+from polybounds.quantum import PAULI_X, PAULI_Y, PAULI_Z
 from polybounds.solvers import TOL
 from conftest import random_local_behavior, random_nosignaling_behavior
 
@@ -265,6 +270,39 @@ def test_an_iv_table_of_booleans_or_strings_is_refused(values, kind):
     with pytest.raises(ValidationError) as raised:
         ObservedIVTable(values)
     assert str(raised.value) == f"IV table has an entry of type {kind}, not a number"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: iv_table_from_response_dist(["0.0625"] * 16), "response-type distribution has an entry of type str"),
+        (lambda: iv_table_from_response_dist([True] + [0.0] * 15), "response-type distribution has an entry of type bool"),
+        (lambda: iv_table_from_response_dist([[1, 2], [3]]), "response-type distribution is not a rectangular array"),
+        (lambda: EntropyVector([0.0, np.nan, 1.0, 1.0], 2), "entropy vector has non-finite components"),
+        (lambda: EntropyVector([0, "1", 1, 1], 2), "entropy vector has an entry of type str"),
+        (lambda: EntropyVector.from_joint([["0.5", 0.5], [0, 0]]), "joint distribution has an entry of type str"),
+        (lambda: DichotomicObservable.from_bloch(["1", 0, 0]), "Bloch vector has an entry of type str"),
+        (lambda: DichotomicObservable.from_bloch([1, 0]), r"Bloch vector must have 3 entries, got shape \(2,\)"),
+        (lambda: TwoQubitState.from_ket([1, 0, 0]), r"state vector must have 4 entries, got shape \(3,\)"),
+    ],
+    ids=["types-string", "types-bool", "types-ragged", "entropy-nan", "entropy-string", "joint-string",
+         "bloch-string", "bloch-short", "ket-short"],
+)
+def test_the_remaining_array_readers_share_the_entry_rule(build, message):
+    # each was once read with np.asarray, which takes "0.0625" and True as
+    # numbers, or failed in numpy's own reshape
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_unit_vectors_near_the_float_range_are_rescaled_before_their_norm():
+    # the norm of these overflows; any other vector keeps the bits of v / |v|
+    huge, unit = DichotomicObservable.from_bloch([1e308, 1e308, 0]), DichotomicObservable.from_bloch([1, 1, 0])
+    assert np.array_equal(huge.m, unit.m)
+    assert np.array_equal(TwoQubitState.from_ket([1e308, 1e308, 0, 0]).rho, TwoQubitState.from_ket([1, 1, 0, 0]).rho)
+    v = np.random.default_rng(0).normal(size=3)
+    u = v / np.linalg.norm(v)
+    assert np.array_equal(DichotomicObservable.from_bloch(v).m, u[0] * PAULI_X + u[1] * PAULI_Y + u[2] * PAULI_Z)
 
 
 @pytest.mark.parametrize(

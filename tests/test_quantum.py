@@ -557,7 +557,7 @@ def test_natural_active_rows_answer_level1_with_no_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("the level-1 closed form searched an angle")
 
-    monkeypatch.setattr("polybounds.quantum._unimodal_argmax", refuse)
+    monkeypatch.setattr("polybounds.quantum._peak_bracket", refuse)
     rng = np.random.default_rng(77)
     for arms in itertools.product((None, 0, 1), repeat=2):
         natural = 0
@@ -581,7 +581,7 @@ def test_pinned_arms_answer_level1_with_ace_bounds(monkeypatch):
     def refuse(*args):
         raise AssertionError("the level-1 closed form searched an angle")
 
-    monkeypatch.setattr("polybounds.quantum._unimodal_argmax", refuse)
+    monkeypatch.setattr("polybounds.quantum._peak_bracket", refuse)
     rng = np.random.default_rng(74)
     patterns = [arms for arms in itertools.product((None, 0, 1), repeat=2) if arms != (None, None)]
     tables = [_types_with_arms(rng, arms) for arms in patterns for _ in range(5)]
@@ -602,15 +602,32 @@ def test_pinned_arms_answer_level1_with_ace_bounds(monkeypatch):
 
 
 def test_level1_answers_every_table_at_the_edge_that_ace_bounds_answers():
-    # a table past the edge by up to 4e-10 empties the box by up to 8e-10,
-    # within the tolerance at which ace_bounds still answers
+    """A table past the edge by up to 4e-10 empties the box by up to 8e-10,
+    within the tolerance at which ace_bounds still answers.  Here the optimum
+    often sits on a kink, where a clipped chord first reaches its box, and
+    every searched endpoint is still an outer bound: at or outside the
+    level-1 SDP's primal value, or inside it by at most its duality gap and
+    1e-9."""
+    searched, inside = 0, []
     for excess in (0.0, 1e-12, 4e-10):
         rng = np.random.default_rng(78)
-        for _ in range(20):
+        for k in range(20):
             table = near_edge_iv_table(rng, excess)
             classical = ace_bounds(table)
             quantum, _ = quantum_ace_bounds(table, NpaLevel.L1)
             assert quantum.encloses(classical, tol=1e-12)
+            rows = active_rows(table)
+            sdp, diagnostics = quantum_ace_sdp(table, NpaLevel.L1)
+            gap_lo, gap_hi = diagnostics["duality_gaps"]
+            for natural, depth, gap, end in (
+                (rows.lo_natural, quantum.lo - sdp.lo, gap_lo, "lo"),
+                (rows.hi_natural, sdp.hi - quantum.hi, gap_hi, "hi"),
+            ):
+                searched += not natural
+                if not natural and depth > gap + 1e-9:
+                    inside.append((excess, k, end, depth))
+    assert searched == 120
+    assert inside == []
 
 
 def test_boxed_level1_holds_each_two_qubit_models_effect_and_encloses_level1ab():
@@ -709,10 +726,20 @@ def test_level1_closed_form_rejects_tables_outside_the_relaxation():
     p[:, 1, 1] = (0.6, 0.4)
     with pytest.raises(InfeasibleTableError):
         quantum_ace_bounds(ObservedIVTable(p), NpaLevel.L1)
-    # a treatment mass too small to resolve is a range error, not a pin
+    # a treatment mass too small to resolve is no pin: where both active rows
+    # are natural, no chord is computed and the endpoints are ace_bounds'
     tiny = ObservedIVTable((1.0 - 1e-300) * one_sided_iv_table(rng).p + 1e-300 * random_iv_table(rng).p)
+    assert _bits_of(quantum_ace_bounds(tiny, NpaLevel.L1)[0]) == _bits_of(ace_bounds(tiny))
+    # and where an endpoint is searched, it is a range error: the treated
+    # cells of arm z=0 of a structural table scaled by 1e-300, the lower
+    # endpoint searched
+    p = structural_iv_tables(np.random.default_rng(0), 20)[19]
+    p[:, 1, 0] *= 1e-300
+    p[:, :, 0] /= p[:, :, 0].sum()
+    rows = active_rows(ObservedIVTable(p))
+    assert (rows.lo_natural, rows.hi_natural) == (False, True)
     with pytest.raises(FloatRangeError, match="arm z=0"):
-        quantum_ace_bounds(tiny, NpaLevel.L1)
+        quantum_ace_bounds(ObservedIVTable(p), NpaLevel.L1)
 
 
 def test_level1_refuses_a_chord_that_misses_the_ball_at_every_angle():
